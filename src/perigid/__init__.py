@@ -60,6 +60,7 @@ from .sparsity import (
     CircuitReport,
     CountReport,
     Decomposition,
+    LamanAnalysis,
     brute_force_sparsity,
     classify_11k_shape,
     count_report,
@@ -73,6 +74,7 @@ from .sparsity import (
     is_colored_laman_sparse,
     is_f_independent,
     is_ross,
+    laman_analysis,
     max_laman_sparse_subset,
     union_independent,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
+import random
 import sys
 from pathlib import Path
 
@@ -35,12 +35,14 @@ from .fileio import (
     to_json_bytes,
     verdict_json,
 )
-from .linear_rep import dump_matrix, rank_mod_p
+from .linear_rep import build_natural_matrix, dump_matrix, rank_mod_p, sample_assignment
 from .rigidity import (
     STATUS_FLEXIBLE,
+    _float_realization,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
+    rigidity_matrix,
 )
 from .svg import development_svg, realization_svg
 
@@ -93,7 +95,7 @@ def cmd_sparsity(path, args):
     family = args.family
     if family == "laman":
         verdict = sparsity.is_colored_laman_sparse(graph)
-        tight = sparsity.is_colored_laman(graph)
+        tight = verdict and graph.m == 2 * graph.n + 1
         extra = f"colored-Laman graph: {tight}"
     elif family == "222":
         verdict = sparsity.is_222_sparse(graph)
@@ -132,11 +134,12 @@ def cmd_decompose(path, args):
 
 def cmd_circuit(path, args):
     graph = _load(path)
-    if sparsity.is_colored_laman_sparse(graph):
+    analysis = sparsity.laman_analysis(graph)
+    if analysis.sparse:
         if args.format == "json":
             return to_json_bytes({"sparse": True, "circuit": None}), OK
         return _text(["colored-Laman-sparse: no circuit"]), OK
-    report = sparsity.find_laman_circuit(graph)
+    report = analysis.circuit()
     if args.format == "json":
         return to_json_bytes({"sparse": False, "circuit": circuit_json(report)}), NEGATIVE
     ids = " ".join(map(str, sorted(report.circuit.ids)))
@@ -210,18 +213,8 @@ def cmd_rank(path, args):
     else:
         report = rank_mod_p(graph, args.matrix, trials=args.trials, seed=args.seed)
     if args.dump:
-        import random as _random
-
-        from .linear_rep import Realization, build_natural_matrix, sample_assignment
-        from .rigidity import rigidity_matrix
-
         if args.matrix == "M232":
-            rng = _random.Random(args.seed)
-            real = Realization(
-                [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(graph.n)],
-                [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(2)],
-            )
-            mat = rigidity_matrix(graph, real)
+            mat = rigidity_matrix(graph, _float_realization(graph, random.Random(args.seed)))
         else:
             asn = sample_assignment(
                 graph, pairs=(args.matrix != "M112"), mode="fp", seed=args.seed

@@ -29,7 +29,7 @@ from .errors import (
     InternalConsistencyError,
     StructuralError,
 )
-from .linear_rep import NaturalMatrix, Realization, kernel_float
+from .linear_rep import NaturalMatrix, Realization, _m222_row, kernel_float
 from .sparsity import is_colored_laman
 
 COLLAPSE_TOL = 1e-6  # relative; deliberately looser than the solve tolerance
@@ -77,23 +77,12 @@ def build_P_system(graph: ColoredGraph, directions: DirectionAssignment) -> Natu
     Exactly the M222 filling pattern evaluated at (a, b) = perp(d); the
     unknown vector is the flattened realization (points, then L columns).
     """
-    n = graph.n
     rows = []
     for e in graph.edges:
         if e.id not in directions.d:
             raise StructuralError(f"direction missing for edge {e.id}")
-        a, b = directions.perp(e.id)
-        row = [0.0] * (2 * n + 4)
-        row[2 * e.tail] -= a
-        row[2 * e.tail + 1] -= b
-        row[2 * e.head] += a
-        row[2 * e.head + 1] += b
-        row[2 * n] += e.color.g1 * a
-        row[2 * n + 1] += e.color.g1 * b
-        row[2 * n + 2] += e.color.g2 * a
-        row[2 * n + 3] += e.color.g2 * b
-        rows.append(tuple(row))
-    return NaturalMatrix("M222", "float", n, tuple(rows), graph.edge_ids())
+        rows.append(_m222_row(graph.n, e, *directions.perp(e.id), "float"))
+    return NaturalMatrix("M222", "float", graph.n, tuple(rows), graph.edge_ids())
 
 
 def realization_kernel(

@@ -10,8 +10,10 @@ Two matrix families realize the sparsity matroids linearly:
   2f-sparse edge sets.
 
 The rigidity matrix (kind M232) shares the M222 filling pattern with
-(a, b) replaced by the edge displacement of a concrete realization; it is
-assembled in :mod:`perigid.rigidity` and :mod:`perigid.direction_network`.
+(a, b) replaced by the edge displacement of a concrete realization.  Every
+row of these patterns, including the F_p rigidity rows and the 1d rows of
+:mod:`perigid.rigidity` and the realization system of
+:mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row`.
 
 Generic rank is decided by sampling: entries are drawn uniformly from the
 prime field F_p with p = 2^61 - 1 and eliminated exactly, so a full-rank
@@ -138,15 +140,6 @@ class NaturalMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=float).reshape(self.nrows, self.ncols)
-
-    def submatrix(self, row_ids=None, cols=None) -> "NaturalMatrix":
-        keep = set(self.row_ids if row_ids is None else row_ids)
-        rows, ids = [], []
-        for rid, row in zip(self.row_ids, self.rows):
-            if rid in keep:
-                ids.append(rid)
-                rows.append(row if cols is None else tuple(row[c] for c in cols))
-        return NaturalMatrix(self.kind, self.mode, self.n, tuple(rows), tuple(ids))
 
 
 def _m112_row(n, e, a, mode):

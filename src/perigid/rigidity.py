@@ -22,21 +22,16 @@ from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
 from .linear_rep import (
     FLOAT_TOL,
-    PRIME,
     NaturalMatrix,
     RankReport,
     Realization,
+    _m112_row,
+    _m222_row,
     build_natural_matrix,
     kernel_float,
     modp_rank,
 )
-from .sparsity import (
-    CircuitReport,
-    find_laman_circuit,
-    is_colored_laman,
-    is_colored_laman_sparse,
-    max_laman_sparse_subset,
-)
+from .sparsity import CircuitReport, laman_analysis
 
 COORD_RANGE = 1 << 20  # integer sampling window for exact-mode realizations
 
@@ -57,24 +52,22 @@ def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> NaturalMat
 
 def _modp_rigidity_rows(
     graph: ColoredGraph, p_int: list[tuple[int, int]], lat: tuple[tuple[int, int], tuple[int, int]]
-) -> list[list[int]]:
-    n = graph.n
+) -> list[tuple[int, ...]]:
     rows = []
     for e in graph.edges:
         g1, g2 = e.color.g1, e.color.g2
         ex = p_int[e.head][0] + lat[0][0] * g1 + lat[0][1] * g2 - p_int[e.tail][0]
         ey = p_int[e.head][1] + lat[1][0] * g1 + lat[1][1] * g2 - p_int[e.tail][1]
-        row = [0] * (2 * n + 4)
-        row[2 * e.tail] -= ex
-        row[2 * e.tail + 1] -= ey
-        row[2 * e.head] += ex
-        row[2 * e.head + 1] += ey
-        row[2 * n] += g1 * ex
-        row[2 * n + 1] += g1 * ey
-        row[2 * n + 2] += g2 * ex
-        row[2 * n + 3] += g2 * ey
-        rows.append([x % PRIME for x in row])
+        rows.append(_m222_row(graph.n, e, ex, ey, "fp"))
     return rows
+
+
+def _float_realization(graph: ColoredGraph, rng: random.Random) -> Realization:
+    """Points, then lattice rows, drawn uniformly from [-1, 1]."""
+    return Realization(
+        np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(graph.n)]),
+        np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]),
+    )
 
 
 def generic_rigidity_rank(
@@ -101,10 +94,7 @@ def generic_rigidity_rank(
             )
             best = max(best, modp_rank(_modp_rigidity_rows(graph, p_int, lat)))
         elif mode == "float":
-            real = Realization(
-                np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(graph.n)]),
-                np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]),
-            )
+            real = _float_realization(graph, rng)
             rank, _ = kernel_float(rigidity_matrix(graph, real), FLOAT_TOL)
             best = max(best, rank)
         else:
@@ -149,10 +139,12 @@ def decide_rigidity(
     raises.  Rigid verdicts require that size to be 2n + 1, i.e. a spanning
     colored-Laman subgraph; minimally rigid additionally means m = 2n + 1.
     A faithful-realization witness is attached to minimally rigid verdicts
-    and a sparsity-violating circuit to every non-sparse input.
+    and a sparsity-violating circuit to every non-sparse input; the basis,
+    the sparsity verdict and the circuit all come from one sparsity analysis.
     """
     n, m = graph.n, graph.m
-    basis = max_laman_sparse_subset(graph)
+    analysis = laman_analysis(graph)
+    basis = analysis.basis
     report = generic_rigidity_rank(graph, trials=3, seed=seed)
     if report.rank != len(basis):
         raise InternalConsistencyError(
@@ -167,9 +159,7 @@ def decide_rigidity(
     witness = None
     if attach_witness and status == STATUS_MINIMAL:
         witness, _ = rigid_realization_certificate(graph, seed=seed)
-    circuit = None
-    if not is_colored_laman_sparse(graph):
-        circuit = find_laman_circuit(graph)
+    circuit = None if analysis.sparse else analysis.circuit()
     return RigidityVerdict(status, report.rank, dof, n, m, witness, circuit)
 
 
@@ -179,11 +169,11 @@ def rigid_realization_certificate(
     """Faithful realization whose rigidity matrix certifies minimal rigidity.
 
     Verifies rank 2n + 1 in floating point and, after rationalizing the
-    realization, over F_p; also checks that deleting any single row drops the
-    rank to 2n, which is what makes the rigidity minimal.
+    realization, over F_p.  A faithful realization exists only for
+    colored-Laman graphs (anything else raises DomainError), so the matrix
+    has exactly 2n + 1 rows; full row rank then means that deleting any
+    single row drops the rank to 2n, which is what makes the rigidity minimal.
     """
-    if not is_colored_laman(graph):
-        raise DomainError("certificate needs a colored-Laman graph")
     n = graph.n
     fr = faithful_realization(graph, seed=seed)
     mat = rigidity_matrix(graph, fr.realization)
@@ -195,14 +185,6 @@ def rigid_realization_certificate(
     exact = rationalized_rigidity_rank(graph, fr.realization)
     if exact != 2 * n + 1:
         raise InternalConsistencyError("rationalized realization lost rank")
-    dense = mat.to_numpy()
-    for i in range(dense.shape[0]):
-        sub = np.delete(dense, i, axis=0)
-        r, _ = kernel_float(sub, FLOAT_TOL)
-        if r != 2 * n:
-            raise InternalConsistencyError(
-                f"row {i} deletion gave rank {r}, expected {2 * n}"
-            )
     return fr, RankReport("M232", rank, "float", 1, seed)
 
 
@@ -223,17 +205,12 @@ class OneDVerdict:
         return self.status != STATUS_FLEXIBLE
 
 
-def _oned_rows(graph: ColoredGraph, xs: list[int], lat: int) -> list[list[int]]:
-    n = graph.n
-    rows = []
-    for e in graph.edges:
-        eta = xs[e.head] + e.color.g1 * lat - xs[e.tail]
-        row = [0] * (n + 1)
-        row[e.tail] -= eta
-        row[e.head] += eta
-        row[n] += e.color.g1 * eta
-        rows.append([x % PRIME for x in row])
-    return rows
+def _oned_rows(graph: ColoredGraph, xs: list[int], lat: int) -> list[tuple[int, ...]]:
+    """M112 rows at a = eta; the second lattice column is zero (g2 = 0)."""
+    return [
+        _m112_row(graph.n, e, xs[e.head] + e.color.g1 * lat - xs[e.tail], "fp")
+        for e in graph.edges
+    ]
 
 
 def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerdict:

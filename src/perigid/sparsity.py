@@ -15,6 +15,11 @@ the edges of a colored graph.  Everything in this module is built from it:
 * circuits (minimal violations), Ross graphs (the fixed-lattice counts), and
   a certified exhaustive checker used to cross-validate all of the above.
 
+A graph's colored-Laman matroid is analysed once by :func:`laman_analysis`:
+the id-order greedy basis, the first edge it rejects (none exactly when the
+graph is sparse) and, from those two, the circuit.  Every consumer that
+needs more than one of these reads them from that one analysis.
+
 Empty subsets have n' = m' = c' = rk' = 0 by convention; the Laman-style
 count 2f - 1 is only ever tested on nonempty subsets.
 """
@@ -384,24 +389,6 @@ def is_colored_laman(graph: ColoredGraph) -> bool:
     return is_colored_laman_sparse(graph)
 
 
-def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
-    """Greedy basis of the colored-Laman matroid, edges tried in id order.
-
-    All maximal sparse subsets share this size (matroid property); only the
-    witness depends on the order.
-    """
-    chosen: list[int] = []
-    state = PartitionState(graph)
-    for eid in sorted(graph.edge_ids()):
-        probe = state.clone()
-        if not probe.try_insert(eid):
-            continue
-        if _doubling_ok(probe, graph, chosen + [eid]):
-            chosen.append(eid)
-            state = probe
-    return frozenset(chosen)
-
-
 @dataclass(frozen=True)
 class CircuitReport:
     circuit: EdgeSubset
@@ -413,38 +400,87 @@ def _is_zero_loop(graph: ColoredGraph, eid: int) -> bool:
     return e.tail == e.head and e.color.g1 == 0 and e.color.g2 == 0
 
 
-def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
-    """Extract the minimal violation of colored-Laman sparsity.
+@dataclass(frozen=True)
+class LamanAnalysis:
+    """The colored-Laman matroid of one graph, decided once.
 
-    Grows a maximal sparse subset B greedily, picks the smallest edge left
-    out, and keeps exactly the edges whose removal from B + e restores
-    sparsity: that set is the unique circuit inside B + e and satisfies
-    m' = 2f.  The one degenerate exception is a loop colored (0, 0): it is
-    dependent on its own (m' = 1 against the bound 2f - 1 = -1) and forms a
-    singleton circuit with m' = 2f + 1; the collapse theory still applies to
-    it since its constraint row is identically zero.
+    basis is the greedy basis with edges tried in id order; rejected is the
+    first edge that greedy left out, or None when the graph is sparse.
     """
-    if is_colored_laman_sparse(graph):
-        raise DomainError("graph is colored-Laman-sparse; no circuit to find")
-    basis = max_laman_sparse_subset(graph)
-    extra = min(set(graph.edge_ids()) - basis)
-    if _is_zero_loop(graph, extra):
-        subset = EdgeSubset.of(graph, [extra])
-        return CircuitReport(subset, count_report(subset))
-    pool = sorted(basis | {extra})
-    circuit = frozenset(
-        e for e in pool if laman_sparse_subset(graph, [x for x in pool if x != e])
-    )
-    if extra not in circuit or not circuit:
-        raise InternalConsistencyError("circuit extraction lost the witness edge")
-    subset = EdgeSubset.of(graph, circuit)
-    rep = count_report(subset)
-    if rep.m != rep.bound222:
-        raise InternalConsistencyError("extracted circuit misses m' = 2f")
-    for e in sorted(circuit):
-        if not laman_sparse_subset(graph, circuit - {e}):
-            raise InternalConsistencyError("circuit is not edge-minimal")
-    return CircuitReport(subset, rep)
+
+    graph: ColoredGraph
+    basis: frozenset[int]
+    rejected: int | None
+
+    @property
+    def sparse(self) -> bool:
+        return self.rejected is None
+
+    def circuit(self) -> CircuitReport:
+        """Extract the minimal violation of colored-Laman sparsity.
+
+        Keeps exactly the edges of B + e (B the basis, e the first rejected
+        edge) whose removal restores sparsity: that set is the unique circuit
+        inside B + e and satisfies m' = 2f.  The one degenerate exception is
+        a loop colored (0, 0): it is dependent on its own (m' = 1 against the
+        bound 2f - 1 = -1) and forms a singleton circuit with m' = 2f + 1;
+        the collapse theory still applies to it since its constraint row is
+        identically zero.
+        """
+        if self.sparse:
+            raise DomainError("graph is colored-Laman-sparse; no circuit to find")
+        graph, extra = self.graph, self.rejected
+        if _is_zero_loop(graph, extra):
+            subset = EdgeSubset.of(graph, [extra])
+            return CircuitReport(subset, count_report(subset))
+        pool = sorted(self.basis | {extra})
+        circuit = frozenset(
+            e for e in pool if laman_sparse_subset(graph, [x for x in pool if x != e])
+        )
+        if extra not in circuit or not circuit:
+            raise InternalConsistencyError("circuit extraction lost the witness edge")
+        subset = EdgeSubset.of(graph, circuit)
+        rep = count_report(subset)
+        if rep.m != rep.bound222:
+            raise InternalConsistencyError("extracted circuit misses m' = 2f")
+        for e in sorted(circuit):
+            if not laman_sparse_subset(graph, circuit - {e}):
+                raise InternalConsistencyError("circuit is not edge-minimal")
+        return CircuitReport(subset, rep)
+
+
+def laman_analysis(graph: ColoredGraph) -> LamanAnalysis:
+    """Grow the id-order greedy basis of the colored-Laman matroid.
+
+    An edge joins when the basis plus it stays 2f-independent and survives
+    doubling of each of its edges; the first edge refused is recorded, so
+    the graph is sparse exactly when none is.
+    """
+    chosen: list[int] = []
+    rejected: int | None = None
+    state = PartitionState(graph)
+    for eid in sorted(graph.edge_ids()):
+        probe = state.clone()
+        if probe.try_insert(eid) and _doubling_ok(probe, graph, chosen + [eid]):
+            chosen.append(eid)
+            state = probe
+        elif rejected is None:
+            rejected = eid
+    return LamanAnalysis(graph, frozenset(chosen), rejected)
+
+
+def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
+    """Greedy basis of the colored-Laman matroid, edges tried in id order.
+
+    All maximal sparse subsets share this size (matroid property); only the
+    witness depends on the order.
+    """
+    return laman_analysis(graph).basis
+
+
+def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
+    """Minimal violation of colored-Laman sparsity; see LamanAnalysis.circuit."""
+    return laman_analysis(graph).circuit()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from perigid.cli import main
 from perigid.colored_graph import ColoredGraph
 from perigid.errors import ParseError
 from perigid.fileio import parse_colored_graph, serialize_colored_graph
+from perigid.rigidity import _float_realization, rigidity_matrix
 
 from randgen import random_graph
 
@@ -198,6 +199,14 @@ def test_cli_rank_dump(capsys, tmp_path, laman1):
     assert code == 0 and "M112 generic rank: 2" in out
     text = dump.read_text()
     assert text.startswith("mat 3 3 fp\n")
+
+    run_cli(capsys, "rank", laman1, "--matrix", "M232", "--seed", "5", "--dump", str(dump))
+    header, *rows = dump.read_text().splitlines()
+    assert header == "mat 3 6 float"
+    # the dumped sample is the first float-mode draw of generic_rigidity_rank
+    graph = parse_colored_graph(LAMAN1_TEXT)
+    want = rigidity_matrix(graph, _float_realization(graph, random.Random(5))).rows
+    assert [tuple(float(x) for x in row.split()) for row in rows] == list(want)
 
 
 def test_cli_determinism(capsys, laman1):

@@ -9,6 +9,7 @@ import pytest
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.errors import BudgetError, DomainError
+from perigid.rigidity import decide_rigidity
 from perigid.sparsity import (
     brute_force_sparsity,
     classify_11k_shape,
@@ -23,6 +24,7 @@ from perigid.sparsity import (
     is_colored_laman_sparse,
     is_f_independent,
     is_ross,
+    laman_analysis,
     max_laman_sparse_subset,
     union_independent,
 )
@@ -259,6 +261,7 @@ def test_laman_matches_brute_force_random():
     for _ in range(400):
         g = random_graph(rng, nmax=3, mmax=7, color_range=1)
         assert is_colored_laman_sparse(g) == brute_force_sparsity(g, "laman").sparse
+        assert laman_analysis(g).sparse == brute_force_sparsity(g, "laman").sparse
         assert is_222_sparse(g) == brute_force_sparsity(g, "222").sparse
 
 
@@ -267,17 +270,22 @@ def test_maximal_sparse_subsets_equicardinal():
     for _ in range(60):
         g = random_graph(rng, nmax=3, mmax=6)
         basis = max_laman_sparse_subset(g)
+        from perigid.sparsity import laman_sparse_subset
+
+        def greedy(order):
+            chosen: list[int] = []
+            for eid in order:
+                if laman_sparse_subset(g, chosen + [eid]):
+                    chosen.append(eid)
+            return chosen
+
+        # the id-order greedy is the basis every circuit is extracted against
+        assert frozenset(greedy(sorted(g.edge_ids()))) == basis
         # maximal sparse subsets found from any greedy order have equal size
         ids = list(g.edge_ids())
         for _ in range(3):
             rng.shuffle(ids)
-            chosen: list[int] = []
-            from perigid.sparsity import laman_sparse_subset
-
-            for eid in ids:
-                if laman_sparse_subset(g, chosen + [eid]):
-                    chosen.append(eid)
-            assert len(chosen) == len(basis)
+            assert len(greedy(ids)) == len(basis)
 
 
 def test_basis_exchange_on_small_ground_set():
@@ -323,6 +331,7 @@ def test_circuit_minimality_random():
             continue
         found += 1
         rep = find_laman_circuit(g)
+        assert decide_rigidity(g).circuit.circuit == rep.circuit
         from perigid.sparsity import laman_sparse_subset
 
         ids = sorted(rep.circuit.ids)
