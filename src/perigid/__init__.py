@@ -52,6 +52,7 @@ from .rigidity import (
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
+    is_ross,
     rigid_realization_certificate,
     rigidity_matrix,
 )
@@ -73,7 +74,6 @@ from .sparsity import (
     is_colored_laman,
     is_colored_laman_sparse,
     is_f_independent,
-    is_ross,
     laman_analysis,
     max_laman_sparse_subset,
     union_independent,

@@ -42,6 +42,7 @@ from .rigidity import (
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
+    is_ross,
     rigidity_matrix,
 )
 from .svg import development_svg, realization_svg
@@ -102,10 +103,10 @@ def cmd_sparsity(path, args):
         tight = sparsity.is_222_graph(graph)
         extra = f"(2,2,k)-graph: {tight}"
     else:
-        verdict = sparsity.is_ross(graph)
+        verdict = is_ross(graph)
         extra = None
     if graph.m <= 16 and family in ("laman", "222"):
-        # cheap certified cross-check; the full 2^22 budget stays library-side
+        # certified exhaustive cross-check, kept to small inputs: it is 2^m work
         brute = sparsity.brute_force_sparsity(graph, family)
         if brute.sparse != verdict:
             raise InternalConsistencyError(
@@ -190,7 +191,7 @@ def cmd_cover(path, args):
 
 def cmd_ross(path, args):
     graph = _load(path)
-    verdict = sparsity.is_ross(graph)
+    verdict = is_ross(graph)
     code = OK if verdict else NEGATIVE
     if args.format == "json":
         return to_json_bytes({"ross": verdict}), code

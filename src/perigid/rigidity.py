@@ -31,7 +31,7 @@ from .linear_rep import (
     kernel_float,
     modp_rank,
 )
-from .sparsity import CircuitReport, laman_analysis
+from .sparsity import CircuitReport, is_colored_laman, laman_analysis
 
 COORD_RANGE = 1 << 20  # integer sampling window for exact-mode realizations
 
@@ -186,6 +186,34 @@ def rigid_realization_certificate(
     if exact != 2 * n + 1:
         raise InternalConsistencyError("rationalized realization lost rank")
     return fr, RankReport("M232", rank, "float", 1, seed)
+
+
+# ---------------------------------------------------------------------------
+# Ross graphs: rigidity with the lattice held fixed.
+# ---------------------------------------------------------------------------
+
+ROSS_LOOPS = ((1, 0), (0, 1), (1, 1))
+
+
+def is_ross(graph: ColoredGraph) -> bool:
+    """Fixed-lattice rigidity counts, decided two ways and cross-checked.
+
+    A Ross graph has m = 2n - 2, m' <= 2n' - 2 on every nonempty subset and
+    m' <= 2n' - 3 on rank-zero subsets.  It is one exactly when adding the
+    loops (1,0), (0,1), (1,1) at vertex 0 gives a colored-Laman graph, so
+    that looped graph is decided along both routes of `decide_rigidity`:
+    route (a) by colored-Laman sparsity, route (b) by an F_p rigidity rank of
+    2n + 1, which certifies full rank over Q and so is never reached by a
+    non-Ross graph.  Both run at every size; disagreement raises.
+    """
+    if graph.n == 0 or graph.m != 2 * graph.n - 2:
+        return False
+    looped = graph.with_extra_loops(0, ROSS_LOOPS)
+    by_counts = is_colored_laman(looped)
+    by_rank = generic_rigidity_rank(looped).rank == 2 * graph.n + 1
+    if by_counts != by_rank:
+        raise InternalConsistencyError(f"Ross routes disagree: counts={by_counts} rank={by_rank}")
+    return by_counts
 
 
 # ---------------------------------------------------------------------------

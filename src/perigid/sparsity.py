@@ -12,8 +12,9 @@ the edges of a colored graph.  Everything in this module is built from it:
   characterizing generic minimal rigidity), decided through edge doubling:
   a set is colored-Laman-sparse iff doubling any one of its edges leaves it
   (2,2,2)-sparse,
-* circuits (minimal violations), Ross graphs (the fixed-lattice counts), and
-  a certified exhaustive checker used to cross-validate all of the above.
+* circuits (minimal violations), and a certified exhaustive checker.  The
+  checker is exponential, so no decision path calls it: it serves the tests
+  and `perigid sparsity` at m <= 16 as an independent cross-check.
 
 A graph's colored-Laman matroid is analysed once by :func:`laman_analysis`:
 the id-order greedy basis, the first edge it rejects (none exactly when the
@@ -419,13 +420,15 @@ class LamanAnalysis:
     def circuit(self) -> CircuitReport:
         """Extract the minimal violation of colored-Laman sparsity.
 
-        Keeps exactly the edges of B + e (B the basis, e the first rejected
-        edge) whose removal restores sparsity: that set is the unique circuit
-        inside B + e and satisfies m' = 2f.  The one degenerate exception is
-        a loop colored (0, 0): it is dependent on its own (m' = 1 against the
-        bound 2f - 1 = -1) and forms a singleton circuit with m' = 2f + 1;
-        the collapse theory still applies to it since its constraint row is
-        identically zero.
+        B + e (B the basis, e the first rejected edge) is 2f-independent and
+        holds a unique circuit C, with m' = 2f.  As B - x is sparse, x in B
+        lies in C iff B - x + e plus a parallel copy of e is 2f-independent
+        (Edmonds' matroid-partition exchange argument): one augmenting search
+        on a copy of the partition of B + e with x dropped.  The one
+        degenerate exception is a loop colored (0, 0): it is dependent on its
+        own (m' = 1 against the bound 2f - 1 = -1) and forms a singleton
+        circuit with m' = 2f + 1; the collapse theory still applies to it
+        since its constraint row is identically zero.
         """
         if self.sparse:
             raise DomainError("graph is colored-Laman-sparse; no circuit to find")
@@ -433,12 +436,18 @@ class LamanAnalysis:
         if _is_zero_loop(graph, extra):
             subset = EdgeSubset.of(graph, [extra])
             return CircuitReport(subset, count_report(subset))
-        pool = sorted(self.basis | {extra})
-        circuit = frozenset(
-            e for e in pool if laman_sparse_subset(graph, [x for x in pool if x != e])
-        )
-        if extra not in circuit or not circuit:
-            raise InternalConsistencyError("circuit extraction lost the witness edge")
+        state = _laman_sparse_state(graph, sorted(self.basis | {extra}))
+        if state is None:
+            raise InternalConsistencyError("basis plus the rejected edge is not 2f-independent")
+        e = graph.edge(extra)
+        state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+        members = [extra]
+        for x in sorted(self.basis):
+            probe = state.clone()
+            probe.parts[probe.part_of.pop(x)].discard(x)
+            if probe.try_insert(_VIRTUAL):
+                members.append(x)
+        circuit = frozenset(members)
         subset = EdgeSubset.of(graph, circuit)
         rep = count_report(subset)
         if rep.m != rep.bound222:
@@ -481,44 +490,6 @@ def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
 def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
     """Minimal violation of colored-Laman sparsity; see LamanAnalysis.circuit."""
     return laman_analysis(graph).circuit()
-
-
-# ---------------------------------------------------------------------------
-# Ross graphs.
-# ---------------------------------------------------------------------------
-
-ROSS_LOOPS = ((1, 0), (0, 1), (1, 1))
-
-
-def _ross_by_counts(graph: ColoredGraph) -> bool:
-    if graph.m != 2 * graph.n - 2:
-        return False
-    report = brute_force_sparsity(graph, "ross")
-    return report.sparse
-
-
-def _ross_by_augmentation(graph: ColoredGraph) -> bool:
-    if graph.n == 0 or graph.m != 2 * graph.n - 2:
-        return False
-    return is_colored_laman(graph.with_extra_loops(0, ROSS_LOOPS))
-
-
-def is_ross(graph: ColoredGraph) -> bool:
-    """Fixed-lattice rigidity counts, decided two ways and cross-checked.
-
-    Route (a) checks m = 2n - 2 with m' <= 2n' - 2 everywhere and
-    m' <= 2n' - 3 on rank-zero subsets; route (b) adds loops (1,0), (0,1),
-    (1,1) at vertex 0 and asks for a colored-Laman graph.  Route (a) is an
-    exhaustive check, so it only runs inside the enumeration budget.
-    """
-    by_loops = _ross_by_augmentation(graph)
-    if graph.m <= BRUTE_FORCE_LIMIT:
-        by_counts = _ross_by_counts(graph)
-        if by_counts != by_loops:
-            raise InternalConsistencyError(
-                f"Ross routes disagree: counts={by_counts} loops={by_loops}"
-            )
-    return by_loops
 
 
 # ---------------------------------------------------------------------------

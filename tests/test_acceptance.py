@@ -31,9 +31,11 @@ from perigid.direction_network import (
 )
 from perigid.linear_rep import kernel_float, rank_mod_p, sample_assignment, verify_determinant_formulas
 from perigid.rigidity import (
+    ROSS_LOOPS,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
+    is_ross,
     rationalized_rigidity_rank,
     rigidity_matrix,
 )
@@ -46,7 +48,6 @@ from perigid.sparsity import (
     is_222_sparse,
     is_colored_laman,
     is_colored_laman_sparse,
-    is_ross,
     max_laman_sparse_subset,
 )
 
@@ -296,7 +297,9 @@ def test_criterion_10_ross_and_1d():
     for _ in range(5000):
         n = rng.randint(1, 4)
         g = random_graph(rng, n=n, m=2 * n - 2)
-        is_ross(g)  # raises if the two routes disagree
+        ross = g.m == 2 * g.n - 2 and brute_force_sparsity(g, "ross").sparse
+        assert is_colored_laman(g.with_extra_loops(0, ROSS_LOOPS)) == ross, g
+        assert is_ross(g) == ross, g  # is_ross also raises if its two routes disagree
     for _ in range(5000):
         n = rng.randint(1, 4)
         m = rng.randint(0, n + 2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset, z2_rank
-from perigid.rigidity import decide_rigidity, is_1d_rigid
+from perigid.rigidity import decide_rigidity, is_1d_rigid, is_ross
 from perigid.sparsity import (
     f_value,
     is_11k,
@@ -13,7 +13,6 @@ from perigid.sparsity import (
     is_222_sparse,
     is_colored_laman,
     is_colored_laman_sparse,
-    is_ross,
 )
 
 from randgen import random_graph, random_potential, random_relabel, random_reversal

@@ -9,7 +9,8 @@ import pytest
 
 from perigid.colored_graph import ColoredGraph
 from perigid.direction_network import build_P_system
-from perigid.errors import DomainError
+from perigid import rigidity
+from perigid.errors import DomainError, InternalConsistencyError
 from perigid.linear_rep import Realization, kernel_float
 from perigid.rigidity import (
     STATUS_FLEXIBLE,
@@ -18,10 +19,11 @@ from perigid.rigidity import (
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
+    is_ross,
     rigid_realization_certificate,
     rigidity_matrix,
 )
-from perigid.sparsity import is_colored_laman, is_ross
+from perigid.sparsity import is_colored_laman
 
 from randgen import random_graph, random_laman_graph
 
@@ -188,6 +190,47 @@ def test_ross_lattice_motions_are_trivial():
         q, _ = np.linalg.qr(triv)
         resid = kernel - q @ (q.T @ kernel)
         assert np.max(np.abs(resid)) < 1e-7
+
+
+def _zero_extensions(rng: random.Random, n: int) -> ColoredGraph:
+    """A Ross graph: one vertex, then n - 1 vertices each joined by two edges."""
+    edges = []
+    for v in range(1, n):
+        u, w = rng.randrange(v), rng.randrange(v)
+        c1 = (rng.randint(-2, 2), rng.randint(-2, 2))
+        c2 = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if u == w and c1 == c2:
+            c2 = (c1[0] + 1, c1[1])  # two edges to one vertex need distinct colors
+        edges += [(u, v, c1), (w, v, c2)]
+    return G(n, edges)
+
+
+def _doubled_last_edge(g: ColoredGraph) -> ColoredGraph:
+    """Same counts, but two identical parallel edges: m' = 2 on a rank-zero pair."""
+    edges = [(e.tail, e.head, tuple(e.color)) for e in g.edges]
+    edges[-1] = edges[-2]
+    return G(g.n, edges)
+
+
+def test_ross_beyond_the_enumeration_budget():
+    # m = 24 is past the 2^22 budget of brute_force_sparsity
+    ross = _zero_extensions(random.Random(49), 13)
+    assert ross.m == 24
+    assert is_ross(ross)
+    assert not is_ross(_doubled_last_edge(ross))
+
+
+@pytest.mark.parametrize("n", [4, 13])
+@pytest.mark.parametrize("genuine", [True, False])
+def test_ross_routes_cross_checked(monkeypatch, n, genuine):
+    # a lying combinatorial route is caught by the F_p route at m = 6 and m = 24
+    g = _zero_extensions(random.Random(51), n)
+    if not genuine:
+        g = _doubled_last_edge(g)
+    assert is_ross(g) is genuine
+    monkeypatch.setattr(rigidity, "is_colored_laman", lambda looped: not is_colored_laman(looped))
+    with pytest.raises(InternalConsistencyError):
+        is_ross(g)
 
 
 def test_circuit_rows_are_dependent():

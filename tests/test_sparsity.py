@@ -9,7 +9,7 @@ import pytest
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.errors import BudgetError, DomainError
-from perigid.rigidity import decide_rigidity
+from perigid.rigidity import decide_rigidity, is_ross
 from perigid.sparsity import (
     brute_force_sparsity,
     classify_11k_shape,
@@ -23,7 +23,6 @@ from perigid.sparsity import (
     is_colored_laman,
     is_colored_laman_sparse,
     is_f_independent,
-    is_ross,
     laman_analysis,
     max_laman_sparse_subset,
     union_independent,
@@ -333,6 +332,11 @@ def test_circuit_minimality_random():
         rep = find_laman_circuit(g)
         assert decide_rigidity(g).circuit.circuit == rep.circuit
         from perigid.sparsity import laman_sparse_subset
+
+        # oracle: the edges of basis + rejected whose removal restores sparsity
+        analysis = laman_analysis(g)
+        pool = analysis.basis | {analysis.rejected}
+        assert rep.circuit.ids == {x for x in pool if laman_sparse_subset(g, pool - {x})}
 
         ids = sorted(rep.circuit.ids)
         if len(ids) == 1:
