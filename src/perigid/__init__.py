@@ -50,6 +50,7 @@ from .rigidity import (
     OneDVerdict,
     RigidityVerdict,
     decide_rigidity,
+    find_laman_circuit,
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
@@ -67,7 +68,6 @@ from .sparsity import (
     count_report,
     decompose_two_11k,
     f_value,
-    find_laman_circuit,
     is_11k,
     is_222_graph,
     is_222_sparse,

@@ -8,7 +8,6 @@ byte-identical for identical (command, input, seed).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import random
 import sys
 from pathlib import Path
@@ -39,6 +38,7 @@ from .linear_rep import build_natural_matrix, dump_matrix, rank_mod_p, sample_as
 from .rigidity import (
     STATUS_FLEXIBLE,
     _float_realization,
+    certify_circuit,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
@@ -98,20 +98,18 @@ def cmd_sparsity(path, args):
         verdict = sparsity.is_colored_laman_sparse(graph)
         tight = verdict and graph.m == 2 * graph.n + 1
         extra = f"colored-Laman graph: {tight}"
+        independent = generic_rigidity_rank(graph, seed=args.seed).rank == graph.m
     elif family == "222":
         verdict = sparsity.is_222_sparse(graph)
         tight = sparsity.is_222_graph(graph)
         extra = f"(2,2,k)-graph: {tight}"
+        independent = rank_mod_p(graph, "M222", seed=args.seed).rank == graph.m
     else:
-        verdict = is_ross(graph)
+        verdict = independent = is_ross(graph)  # cross-checks its two routes itself
         extra = None
-    if graph.m <= 16 and family in ("laman", "222"):
-        # certified exhaustive cross-check, kept to small inputs: it is 2^m work
-        brute = sparsity.brute_force_sparsity(graph, family)
-        if brute.sparse != verdict:
-            raise InternalConsistencyError(
-                f"{family} oracle disagrees with enumeration on {path}"
-            )
+    # sparse iff the rows are generically independent, which full rank mod p certifies
+    if independent != verdict:
+        raise InternalConsistencyError(f"{family} sparsity disagrees with the F_p rank on {path}")
     code = OK if verdict else NEGATIVE
     if args.format == "json":
         payload = {"family": family, "sparse": verdict}
@@ -140,7 +138,7 @@ def cmd_circuit(path, args):
         if args.format == "json":
             return to_json_bytes({"sparse": True, "circuit": None}), OK
         return _text(["colored-Laman-sparse: no circuit"]), OK
-    report = analysis.circuit()
+    report = certify_circuit(analysis.circuit(), seed=args.seed)
     if args.format == "json":
         return to_json_bytes({"sparse": False, "circuit": circuit_json(report)}), NEGATIVE
     ids = " ".join(map(str, sorted(report.circuit.ids)))
@@ -307,6 +305,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_normalize_argv(list(argv)))
     inputs = args.inputs
     if args.jobs > 1 and len(inputs) > 1:
+        import concurrent.futures  # deferred: it pulls in logging, unused by one worker
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(lambda p: _run_one(p, args), inputs))
     else:

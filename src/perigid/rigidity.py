@@ -50,16 +50,23 @@ def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> NaturalMat
     return build_natural_matrix(graph, "M232", realization=realization)
 
 
-def _modp_rigidity_rows(
-    graph: ColoredGraph, p_int: list[tuple[int, int]], lat: tuple[tuple[int, int], tuple[int, int]]
-) -> list[tuple[int, ...]]:
+def _modp_rigidity_rows(graph: ColoredGraph, xy: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Rows mod p at the integer points xy[:n], with lattice rows xy[n], xy[n + 1]."""
+    (a, b), (c, d) = xy[-2:]
     rows = []
     for e in graph.edges:
         g1, g2 = e.color.g1, e.color.g2
-        ex = p_int[e.head][0] + lat[0][0] * g1 + lat[0][1] * g2 - p_int[e.tail][0]
-        ey = p_int[e.head][1] + lat[1][0] * g1 + lat[1][1] * g2 - p_int[e.tail][1]
+        ex = xy[e.head][0] + a * g1 + b * g2 - xy[e.tail][0]
+        ey = xy[e.head][1] + c * g1 + d * g2 - xy[e.tail][1]
         rows.append(_m222_row(graph.n, e, ex, ey, "fp"))
     return rows
+
+
+def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[tuple[int, ...]]:
+    """Rigidity rows mod p at n integer points and lattice rows drawn from rng."""
+    r = COORD_RANGE
+    xy = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(graph.n + 2)]
+    return _modp_rigidity_rows(graph, xy)
 
 
 def _float_realization(graph: ColoredGraph, rng: random.Random) -> Realization:
@@ -84,15 +91,7 @@ def generic_rigidity_rank(
     best = 0
     for _ in range(trials):
         if mode == "fp":
-            p_int = [
-                (rng.randint(-COORD_RANGE, COORD_RANGE), rng.randint(-COORD_RANGE, COORD_RANGE))
-                for _ in range(graph.n)
-            ]
-            lat = (
-                (rng.randint(-COORD_RANGE, COORD_RANGE), rng.randint(-COORD_RANGE, COORD_RANGE)),
-                (rng.randint(-COORD_RANGE, COORD_RANGE), rng.randint(-COORD_RANGE, COORD_RANGE)),
-            )
-            best = max(best, modp_rank(_modp_rigidity_rows(graph, p_int, lat)))
+            best = max(best, modp_rank(_sampled_modp_rows(graph, rng)))
         elif mode == "float":
             real = _float_realization(graph, rng)
             rank, _ = kernel_float(rigidity_matrix(graph, real), FLOAT_TOL)
@@ -108,14 +107,9 @@ def rationalized_rigidity_rank(
     """Exact F_p rank at the nearest integer realization to a float one."""
     span = max(realization.scale(), 1e-12)
     factor = scale / span
-    p_int = [
-        (round(float(x) * factor), round(float(y) * factor)) for x, y in realization.p
-    ]
-    lat = tuple(
-        (round(float(realization.L[i][0]) * factor), round(float(realization.L[i][1]) * factor))
-        for i in range(2)
-    )
-    return modp_rank(_modp_rigidity_rows(graph, p_int, lat))
+    points = list(realization.p) + list(realization.L)
+    xy = [(round(float(x) * factor), round(float(y) * factor)) for x, y in points]
+    return modp_rank(_modp_rigidity_rows(graph, xy))
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,8 @@ def decide_rigidity(
     raises.  Rigid verdicts require that size to be 2n + 1, i.e. a spanning
     colored-Laman subgraph; minimally rigid additionally means m = 2n + 1.
     A faithful-realization witness is attached to minimally rigid verdicts
-    and a sparsity-violating circuit to every non-sparse input; the basis,
-    the sparsity verdict and the circuit all come from one sparsity analysis.
+    and a circuit, certified by certify_circuit, to every non-sparse input;
+    basis, sparsity verdict and circuit all come from one sparsity analysis.
     """
     n, m = graph.n, graph.m
     analysis = laman_analysis(graph)
@@ -159,8 +153,29 @@ def decide_rigidity(
     witness = None
     if attach_witness and status == STATUS_MINIMAL:
         witness, _ = rigid_realization_certificate(graph, seed=seed)
-    circuit = None if analysis.sparse else analysis.circuit()
+    circuit = None if analysis.sparse else certify_circuit(analysis.circuit(), seed=seed)
     return RigidityVerdict(status, report.rank, dof, n, m, witness, circuit)
+
+
+def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
+    """Certify over F_p that a sparsity circuit C is edge-minimal; return it.
+
+    At one of three seeded integer points, every C - x must have rank |C| - 1
+    mod p.  That certifies the rank over Q, so C - x is generically independent
+    and, by the main theorem, sparse; no augmenting search is involved.
+    """
+    graph, ids = report.circuit.graph, report.circuit.sorted_ids()
+    rng = random.Random(seed)
+    for _ in range(3):
+        rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
+        if all(modp_rank([rows[y] for y in ids if y != x]) == len(ids) - 1 for x in ids):
+            return report
+    raise InternalConsistencyError("circuit is not edge-minimal")
+
+
+def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
+    """LamanAnalysis.circuit of the graph, certified by certify_circuit."""
+    return certify_circuit(laman_analysis(graph).circuit())
 
 
 def rigid_realization_certificate(

@@ -9,17 +9,17 @@ the edges of a colored graph.  Everything in this module is built from it:
 * independence under 2f via matroid union (the "(2,2,k)" family, equivalently
   edge-disjoint unions of two spanning (1,1,k)-graphs),
 * independence under 2f - 1 on nonempty subsets (the "colored-Laman" family
-  characterizing generic minimal rigidity), decided through edge doubling:
-  a set is colored-Laman-sparse iff doubling any one of its edges leaves it
-  (2,2,2)-sparse,
+  characterizing generic minimal rigidity), decided through edge doubling
+  (Streinu-Theran): a set grown one edge at a time stays colored-Laman-sparse
+  iff doubling the edge just added leaves it (2,2,2)-sparse,
 * circuits (minimal violations), and a certified exhaustive checker.  The
-  checker is exponential, so no decision path calls it: it serves the tests
-  and `perigid sparsity` at m <= 16 as an independent cross-check.
+  checker is exponential, so no library or CLI path calls it: it is the
+  reference the tests compare against.
 
 A graph's colored-Laman matroid is analysed once by :func:`laman_analysis`:
 the id-order greedy basis, the first edge it rejects (none exactly when the
-graph is sparse) and, from those two, the circuit.  Every consumer that
-needs more than one of these reads them from that one analysis.
+graph is sparse) and, from those two, the circuit, whose edge-minimality
+`perigid.rigidity.certify_circuit` certifies over F_p.
 
 Empty subsets have n' = m' = c' = rk' = 0 by convention; the Laman-style
 count 2f - 1 is only ever tested on nonempty subsets.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .colored_graph import (
     ClosedWalk,
@@ -347,15 +347,6 @@ def decompose_two_11k(graph: ColoredGraph) -> Decomposition:
 _VIRTUAL = -1  # id reserved for the doubled copy in oracle queries
 
 
-def _laman_sparse_state(graph: ColoredGraph, ids: Sequence[int]) -> PartitionState | None:
-    """Partition state for the subset, or None if not even 2f-independent."""
-    state = PartitionState(graph)
-    for eid in ids:
-        if not state.try_insert(eid):
-            return None
-    return state
-
-
 def _doubling_ok(state: PartitionState, graph: ColoredGraph, ids: Iterable[int]) -> bool:
     for eid in ids:
         e = graph.edge(eid)
@@ -369,14 +360,15 @@ def _doubling_ok(state: PartitionState, graph: ColoredGraph, ids: Iterable[int])
 def laman_sparse_subset(graph: ColoredGraph, ids: Iterable[int]) -> bool:
     """Is the edge subset colored-Laman-sparse (m' <= 2f - 1 on nonempty sets)?
 
-    Decided exactly through doubling: the subset is (2,3,2)-sparse iff for
-    every edge e in it, the subset plus a parallel copy of e is 2f-sparse.
+    Grown in id order with one doubling probe per edge.  When S - e is
+    sparse, S is sparse iff S plus a parallel copy e' of e is 2f-independent:
+    a violating T in S contains e, so |T + e'| = |T| + 1 > 2f(T) = 2f(T + e').
     """
-    ordered = sorted(ids)
-    state = _laman_sparse_state(graph, ordered)
-    if state is None:
-        return False
-    return _doubling_ok(state, graph, ordered)
+    state = PartitionState(graph)
+    for eid in sorted(ids):
+        if not (state.try_insert(eid) and _doubling_ok(state, graph, [eid])):
+            return False
+    return True
 
 
 def is_colored_laman_sparse(graph: ColoredGraph) -> bool:
@@ -428,7 +420,8 @@ class LamanAnalysis:
         degenerate exception is a loop colored (0, 0): it is dependent on its
         own (m' = 1 against the bound 2f - 1 = -1) and forms a singleton
         circuit with m' = 2f + 1; the collapse theory still applies to it
-        since its constraint row is identically zero.
+        since its constraint row is identically zero.  Only m' = 2f is
+        checked here; `rigidity.certify_circuit` certifies edge-minimality.
         """
         if self.sparse:
             raise DomainError("graph is colored-Laman-sparse; no circuit to find")
@@ -436,8 +429,8 @@ class LamanAnalysis:
         if _is_zero_loop(graph, extra):
             subset = EdgeSubset.of(graph, [extra])
             return CircuitReport(subset, count_report(subset))
-        state = _laman_sparse_state(graph, sorted(self.basis | {extra}))
-        if state is None:
+        state = PartitionState(graph)
+        if not all(state.try_insert(x) for x in sorted(self.basis | {extra})):
             raise InternalConsistencyError("basis plus the rejected edge is not 2f-independent")
         e = graph.edge(extra)
         state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
@@ -452,9 +445,6 @@ class LamanAnalysis:
         rep = count_report(subset)
         if rep.m != rep.bound222:
             raise InternalConsistencyError("extracted circuit misses m' = 2f")
-        for e in sorted(circuit):
-            if not laman_sparse_subset(graph, circuit - {e}):
-                raise InternalConsistencyError("circuit is not edge-minimal")
         return CircuitReport(subset, rep)
 
 
@@ -485,11 +475,6 @@ def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
     witness depends on the order.
     """
     return laman_analysis(graph).basis
-
-
-def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
-    """Minimal violation of colored-Laman sparsity; see LamanAnalysis.circuit."""
-    return laman_analysis(graph).circuit()
 
 
 # ---------------------------------------------------------------------------

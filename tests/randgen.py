@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
+from perigid.rigidity import find_laman_circuit
 from perigid.sparsity import (
-    find_laman_circuit,
     is_11k,
     is_colored_laman,
     is_colored_laman_sparse,

@@ -11,9 +11,10 @@ from perigid.cli import main
 from perigid.colored_graph import ColoredGraph
 from perigid.errors import ParseError
 from perigid.fileio import parse_colored_graph, serialize_colored_graph
+from perigid.linear_rep import RankReport
 from perigid.rigidity import _float_realization, rigidity_matrix
 
-from randgen import random_graph
+from randgen import random_graph, random_laman_graph
 
 G = ColoredGraph.build
 
@@ -107,6 +108,34 @@ def test_cli_sparsity_families(capsys, tmp_path, laman1):
     assert code == 0
     out, code = run_cli(capsys, "ross", str(ross))
     assert code == 0 and "True" in out
+
+
+def test_cli_sparsity_beyond_sixteen_edges(capsys, tmp_path):
+    laman = random_laman_graph(random.Random(5), 8)
+    assert laman.m == 17
+    over = G(8, [(e.tail, e.head, tuple(e.color)) for e in laman.edges] + [(0, 1, (1, 1))])
+    for name, g, family, expect in [
+        ("laman", laman, "laman", 0),
+        ("laman", laman, "222", 0),
+        ("over", over, "laman", 1),
+        ("over", over, "222", 0),
+    ]:
+        path = tmp_path / f"{name}.cg"
+        path.write_text(serialize_colored_graph(g))
+        out, code = run_cli(capsys, "sparsity", str(path), "--family", family)
+        assert code == expect and f"{family} sparse: {not expect}" in out
+
+
+@pytest.mark.parametrize("family", ["laman", "222"])
+def test_cli_sparsity_routes_cross_checked(capsys, monkeypatch, laman1, family):
+    from perigid import cli, sparsity
+
+    if family == "laman":
+        monkeypatch.setattr(sparsity, "is_colored_laman_sparse", lambda g: False)
+    else:
+        monkeypatch.setattr(cli, "rank_mod_p", lambda g, kind, seed: RankReport(kind, 0, "fp", 3, seed))
+    out, code = run_cli(capsys, "sparsity", laman1, "--family", family)
+    assert code == 3 and "internal error" in out
 
 
 def test_cli_decompose(capsys, tmp_path):

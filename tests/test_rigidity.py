@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from perigid.colored_graph import ColoredGraph
+from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.direction_network import build_P_system
 from perigid import rigidity
 from perigid.errors import DomainError, InternalConsistencyError
@@ -16,6 +16,7 @@ from perigid.rigidity import (
     STATUS_FLEXIBLE,
     STATUS_MINIMAL,
     STATUS_OVER,
+    certify_circuit,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
@@ -23,7 +24,7 @@ from perigid.rigidity import (
     rigid_realization_certificate,
     rigidity_matrix,
 )
-from perigid.sparsity import is_colored_laman
+from perigid.sparsity import CircuitReport, is_colored_laman, laman_analysis
 
 from randgen import random_graph, random_laman_graph
 
@@ -240,6 +241,53 @@ def test_circuit_rows_are_dependent():
     for _ in range(10):
         g = random_circuit_graph(rng)
         assert generic_rigidity_rank(g, seed=rng.randrange(1 << 30)).rank <= g.m - 1
+
+
+def test_certificate_refuses_a_padded_circuit():
+    rng = random.Random(55)
+    padded = 0
+    while padded < 10:
+        g = random_graph(rng, nmax=4)
+        analysis = laman_analysis(g)
+        if analysis.sparse:
+            continue
+        rep = analysis.circuit()
+        assert certify_circuit(rep, seed=padded) is rep
+        spare = sorted(analysis.basis - rep.circuit.ids)
+        if not spare:
+            continue
+        padded += 1
+        bigger = CircuitReport(EdgeSubset.of(g, rep.circuit.ids | {spare[0]}), rep.counts)
+        with pytest.raises(InternalConsistencyError, match="edge-minimal"):
+            certify_circuit(bigger, seed=padded)
+
+
+def test_certificate_passes_the_zero_loop_singleton():
+    rep = laman_analysis(G(2, [(0, 1, (1, 0)), (1, 1, (0, 0))])).circuit()
+    assert sorted(rep.circuit.ids) == [1]
+    assert certify_circuit(rep) is rep
+
+
+# instances.minimal(random.Random(39), 12) from the perfbench instance builder:
+# a colored-Laman graph whose faithful realization has a nearly collapsed edge
+DEFECT_N12 = [
+    (3, 3, (0, -1)), (3, 5, (-2, -1)), (8, 7, (1, 2)), (4, 9, (1, 1)), (10, 9, (-2, 2)),
+    (3, 3, (-1, -1)), (0, 1, (2, -1)), (3, 0, (1, 1)), (11, 3, (-3, 2)), (3, 3, (-1, 0)),
+    (6, 11, (0, 0)), (0, 10, (2, -1)), (1, 2, (1, 0)), (6, 8, (2, -1)), (2, 0, (0, -2)),
+    (6, 5, (-2, -2)), (6, 10, (1, 0)), (10, 3, (0, 1)), (0, 7, (0, 0)), (11, 1, (-2, -1)),
+    (10, 9, (1, 1)), (1, 4, (2, 1)), (5, 7, (-2, -1)), (0, 2, (1, 2)), (11, 3, (2, 2)),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalConsistencyError,
+    reason="float rank at the faithful realization falls short (ROADMAP item 4: exact genericity)",
+)
+def test_decide_minimal_with_a_near_collapsed_realization():
+    g = G(12, DEFECT_N12)
+    assert is_colored_laman(g)
+    assert decide_rigidity(g, seed=0).status == STATUS_MINIMAL
 
 
 def test_1d_examples():

@@ -6,17 +6,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.errors import BudgetError, DomainError
-from perigid.rigidity import decide_rigidity, is_ross
+from perigid.rigidity import decide_rigidity, find_laman_circuit, is_ross
 from perigid.sparsity import (
+    _VIRTUAL,
+    PartitionState,
     brute_force_sparsity,
     classify_11k_shape,
     count_report,
     decompose_two_11k,
     f_value,
-    find_laman_circuit,
     is_11k,
     is_222_graph,
     is_222_sparse,
@@ -24,6 +27,7 @@ from perigid.sparsity import (
     is_colored_laman_sparse,
     is_f_independent,
     laman_analysis,
+    laman_sparse_subset,
     max_laman_sparse_subset,
     union_independent,
 )
@@ -264,12 +268,55 @@ def test_laman_matches_brute_force_random():
         assert is_222_sparse(g) == brute_force_sparsity(g, "222").sparse
 
 
+def _sparse_by_doubling_every_edge(g, ids):
+    """Reference: insert the whole subset, then probe a copy of every edge."""
+    state = PartitionState(g)
+    if not all(state.try_insert(x) for x in sorted(ids)):
+        return False
+    for x in ids:
+        e = g.edge(x)
+        probe = state.clone()
+        probe.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+        if not probe.try_insert(_VIRTUAL):
+            return False
+    return True
+
+
+def test_laman_sparse_subset_matches_doubling_every_edge():
+    rng = random.Random(53)
+    zero_loops = parallels = 0
+    for _ in range(300):
+        g = random_graph(rng, nmax=3, mmax=8, color_range=1)
+        ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
+        parallels += len(set(ends)) < len(ends)
+        zero_loops += any(e.tail == e.head and tuple(e.color) == (0, 0) for e in g.edges)
+        ids = [x for x in g.edge_ids() if rng.random() < 0.7]
+        sub = G(g.n, [(g.edge(x).tail, g.edge(x).head, tuple(g.edge(x).color)) for x in ids])
+        for part, graph in ((list(g.edge_ids()), g), (ids, sub)):
+            want = brute_force_sparsity(graph, "laman").sparse
+            assert laman_sparse_subset(g, part) == _sparse_by_doubling_every_edge(g, part) == want
+    assert parallels > 100 and zero_loops > 30
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 4))
+    vertex, coord = st.integers(0, n - 1), st.integers(-1, 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.tuples(coord, coord)), max_size=12))
+    return G(n, edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_small_graphs())
+def test_laman_sparse_subset_property(g):
+    assert laman_sparse_subset(g, g.edge_ids()) == brute_force_sparsity(g, "laman").sparse
+
+
 def test_maximal_sparse_subsets_equicardinal():
     rng = random.Random(31)
     for _ in range(60):
         g = random_graph(rng, nmax=3, mmax=6)
         basis = max_laman_sparse_subset(g)
-        from perigid.sparsity import laman_sparse_subset
 
         def greedy(order):
             chosen: list[int] = []
@@ -331,7 +378,6 @@ def test_circuit_minimality_random():
         found += 1
         rep = find_laman_circuit(g)
         assert decide_rigidity(g).circuit.circuit == rep.circuit
-        from perigid.sparsity import laman_sparse_subset
 
         # oracle: the edges of basis + rejected whose removal restores sparsity
         analysis = laman_analysis(g)
