@@ -47,6 +47,7 @@ from .linear_rep import (
     verify_determinant_formulas,
 )
 from .rigidity import (
+    LamanAnalysis,
     OneDVerdict,
     RigidityVerdict,
     decide_rigidity,
@@ -54,6 +55,7 @@ from .rigidity import (
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
+    laman_analysis,
     rigid_realization_certificate,
     rigidity_matrix,
 )
@@ -62,7 +64,6 @@ from .sparsity import (
     CircuitReport,
     CountReport,
     Decomposition,
-    LamanAnalysis,
     brute_force_sparsity,
     classify_11k_shape,
     count_report,
@@ -74,7 +75,6 @@ from .sparsity import (
     is_colored_laman,
     is_colored_laman_sparse,
     is_f_independent,
-    laman_analysis,
     max_laman_sparse_subset,
     union_independent,
 )

@@ -8,6 +8,7 @@ byte-identical for identical (command, input, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -38,11 +39,11 @@ from .linear_rep import build_natural_matrix, dump_matrix, rank_mod_p, sample_as
 from .rigidity import (
     STATUS_FLEXIBLE,
     _float_realization,
-    certify_circuit,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
+    laman_analysis,
     rigidity_matrix,
 )
 from .svg import development_svg, realization_svg
@@ -133,12 +134,12 @@ def cmd_decompose(path, args):
 
 def cmd_circuit(path, args):
     graph = _load(path)
-    analysis = sparsity.laman_analysis(graph)
+    analysis = laman_analysis(graph)
     if analysis.sparse:
         if args.format == "json":
             return to_json_bytes({"sparse": True, "circuit": None}), OK
         return _text(["colored-Laman-sparse: no circuit"]), OK
-    report = certify_circuit(analysis.circuit(), seed=args.seed)
+    report = analysis.circuit(args.seed)
     if args.format == "json":
         return to_json_bytes({"sparse": False, "circuit": circuit_json(report)}), NEGATIVE
     ids = " ".join(map(str, sorted(report.circuit.ids)))
@@ -239,6 +240,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parsing never changes the parser; in-process callers reuse it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perigid",

@@ -14,7 +14,7 @@ class DomainError(PerigidError):
 
 
 class BudgetError(PerigidError):
-    """An exhaustive routine was asked to exceed its enumeration budget."""
+    """Input or an exhaustive routine exceeds a documented size budget."""
 
 
 class GenericitySamplingError(PerigidError):

@@ -6,7 +6,9 @@ The `.cg` text format, one graph per file, UTF-8, '#' starts a comment:
     <tail> <head> <g1> <g2>     (m lines, 0-indexed vertices)
 
 Loops repeat the vertex; parallel edges repeat lines.  Serialization is
-canonical, so parse(serialize(g)) round-trips exactly.
+canonical, so parse(serialize(g)) round-trips exactly.  A header with more
+than MAX_VERTICES vertices is refused before any edge line is parsed, since
+the rank and realization routines allocate per vertex whatever m is.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from typing import Any
 
 from .colored_graph import ColoredGraph, DevelopmentReport
 from .direction_network import FaithfulRealization
-from .errors import ParseError
+from .errors import BudgetError, ParseError
 from .linear_rep import RankReport, Realization
 from .rigidity import OneDVerdict, RigidityVerdict
 from .sparsity import CircuitReport
+
+MAX_VERTICES = 1 << 16  # vertex budget of a parsed header
 
 
 def parse_colored_graph(data: str | bytes) -> ColoredGraph:
@@ -52,6 +56,8 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
     m = integer(header[3], lineno, 4)
     if n < 0 or m < 0:
         raise ParseError("counts must be nonnegative", lineno)
+    if n > MAX_VERTICES:
+        raise BudgetError(f"line {lineno}: n = {n} exceeds the vertex budget {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(
             f"header promises {m} edges, file has {len(rows) - 1} edge lines", lineno

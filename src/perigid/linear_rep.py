@@ -215,18 +215,69 @@ def build_natural_matrix(
 # ---------------------------------------------------------------------------
 
 
-def modp_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
-    """Row rank by Gaussian elimination over F_p."""
+@dataclass(frozen=True)
+class Elimination:
+    """Gaussian elimination of a list of rows over F_p, row operations kept.
+
+    rank is the row rank and pivots the indices of the input rows that the
+    pivots came from, a basis of the row space.  Each other input row is
+    reduced to zero, and :meth:`null_vectors` turns the recorded operations
+    back into one left null vector per such row.  det is the product of the
+    pivots, negated once per row swap: the determinant of a square matrix
+    of full rank.
+    """
+
+    rank: int
+    pivots: tuple[int, ...]
+    order: tuple[int, ...]  # input row index at each position after the swaps
+    steps: tuple[tuple[tuple[int, int], ...], ...]  # per position: (k, f), row -= f * row k
+    det: int
+    p: int
+
+    def null_vectors(self) -> list[tuple[int, ...]]:
+        """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
+
+        Position i >= rank reduced to zero, so row i equals the combination
+        of pivot rows its steps subtracted; each pivot row k in turn is its
+        input row minus earlier pivot rows.  Substituting back, from the last
+        pivot to the first, costs one pass over the recorded steps.
+        """
+        p, rank, order = self.p, self.rank, self.order
+        out = []
+        for i in range(rank, len(order)):
+            coef = [0] * rank  # coefficient of pivot row k, still to expand
+            for k, f in self.steps[i]:
+                coef[k] -= f
+            vec = [0] * len(order)
+            vec[order[i]] = 1
+            for k in range(rank - 1, -1, -1):
+                c = coef[k] % p
+                if c:
+                    vec[order[k]] = c
+                    for j, f in self.steps[k]:
+                        coef[j] -= c * f
+            out.append(tuple(vec))
+        return out
+
+
+def modp_eliminate(rows: Sequence[Sequence[int]], p: int = PRIME) -> Elimination:
+    """Column-by-column elimination over F_p with row swaps, recording every step."""
     mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+    order = list(range(len(mat)))
+    steps: list[list[tuple[int, int]]] = [[] for _ in mat]
+    ncols = len(mat[0]) if mat else 0
+    rank, det = 0, 1
     for col in range(ncols):
+        if rank == len(mat):
+            break
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
+        if piv != rank:
+            det = -det
+            for seq in (mat, order, steps):
+                seq[rank], seq[piv] = seq[piv], seq[rank]
+        det = det * mat[rank][col] % p
         inv = pow(mat[rank][col], p - 2, p)
         prow = mat[rank]
         for i in range(rank + 1, len(mat)):
@@ -235,34 +286,23 @@ def modp_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
                 row = mat[i]
                 for j in range(col, ncols):
                     row[j] = (row[j] - f * prow[j]) % p
+                steps[i].append((rank, f))
         rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    steps_t = tuple(map(tuple, steps))
+    return Elimination(rank, tuple(order[:rank]), tuple(order), steps_t, det, p)
+
+
+def modp_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
+    """Row rank by Gaussian elimination over F_p."""
+    return modp_eliminate(rows, p).rank
 
 
 def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     """Determinant of a square matrix over F_p."""
-    mat = [[x % p for x in r] for r in rows]
-    size = len(mat)
-    if any(len(r) != size for r in mat):
+    if any(len(r) != len(rows) for r in rows):
         raise StructuralError("determinant needs a square matrix")
-    det = 1
-    for col in range(size):
-        piv = next((i for i in range(col, size) if mat[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det % p
-        det = det * mat[col][col] % p
-        inv = pow(mat[col][col], p - 2, p)
-        for i in range(col + 1, size):
-            f = mat[i][col] * inv % p
-            if f:
-                for j in range(col, size):
-                    mat[i][j] = (mat[i][j] - f * mat[col][j]) % p
-    return det
+    elim = modp_eliminate(rows, p)
+    return elim.det if elim.rank == len(rows) else 0
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from .linear_rep import (
     _m222_row,
     build_natural_matrix,
     kernel_float,
+    modp_eliminate,
     modp_rank,
 )
-from .sparsity import CircuitReport, is_colored_laman, laman_analysis
+from .sparsity import CircuitReport, count_report, is_colored_laman, max_laman_sparse_subset
 
 COORD_RANGE = 1 << 20  # integer sampling window for exact-mode realizations
 
@@ -112,6 +113,70 @@ def rationalized_rigidity_rank(
     return modp_rank(_modp_rigidity_rows(graph, xy))
 
 
+def _dependencies(graph: ColoredGraph, ids: list[int], seed: int):
+    """Support of the one F_p dependency among the rigidity rows of ids.
+
+    Yields one support per seeded integer point (three at most) at which the
+    rows have rank len(ids) - 1, so that their left null space is one vector.
+    """
+    rng = random.Random(seed)
+    for _ in range(3):
+        rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
+        elim = modp_eliminate([rows[x] for x in ids])
+        if elim.rank == len(ids) - 1:
+            (vec,) = elim.null_vectors()
+            yield frozenset(x for x, c in zip(ids, vec) if c)
+
+
+@dataclass(frozen=True)
+class LamanAnalysis:
+    """The colored-Laman matroid of one graph, decided once.
+
+    basis is the greedy basis with edges tried in id order; rejected is the
+    first edge that greedy left out, or None when the graph is sparse.
+    """
+
+    graph: ColoredGraph
+    basis: frozenset[int]
+    rejected: int | None
+
+    @property
+    def sparse(self) -> bool:
+        return self.rejected is None
+
+    def circuit(self, seed: int = 0) -> CircuitReport:
+        """The unique circuit C of basis + rejected, read off one F_p dependency.
+
+        At one of three seeded integer points the rigidity rows of B + e (B
+        the basis, e the rejected edge) must have rank |B| with e in the
+        support of their one left null vector: B is then independent there,
+        and the support is C.  Every C - x is independent at that point, so
+        generically independent and, by the main theorem, colored-Laman-
+        sparse; that is the minimality certificate.  The second route is the
+        count: C is not sparse, with m' = 2f, or it is the loop colored (0, 0)
+        (m' = 1, f = 0), whose row is zero.
+        """
+        if self.sparse:
+            raise DomainError("graph is colored-Laman-sparse; no circuit to find")
+        graph, extra = self.graph, self.rejected
+        ids = sorted(self.basis | {extra})
+        support = next((s for s in _dependencies(graph, ids, seed) if extra in s), None)
+        if support is None:
+            raise InternalConsistencyError("no sampled point puts the rejected edge on a circuit")
+        subset = EdgeSubset.of(graph, support)
+        rep = count_report(subset)
+        if rep.m != rep.bound222 and (rep.m, rep.f) != (1, 0):
+            raise InternalConsistencyError("extracted circuit misses m' = 2f")
+        return CircuitReport(subset, rep)
+
+
+def laman_analysis(graph: ColoredGraph) -> LamanAnalysis:
+    """The id-order greedy basis and the first edge it rejects, if any."""
+    basis = max_laman_sparse_subset(graph)
+    rejected = min((eid for eid in graph.edge_ids() if eid not in basis), default=None)
+    return LamanAnalysis(graph, basis, rejected)
+
+
 @dataclass(frozen=True)
 class RigidityVerdict:
     status: str
@@ -133,7 +198,7 @@ def decide_rigidity(
     raises.  Rigid verdicts require that size to be 2n + 1, i.e. a spanning
     colored-Laman subgraph; minimally rigid additionally means m = 2n + 1.
     A faithful-realization witness is attached to minimally rigid verdicts
-    and a circuit, certified by certify_circuit, to every non-sparse input;
+    and the circuit of LamanAnalysis.circuit to every non-sparse input;
     basis, sparsity verdict and circuit all come from one sparsity analysis.
     """
     n, m = graph.n, graph.m
@@ -153,29 +218,27 @@ def decide_rigidity(
     witness = None
     if attach_witness and status == STATUS_MINIMAL:
         witness, _ = rigid_realization_certificate(graph, seed=seed)
-    circuit = None if analysis.sparse else certify_circuit(analysis.circuit(), seed=seed)
+    circuit = None if analysis.sparse else analysis.circuit(seed)
     return RigidityVerdict(status, report.rank, dof, n, m, witness, circuit)
 
 
 def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
     """Certify over F_p that a sparsity circuit C is edge-minimal; return it.
 
-    At one of three seeded integer points, every C - x must have rank |C| - 1
-    mod p.  That certifies the rank over Q, so C - x is generically independent
-    and, by the main theorem, sparse; no augmenting search is involved.
+    At one of three seeded integer points the rows of C must have rank
+    |C| - 1 and a null vector supported on all of C.  Then every C - x is
+    independent there, so generically independent and, by the main theorem,
+    sparse: one elimination per point and no augmenting search.
     """
-    graph, ids = report.circuit.graph, report.circuit.sorted_ids()
-    rng = random.Random(seed)
-    for _ in range(3):
-        rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
-        if all(modp_rank([rows[y] for y in ids if y != x]) == len(ids) - 1 for x in ids):
-            return report
+    circuit = report.circuit
+    if any(s == circuit.ids for s in _dependencies(circuit.graph, circuit.sorted_ids(), seed)):
+        return report
     raise InternalConsistencyError("circuit is not edge-minimal")
 
 
 def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
-    """LamanAnalysis.circuit of the graph, certified by certify_circuit."""
-    return certify_circuit(laman_analysis(graph).circuit())
+    """The circuit LamanAnalysis.circuit reads off the graph's analysis."""
+    return laman_analysis(graph).circuit()
 
 
 def rigid_realization_certificate(

@@ -12,14 +12,15 @@ the edges of a colored graph.  Everything in this module is built from it:
   characterizing generic minimal rigidity), decided through edge doubling
   (Streinu-Theran): a set grown one edge at a time stays colored-Laman-sparse
   iff doubling the edge just added leaves it (2,2,2)-sparse,
-* circuits (minimal violations), and a certified exhaustive checker.  The
-  checker is exponential, so no library or CLI path calls it: it is the
-  reference the tests compare against.
+* the id-order greedy basis of that colored-Laman matroid, and a certified
+  exhaustive checker.  The checker is exponential, so no library or CLI path
+  calls it: it is the reference the tests compare against.
 
-A graph's colored-Laman matroid is analysed once by :func:`laman_analysis`:
-the id-order greedy basis, the first edge it rejects (none exactly when the
-graph is sparse) and, from those two, the circuit, whose edge-minimality
-`perigid.rigidity.certify_circuit` certifies over F_p.
+Matroid union never probes a circuit one element at a time: each exchange
+step reads the fundamental circuit of a part plus one edge off a single gain
+scan (:meth:`PartitionState._circuit`).  `perigid.rigidity.laman_analysis`
+builds on the greedy basis here; it reads the circuit of a non-sparse graph
+off one F_p dependency among rigidity rows, which this module cannot import.
 
 Empty subsets have n' = m' = c' = rk' = 0 by convention; the Laman-style
 count 2f - 1 is only ever tested on nonempty subsets.
@@ -213,24 +214,27 @@ class PartitionState:
     """Working partition of an independent set of the doubled matroid.
 
     Elements live in two parts, each independent under f.  Insertion follows
-    the classic augmenting-path scheme: try both parts directly, otherwise
+    Edmonds' matroid-partition scheme: try both parts directly, otherwise
     search breadth-first through single-element exchanges until some part can
-    absorb a displaced element.  Edge data may include virtual edges (used
-    for doubling tests) registered via :meth:`register_edge`.
+    absorb a displaced element.  Every step reads the fundamental circuit of
+    part + x off one gain scan (:meth:`_circuit`); its elements other than x
+    are exactly the y for which part + x - y is independent, the exchanges
+    the search follows.  Edge data may include virtual edges (used for
+    doubling tests) registered via :meth:`register_edge`.
     """
 
     __slots__ = ("edata", "parts", "part_of")
 
     def __init__(self, graph: ColoredGraph | None = None):
-        self.edata: dict[int, tuple[int, int, tuple[int, int]]] = {}
+        self.edata: dict[int, tuple[int, int, ColorVector]] = {}
         if graph is not None:
             for e in graph.edges:
-                self.edata[e.id] = (e.tail, e.head, (e.color.g1, e.color.g2))
+                self.edata[e.id] = (e.tail, e.head, e.color)
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.part_of: dict[int, int] = {}
 
     def register_edge(self, eid: int, tail: int, head: int, color: tuple[int, int]):
-        self.edata[eid] = (tail, head, color)
+        self.edata[eid] = (tail, head, ColorVector(*color))
 
     def clone(self) -> "PartitionState":
         other = PartitionState()
@@ -243,36 +247,115 @@ class PartitionState:
         scan = GainScan()
         m = 0
         for eid in ids:
-            t, h, c = self.edata[eid]
-            scan.add(eid, t, h, ColorVector(*c))
+            scan.add(eid, *self.edata[eid])
             m += 1
         f = len(scan.parent) + image_rank(scan.images) - scan.component_count()
         return f == m
 
+    def _circuit(self, part: set[int], x: int) -> set[int] | None:
+        """The unique circuit of part + x, or None when part + x is independent.
+
+        f is the rank of the vectors (e_head - e_tail, g_e) over Q, and part
+        is independent: a forest plus k <= 2 non-tree edges with independent
+        cycle images.  Scanned last, x is dependent iff it closes a cycle whose
+        image lies in their span.  The dependency puts a coefficient mu_z on
+        x and each non-tree edge z (a zero image, a parallel pair or Cramer's
+        rule on three images); on the forest it is the flow that cancels the
+        vertex part of those edges, nonzero on a tree edge iff the demands
+        below it do not cancel.  The circuit is the dependency's support.
+        """
+        edata = self.edata
+        scan = GainScan()
+        order = list(part)
+        for y in order:
+            scan.add(y, *edata[y])
+        cycles = len(scan.images)
+        scan.add(x, *edata[x])
+        if len(scan.images) == cycles:
+            return None  # x joins two components or reaches a new vertex
+        tree = set(scan.tree_edges)
+        extras = [y for y in order if y not in tree]
+        *imgs, (x1, x2) = scan.images
+        if len(extras) > 2 or image_rank(imgs) != len(extras):
+            raise InternalConsistencyError("a matroid-union part is not f-independent")
+        if not extras:
+            if x1 or x2:
+                return None
+            mu = {x: 1}
+        elif len(extras) == 1:
+            (a1, a2), (z,) = imgs[0], extras
+            if a1 * x2 - a2 * x1:
+                return None
+            i = 0 if a1 else 1
+            mu = {x: (a1, a2)[i], z: -(x1, x2)[i]}
+        else:
+            (a1, a2), (b1, b2) = imgs
+            mu = {
+                x: a1 * b2 - a2 * b1,
+                extras[0]: x2 * b1 - x1 * b2,
+                extras[1]: a2 * x1 - a1 * x2,
+            }
+        circuit = {z for z, c in mu.items() if c}
+        demand: dict[int, int] = {}
+        for z in circuit:
+            t, h, _ = edata[z]
+            demand[h] = demand.get(h, 0) + mu[z]
+            demand[t] = demand.get(t, 0) - mu[z]
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for y in tree:
+            t, h, _ = edata[y]
+            adj.setdefault(t, []).append((h, y))
+            adj.setdefault(h, []).append((t, y))
+        seen: set[int] = set()
+        for root in [v for v, d in demand.items() if d]:
+            if root in seen:
+                continue
+            seen.add(root)
+            bfs, up = [root], {}
+            for v in bfs:
+                for w, y in adj.get(v, ()):
+                    if w not in seen:
+                        seen.add(w)
+                        up[w] = (v, y)
+                        bfs.append(w)
+            for v in reversed(bfs[1:]):
+                if demand.get(v):
+                    u, y = up[v]
+                    circuit.add(y)
+                    demand[u] = demand.get(u, 0) + demand[v]
+        return circuit
+
     def try_insert(self, eid: int) -> bool:
+        """Insert eid if the parts can absorb it, possibly after exchanges.
+
+        A node (x, r) of the search is a request to put x into part r.  If
+        part r + x has a circuit C, each y of C - x not yet visited becomes the
+        node (y, 1 - r), in id order; otherwise the chain of requests that led
+        to (x, r) is applied.  Returns False, leaving the parts as they were,
+        when no chain exists.
+        """
+        queue: deque[tuple[int, int, set[int] | None]] = deque()
         for r in (0, 1):
-            if self._indep(self.parts[r] | {eid}):
+            circuit = self._circuit(self.parts[r], eid)
+            if circuit is None:
                 self.parts[r].add(eid)
                 self.part_of[eid] = r
                 return True
+            queue.append((eid, r, circuit))
         # breadth-first search for an augmenting exchange chain
         parent: dict[int, tuple[int, int]] = {}
         visited = {eid}
-        queue = deque([(eid, 0), (eid, 1)])
         while queue:
-            x, r = queue.popleft()
-            part = self.parts[r]
-            with_x = part | {x}
-            if self._indep(with_x):
-                self._apply(x, r, parent)
-                return True
-            for y in sorted(part):
-                if y in visited:
-                    continue
-                if self._indep(with_x - {y}):
-                    visited.add(y)
-                    parent[y] = (x, r)
-                    queue.append((y, 1 - r))
+            x, r, circuit = queue.popleft()
+            if circuit is None:
+                circuit = self._circuit(self.parts[r], x)
+                if circuit is None:
+                    self._apply(x, r, parent)
+                    return True
+            for y in sorted(circuit - visited):
+                visited.add(y)
+                parent[y] = (x, r)
+                queue.append((y, 1 - r, None))
         return False
 
     def _apply(self, x: int, r: int, parent: dict[int, tuple[int, int]]):
@@ -384,97 +467,27 @@ def is_colored_laman(graph: ColoredGraph) -> bool:
 
 @dataclass(frozen=True)
 class CircuitReport:
+    """A minimal violation of colored-Laman sparsity and its counts."""
+
     circuit: EdgeSubset
     counts: CountReport
 
 
-def _is_zero_loop(graph: ColoredGraph, eid: int) -> bool:
-    e = graph.edge(eid)
-    return e.tail == e.head and e.color.g1 == 0 and e.color.g2 == 0
-
-
-@dataclass(frozen=True)
-class LamanAnalysis:
-    """The colored-Laman matroid of one graph, decided once.
-
-    basis is the greedy basis with edges tried in id order; rejected is the
-    first edge that greedy left out, or None when the graph is sparse.
-    """
-
-    graph: ColoredGraph
-    basis: frozenset[int]
-    rejected: int | None
-
-    @property
-    def sparse(self) -> bool:
-        return self.rejected is None
-
-    def circuit(self) -> CircuitReport:
-        """Extract the minimal violation of colored-Laman sparsity.
-
-        B + e (B the basis, e the first rejected edge) is 2f-independent and
-        holds a unique circuit C, with m' = 2f.  As B - x is sparse, x in B
-        lies in C iff B - x + e plus a parallel copy of e is 2f-independent
-        (Edmonds' matroid-partition exchange argument): one augmenting search
-        on a copy of the partition of B + e with x dropped.  The one
-        degenerate exception is a loop colored (0, 0): it is dependent on its
-        own (m' = 1 against the bound 2f - 1 = -1) and forms a singleton
-        circuit with m' = 2f + 1; the collapse theory still applies to it
-        since its constraint row is identically zero.  Only m' = 2f is
-        checked here; `rigidity.certify_circuit` certifies edge-minimality.
-        """
-        if self.sparse:
-            raise DomainError("graph is colored-Laman-sparse; no circuit to find")
-        graph, extra = self.graph, self.rejected
-        if _is_zero_loop(graph, extra):
-            subset = EdgeSubset.of(graph, [extra])
-            return CircuitReport(subset, count_report(subset))
-        state = PartitionState(graph)
-        if not all(state.try_insert(x) for x in sorted(self.basis | {extra})):
-            raise InternalConsistencyError("basis plus the rejected edge is not 2f-independent")
-        e = graph.edge(extra)
-        state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
-        members = [extra]
-        for x in sorted(self.basis):
-            probe = state.clone()
-            probe.parts[probe.part_of.pop(x)].discard(x)
-            if probe.try_insert(_VIRTUAL):
-                members.append(x)
-        circuit = frozenset(members)
-        subset = EdgeSubset.of(graph, circuit)
-        rep = count_report(subset)
-        if rep.m != rep.bound222:
-            raise InternalConsistencyError("extracted circuit misses m' = 2f")
-        return CircuitReport(subset, rep)
-
-
-def laman_analysis(graph: ColoredGraph) -> LamanAnalysis:
-    """Grow the id-order greedy basis of the colored-Laman matroid.
+def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
+    """Greedy basis of the colored-Laman matroid, edges tried in id order.
 
     An edge joins when the basis plus it stays 2f-independent and survives
-    doubling of each of its edges; the first edge refused is recorded, so
-    the graph is sparse exactly when none is.
+    doubling of each of its edges.  All maximal sparse subsets share this
+    size (matroid property); only the witness depends on the order.
     """
     chosen: list[int] = []
-    rejected: int | None = None
     state = PartitionState(graph)
     for eid in sorted(graph.edge_ids()):
         probe = state.clone()
         if probe.try_insert(eid) and _doubling_ok(probe, graph, chosen + [eid]):
             chosen.append(eid)
             state = probe
-        elif rejected is None:
-            rejected = eid
-    return LamanAnalysis(graph, frozenset(chosen), rejected)
-
-
-def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
-    """Greedy basis of the colored-Laman matroid, edges tried in id order.
-
-    All maximal sparse subsets share this size (matroid property); only the
-    witness depends on the order.
-    """
-    return laman_analysis(graph).basis
+    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------

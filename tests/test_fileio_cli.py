@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from perigid.cli import main
+from perigid.cli import build_parser, main
 from perigid.colored_graph import ColoredGraph
-from perigid.errors import ParseError
-from perigid.fileio import parse_colored_graph, serialize_colored_graph
+from perigid.errors import BudgetError, ParseError
+from perigid.fileio import MAX_VERTICES, parse_colored_graph, serialize_colored_graph
 from perigid.linear_rep import RankReport
 from perigid.rigidity import _float_realization, rigidity_matrix
 
@@ -66,6 +66,19 @@ def test_parse_errors_are_positioned():
         parse_colored_graph("cg 2 1 2\n0 0 1 0\n")
     with pytest.raises(ParseError):
         parse_colored_graph("")
+
+
+def test_parse_enforces_the_vertex_budget():
+    assert parse_colored_graph(f"cg 2 {MAX_VERTICES} 0\n").n == MAX_VERTICES
+    with pytest.raises(BudgetError, match="vertex budget"):
+        parse_colored_graph(f"cg 2 {MAX_VERTICES + 1} 0\n")
+
+
+def test_cli_check_over_the_vertex_budget(capsys, tmp_path):
+    path = tmp_path / "huge.cg"
+    path.write_text(f"cg 2 {MAX_VERTICES + 1} 0\n")
+    out, code = run_cli(capsys, "check", str(path))
+    assert code == 2 and "vertex budget" in out
 
 
 def test_round_trip_random():
@@ -251,6 +264,10 @@ def test_cli_batch_jobs(capsys, laman1, two_loops):
     out, code = run_cli(capsys, "check", laman1, two_loops, "--jobs", "2")
     assert code == 1
     assert out.index(laman1) < out.index(two_loops)
+
+
+def test_cli_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_cli_missing_file(capsys):

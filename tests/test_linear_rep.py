@@ -17,6 +17,7 @@ from perigid.linear_rep import (
     dump_matrix,
     kernel_float,
     modp_det,
+    modp_eliminate,
     modp_rank,
     rank_mod_p,
     sample_assignment,
@@ -87,6 +88,29 @@ def test_row_dependency_beyond_f_bound():
         sub = EdgeSubset.full(g)
         if g.m > f_value(sub):
             assert rank_mod_p(g, "M112", trials=2, seed=7).rank < g.m
+
+
+def test_modp_elimination_null_vectors_and_det():
+    rng = random.Random(13)
+    for _ in range(400):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        if m >= 3:  # force a dependency among later rows
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        elim = modp_eliminate(rows)
+        assert elim.rank == modp_rank([rows[i] for i in elim.pivots]) == len(elim.pivots)
+        nulls = elim.null_vectors()
+        assert len(nulls) == m - elim.rank
+        for vec in nulls:
+            assert any(vec)
+            assert all(sum(y * r[j] for y, r in zip(vec, rows)) % PRIME == 0 for j in range(n))
+        if m == n:
+            leibniz = sum(
+                (-1) ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+                * np.prod([rows[i][perm[i]] for i in range(n)], dtype=object)
+                for perm in itertools.permutations(range(n))
+            )
+            assert modp_det(rows) == leibniz % PRIME
 
 
 def test_kernel_float_examples():

@@ -21,10 +21,11 @@ from perigid.rigidity import (
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
+    laman_analysis,
     rigid_realization_certificate,
     rigidity_matrix,
 )
-from perigid.sparsity import CircuitReport, is_colored_laman, laman_analysis
+from perigid.sparsity import CircuitReport, is_colored_laman
 
 from randgen import random_graph, random_laman_graph
 
@@ -266,6 +267,41 @@ def test_certificate_passes_the_zero_loop_singleton():
     rep = laman_analysis(G(2, [(0, 1, (1, 0)), (1, 1, (0, 0))])).circuit()
     assert sorted(rep.circuit.ids) == [1]
     assert certify_circuit(rep) is rep
+
+
+def test_circuit_count_route_catches_a_short_support(monkeypatch):
+    g = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0)), (0, 1, (0, 0))])
+    analysis = laman_analysis(g)
+    assert sorted(analysis.circuit().circuit.ids) == [0, 1]
+    dependencies = rigidity._dependencies
+
+    def drop_one(graph, ids, seed):
+        for support in dependencies(graph, ids, seed):
+            yield support - {min(support - {analysis.rejected})}
+
+    monkeypatch.setattr(rigidity, "_dependencies", drop_one)
+    with pytest.raises(InternalConsistencyError, match="m' = 2f"):
+        analysis.circuit()
+    with pytest.raises(InternalConsistencyError, match="m' = 2f"):
+        decide_rigidity(g)
+
+
+def test_circuit_skips_a_point_where_the_basis_is_dependent(monkeypatch):
+    g = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0)), (0, 1, (0, 0))])
+    analysis = laman_analysis(g)
+    sampled = rigidity._sampled_modp_rows
+    draws = []
+
+    def first_draw_degenerate(graph, rng):
+        rows = sampled(graph, rng)
+        draws.append(rows)
+        if len(draws) == 1:  # edge 0 of the basis gets a zero row, e stays independent
+            rows[0] = tuple(0 for _ in rows[0])
+        return rows
+
+    monkeypatch.setattr(rigidity, "_sampled_modp_rows", first_draw_degenerate)
+    assert sorted(analysis.circuit().circuit.ids) == [0, 1]
+    assert len(draws) == 2
 
 
 # instances.minimal(random.Random(39), 12) from the perfbench instance builder:

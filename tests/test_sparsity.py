@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
+from perigid import sparsity
 from perigid.errors import BudgetError, DomainError
-from perigid.rigidity import decide_rigidity, find_laman_circuit, is_ross
+from perigid.rigidity import decide_rigidity, find_laman_circuit, is_ross, laman_analysis
 from perigid.sparsity import (
     _VIRTUAL,
     PartitionState,
@@ -26,7 +28,6 @@ from perigid.sparsity import (
     is_colored_laman,
     is_colored_laman_sparse,
     is_f_independent,
-    laman_analysis,
     laman_sparse_subset,
     max_laman_sparse_subset,
     union_independent,
@@ -192,6 +193,114 @@ def test_union_matches_exhaustive_partitions():
     for _ in range(250):
         g = random_graph(rng, nmax=3, mmax=8)
         assert union_independent(full(g))[0] == exhaustive_partition(g)
+
+
+class ProbingState(PartitionState):
+    """The exchange search with |part| independence probes per step: the
+    reference for the circuit read-off and for the search order."""
+
+    def try_insert(self, eid):
+        for r in (0, 1):
+            if self._indep(self.parts[r] | {eid}):
+                self.parts[r].add(eid)
+                self.part_of[eid] = r
+                return True
+        parent = {}
+        visited = {eid}
+        queue = deque([(eid, 0), (eid, 1)])
+        while queue:
+            x, r = queue.popleft()
+            part = self.parts[r]
+            with_x = part | {x}
+            if self._indep(with_x):
+                self._apply(x, r, parent)
+                return True
+            for y in sorted(part):
+                if y not in visited and self._indep(with_x - {y}):
+                    visited.add(y)
+                    parent[y] = (x, r)
+                    queue.append((y, 1 - r))
+        return False
+
+
+def circuit_by_probes(state, part, x):
+    """{y : part + x - y is f-independent}, or None when part + x is."""
+    with_x = set(part) | {x}
+    if state._indep(with_x):
+        return None
+    return {y for y in with_x if state._indep(with_x - {y})}
+
+
+def test_circuit_read_off_cases():
+    def read_off(edges, part, x):
+        g = G(4, edges)
+        state = PartitionState(g)
+        assert state._indep(part)
+        got = state._circuit(set(part), x)
+        assert got == circuit_by_probes(state, part, x)
+        return got if got is None else sorted(got)
+
+    # zero-image cycles: a loop colored (0, 0), a parallel pair, a triangle
+    assert read_off([(0, 1, (1, 0)), (1, 1, (0, 0))], [0], 1) == [1]
+    assert read_off([(0, 1, (1, 0)), (0, 1, (1, 0))], [0], 1) == [0, 1]
+    assert read_off([(0, 1, (1, 0)), (0, 1, (0, 1))], [0], 1) is None
+    tri = [(0, 1, (1, 0)), (1, 2, (0, 1)), (2, 0, (-1, -1)), (2, 3, (0, 0))]
+    assert read_off(tri, [0, 1, 3], 2) == [0, 1, 2]
+    # one image in the part: parallel images close a circuit, others do not
+    loop_a = [(0, 1, (0, 0)), (1, 0, (1, 0))]
+    assert read_off(loop_a + [(0, 1, (2, 0))], [0, 1], 2) == [0, 1, 2]
+    assert read_off(loop_a + [(1, 0, (0, 1))], [0, 1], 2) is None
+    # a rank-2 dependency split across two components
+    two_comps = loop_a + [(2, 3, (0, 0)), (3, 2, (0, 1))]
+    assert read_off(two_comps + [(0, 1, (1, 1))], [0, 1, 2, 3], 4) == [0, 1, 2, 3, 4]
+    assert read_off(two_comps + [(0, 1, (2, 0))], [0, 1, 2, 3], 4) == [0, 1, 4]
+    assert read_off(two_comps + [(2, 3, (0, 3))], [0, 1, 2, 3], 4) == [2, 3, 4]
+    # three non-tree edges at one vertex, and a new vertex
+    loops = [(0, 0, (1, 0)), (0, 0, (0, 1))]
+    assert read_off(loops + [(0, 0, (1, 1))], [0, 1], 2) == [0, 1, 2]
+    assert read_off(loops + [(0, 0, (0, 0))], [0, 1], 2) == [2]
+    assert read_off(loops + [(0, 1, (5, 5))], [0, 1], 2) is None
+
+
+def test_circuit_read_off_matches_probes():
+    rng = random.Random(61)
+    shapes = set()
+    for trial in range(400):
+        g = random_graph(rng, nmax=4, mmax=9, color_range=trial % 3)
+        state = PartitionState(g)
+        ids = sorted(g.edge_ids())
+        if trial % 4 == 0 and g.m <= 7:  # exhaustive over the independent parts
+            parts = [
+                {ids[i] for i in range(g.m) if mask >> i & 1} for mask in range(1 << g.m)
+            ]
+            parts = [p for p in parts if state._indep(p)]
+        else:  # a random independent part grown greedily
+            part = set()
+            for x in rng.sample(ids, g.m):
+                if state._indep(part | {x}):
+                    part.add(x)
+            parts = [part]
+        for part in parts:
+            for x in ids:
+                if x in part:
+                    continue
+                got = state._circuit(part, x)
+                assert got == circuit_by_probes(state, part, x)
+                if got is not None:
+                    shapes.add(len(got))
+    assert shapes >= {1, 2, 3, 4, 5}
+
+
+def test_union_partitions_match_the_probing_search(monkeypatch):
+    rng = random.Random(71)
+    for _ in range(120):
+        g = random_graph(rng, nmax=4, mmax=10, color_range=rng.randint(0, 2))
+        fast = union_independent(full(g))
+        basis = max_laman_sparse_subset(g)
+        with monkeypatch.context() as patched:
+            patched.setattr(sparsity, "PartitionState", ProbingState)
+            assert union_independent(full(g)) == fast
+            assert max_laman_sparse_subset(g) == basis
 
 
 # -- (2,2,k) ----------------------------------------------------------------

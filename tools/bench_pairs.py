@@ -1,0 +1,116 @@
+"""Alternating parent/change runs of the benchmark, summarised metric by metric.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
+        --pairs N --seconds S [--first-seed K] [--out BENCH.json]
+
+Each DIR is the root of a checkout.  Pair i runs
+
+    python3 perfbench/run.py --workload NAME --seed K+i --seconds S --trace 0
+
+once in each checkout, each run in its own process; the parent runs first
+in even pairs and the change first in odd ones, so that a drift of the
+host's speed does not favour one side.  For every end-to-end metric of the
+change's BENCHMARK.json the summary gives each side's runs, median and
+quartiles, the number of pairs the change won (ties count for neither) and
+the change's median relative to the parent's.  `--out` merges the
+workload's entry into an existing file, so one file holds every workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a checkout; returns its final JSON line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"error: no output from {workload} seed {seed} in {root.name}")
+    result = json.loads(lines[-1])
+    result["exit_code"] = proc.returncode
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
+    higher = metric["better"] == "higher"
+    wins = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
+    losses = sum(1 for p, c in zip(parent, change) if (c < p if higher else c > p))
+    out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
+    for side, values in (("parent", parent), ("change", change)):
+        q1, q2, q3 = quartiles(values)
+        out[side] = {"median": q2, "q1": q1, "q3": q3, "runs": values}
+    p_med, c_med = out["parent"]["median"], out["change"]["median"]
+    out["change_wins"] = wins
+    out["change_losses"] = losses
+    out["change_over_parent"] = c_med / p_med if p_med else None
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(result)
+            print(f"pair {i} seed {seed} {side}: " + json.dumps(result["metrics"]), file=sys.stderr)
+
+    metrics = {}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        metrics[name] = summarise(metric, values["parent"], values["change"])
+    entry = {
+        "seeds": seeds,
+        "seconds": args.seconds,
+        "first_in_pair": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
+        "runs": {
+            side: [{k: r[k] for k in ("correct", "attempted", "failed", "exit_code")} for r in runs[side]]
+            for side in runs
+        },
+        "metrics": metrics,
+    }
+    report = {"host": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                       "machine": platform.machine()}, "workloads": {}}
+    if args.out and args.out.is_file():
+        report = json.loads(args.out.read_text())
+    report["workloads"][args.workload] = entry
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
