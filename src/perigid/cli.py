@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9, help="floating solve tolerance")
         p.add_argument("--trials", type=int, default=3, help="randomized rank trials")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for many inputs")
+        p.add_argument("--jobs", type=int, default=1, help="accepted for old invocations; inputs run one after another")
 
     common(sub.add_parser("check", help="decide generic rigidity"))
     p = sub.add_parser("sparsity", help="decide a sparsity family membership")
@@ -306,16 +306,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_normalize_argv(list(argv)))
     inputs = args.inputs
-    if args.jobs > 1 and len(inputs) > 1:
-        import concurrent.futures  # deferred: it pulls in logging, unused by one worker
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _run_one(p, args), inputs))
-    else:
-        results = [_run_one(p, args) for p in inputs]
     code = OK
     out = sys.stdout.buffer
-    for path, (payload, rc) in zip(inputs, results):
+    for path in inputs:
+        payload, rc = _run_one(path, args)
         if len(inputs) > 1:
             out.write(f"== {path}\n".encode())
         out.write(payload)

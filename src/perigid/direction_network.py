@@ -82,7 +82,7 @@ def build_P_system(graph: ColoredGraph, directions: DirectionAssignment) -> Natu
         if e.id not in directions.d:
             raise StructuralError(f"direction missing for edge {e.id}")
         rows.append(_m222_row(graph.n, e, *directions.perp(e.id), "float"))
-    return NaturalMatrix("M222", "float", graph.n, tuple(rows), graph.edge_ids())
+    return NaturalMatrix("M222", "float", graph.n, tuple(rows))
 
 
 def realization_kernel(
@@ -264,20 +264,6 @@ class FaithfulRealization:
     attempts: int
 
 
-def _extended_system(
-    graph: ColoredGraph, directions: DirectionAssignment, eid: int, extra: tuple[float, float]
-) -> np.ndarray:
-    doubled = graph.with_doubled(eid)
-    copy_id = max(e.id for e in doubled.edges)
-    dmap = dict(directions.d)
-    dmap[copy_id] = extra
-    return build_P_system(doubled, DirectionAssignment(dmap)).to_numpy()
-
-
-def _rank(a: np.ndarray, tolerance: float) -> int:
-    return kernel_float(a, tolerance)[0]
-
-
 def faithful_realization(
     graph: ColoredGraph,
     seed: int = 0,
@@ -301,21 +287,21 @@ def faithful_realization(
     for attempt in range(1, retry_cap + 1):
         directions = DirectionAssignment.sample(graph, rng)
         system = build_P_system(graph, directions).to_numpy()
-        if _rank(system, tolerance) != 2 * n + 1:
+        rank, kernel = kernel_float(system, tolerance)
+        if rank != 2 * n + 1:
             continue
         ok = True
         for e in graph.edges:
+            # the doubled graph's system: one more row, for a copy of e
             t = rng.uniform(0.0, 2.0 * math.pi)
-            ext = _extended_system(graph, directions, e.id, (math.cos(t), math.sin(t)))
-            if _rank(ext, tolerance) != 2 * n + 2:
+            copy = DirectionAssignment({e.id: (math.cos(t), math.sin(t))})
+            row = _m222_row(n, e, *copy.perp(e.id), "float")
+            if kernel_float(np.vstack([system, row]), tolerance)[0] != 2 * n + 2:
                 ok = False
                 break
         if not ok:
             continue
 
-        _, kernel = kernel_float(system, tolerance)
-        if kernel.shape[1] != 3:
-            continue
         # intersect the kernel with {p_1 = 0}: a 1-dimensional line
         _, combo = kernel_float(kernel[0:2, :], 1e-12)
         if combo.shape[1] != 1:

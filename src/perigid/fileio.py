@@ -16,14 +16,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .colored_graph import ColoredGraph, DevelopmentReport
+from .colored_graph import MAX_VERTICES, ColoredGraph, DevelopmentReport
 from .direction_network import FaithfulRealization
 from .errors import BudgetError, ParseError
 from .linear_rep import RankReport, Realization
 from .rigidity import OneDVerdict, RigidityVerdict
 from .sparsity import CircuitReport
-
-MAX_VERTICES = 1 << 16  # vertex budget of a parsed header
 
 
 def parse_colored_graph(data: str | bytes) -> ColoredGraph:

@@ -128,7 +128,6 @@ class NaturalMatrix:
     mode: str
     n: int
     rows: tuple[tuple, ...]
-    row_ids: tuple[int, ...]
 
     @property
     def nrows(self) -> int:
@@ -190,7 +189,7 @@ def build_natural_matrix(
         for e in graph.edges:
             ax, bx = realization.eta(e.tail, e.head, tuple(e.color))
             rows.append(_m222_row(n, e, float(ax), float(bx), "float"))
-        return NaturalMatrix("M232", "float", n, tuple(rows), graph.edge_ids())
+        return NaturalMatrix("M232", "float", n, tuple(rows))
 
     if assignment is None:
         raise StructuralError(f"{kind} needs a generic assignment")
@@ -201,13 +200,13 @@ def build_natural_matrix(
         rows = tuple(
             _m112_row(n, e, assignment.a[e.id], assignment.mode) for e in graph.edges
         )
-        return NaturalMatrix("M112", assignment.mode, n, rows, graph.edge_ids())
+        return NaturalMatrix("M112", assignment.mode, n, rows)
     assignment.require_b()
     rows = tuple(
         _m222_row(n, e, assignment.a[e.id], assignment.b[e.id], assignment.mode)
         for e in graph.edges
     )
-    return NaturalMatrix("M222", assignment.mode, n, rows, graph.edge_ids())
+    return NaturalMatrix("M222", assignment.mode, n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -215,57 +214,15 @@ def build_natural_matrix(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Elimination:
-    """Gaussian elimination of a list of rows over F_p, row operations kept.
+def _reduce(mat: list[list[int]], ncols: int, p: int) -> tuple[int, int]:
+    """Row-reduce mat over F_p in place, pivoting on its first ncols columns.
 
-    rank is the row rank and pivots the indices of the input rows that the
-    pivots came from, a basis of the row space.  Each other input row is
-    reduced to zero, and :meth:`null_vectors` turns the recorded operations
-    back into one left null vector per such row.  det is the product of the
-    pivots, negated once per row swap: the determinant of a square matrix
-    of full rank.
+    Rows are swapped so that the first rank rows hold the pivots; every later
+    row ends zero on those columns, the rest of it carrying the same row
+    operations.  det is the product of the pivots, negated once per swap:
+    the determinant of a square matrix of full rank.
     """
-
-    rank: int
-    pivots: tuple[int, ...]
-    order: tuple[int, ...]  # input row index at each position after the swaps
-    steps: tuple[tuple[tuple[int, int], ...], ...]  # per position: (k, f), row -= f * row k
-    det: int
-    p: int
-
-    def null_vectors(self) -> list[tuple[int, ...]]:
-        """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
-
-        Position i >= rank reduced to zero, so row i equals the combination
-        of pivot rows its steps subtracted; each pivot row k in turn is its
-        input row minus earlier pivot rows.  Substituting back, from the last
-        pivot to the first, costs one pass over the recorded steps.
-        """
-        p, rank, order = self.p, self.rank, self.order
-        out = []
-        for i in range(rank, len(order)):
-            coef = [0] * rank  # coefficient of pivot row k, still to expand
-            for k, f in self.steps[i]:
-                coef[k] -= f
-            vec = [0] * len(order)
-            vec[order[i]] = 1
-            for k in range(rank - 1, -1, -1):
-                c = coef[k] % p
-                if c:
-                    vec[order[k]] = c
-                    for j, f in self.steps[k]:
-                        coef[j] -= c * f
-            out.append(tuple(vec))
-        return out
-
-
-def modp_eliminate(rows: Sequence[Sequence[int]], p: int = PRIME) -> Elimination:
-    """Column-by-column elimination over F_p with row swaps, recording every step."""
-    mat = [list(r) for r in rows]
-    order = list(range(len(mat)))
-    steps: list[list[tuple[int, int]]] = [[] for _ in mat]
-    ncols = len(mat[0]) if mat else 0
+    width = len(mat[0]) if mat else 0
     rank, det = 0, 1
     for col in range(ncols):
         if rank == len(mat):
@@ -275,34 +232,45 @@ def modp_eliminate(rows: Sequence[Sequence[int]], p: int = PRIME) -> Elimination
             continue
         if piv != rank:
             det = -det
-            for seq in (mat, order, steps):
-                seq[rank], seq[piv] = seq[piv], seq[rank]
-        det = det * mat[rank][col] % p
-        inv = pow(mat[rank][col], p - 2, p)
+            mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
+        det = det * prow[col] % p
+        inv = pow(prow[col], p - 2, p)
         for i in range(rank + 1, len(mat)):
             f = mat[i][col] * inv % p
             if f:
                 row = mat[i]
-                for j in range(col, ncols):
+                for j in range(col, width):
                     row[j] = (row[j] - f * prow[j]) % p
-                steps[i].append((rank, f))
         rank += 1
-    steps_t = tuple(map(tuple, steps))
-    return Elimination(rank, tuple(order[:rank]), tuple(order), steps_t, det, p)
+    return rank, det
 
 
 def modp_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     """Row rank by Gaussian elimination over F_p."""
-    return modp_eliminate(rows, p).rank
+    return _reduce([list(r) for r in rows], len(rows[0]) if rows else 0, p)[0]
 
 
 def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     """Determinant of a square matrix over F_p."""
     if any(len(r) != len(rows) for r in rows):
         raise StructuralError("determinant needs a square matrix")
-    elim = modp_eliminate(rows, p)
-    return elim.det if elim.rank == len(rows) else 0
+    rank, det = _reduce([list(r) for r in rows], len(rows), p)
+    return det if rank == len(rows) else 0
+
+
+def modp_null_vectors(rows: Sequence[Sequence[int]], p: int = PRIME) -> list[tuple[int, ...]]:
+    """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
+
+    The rows are reduced with the m x m identity appended; a row that
+    reduces to zero on the original columns keeps, in the appended ones, the
+    combination of input rows that produced it.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    mat = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
+    rank, _ = _reduce(mat, ncols, p)
+    return [tuple(row[ncols:]) for row in mat[rank:]]
 
 
 @dataclass(frozen=True)

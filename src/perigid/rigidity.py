@@ -29,7 +29,7 @@ from .linear_rep import (
     _m222_row,
     build_natural_matrix,
     kernel_float,
-    modp_eliminate,
+    modp_null_vectors,
     modp_rank,
 )
 from .sparsity import CircuitReport, count_report, is_colored_laman, max_laman_sparse_subset
@@ -122,10 +122,9 @@ def _dependencies(graph: ColoredGraph, ids: list[int], seed: int):
     rng = random.Random(seed)
     for _ in range(3):
         rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
-        elim = modp_eliminate([rows[x] for x in ids])
-        if elim.rank == len(ids) - 1:
-            (vec,) = elim.null_vectors()
-            yield frozenset(x for x, c in zip(ids, vec) if c)
+        nulls = modp_null_vectors([rows[x] for x in ids])
+        if len(nulls) == 1:
+            yield frozenset(x for x, c in zip(ids, nulls[0]) if c)
 
 
 @dataclass(frozen=True)

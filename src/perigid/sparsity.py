@@ -65,10 +65,6 @@ class CountReport:
     def bound222(self) -> int:
         return 2 * self.f
 
-    @property
-    def bound232(self) -> int:
-        return 2 * self.f - 1
-
 
 def _edge_tuples(graph: ColoredGraph, ids: Iterable[int]):
     for eid in sorted(ids):

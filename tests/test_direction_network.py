@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
 
+from perigid import direction_network
 from perigid.colored_graph import ColoredGraph, EdgeSubset, scan_subset, image_rank
 from perigid.direction_network import (
     DirectionAssignment,
@@ -156,6 +158,49 @@ def test_doubling_a_collapsed_edge_keeps_the_kernel():
     dmap[max(e.id for e in doubled.edges)] = (0.6, 0.8)
     dim2, _ = realization_kernel(doubled, DirectionAssignment(dmap))
     assert dim2 == dim
+
+
+def _rebuilt_doubled_system(graph, directions, eid, extra):
+    """The doubled system built the long way: a new graph, directions and P-system."""
+    doubled = graph.with_doubled(eid)
+    copy_id = max(e.id for e in doubled.edges)
+    dmap = dict(directions.d)
+    dmap[copy_id] = extra
+    return build_P_system(doubled, DirectionAssignment(dmap)).to_numpy()
+
+
+def test_doubled_systems_match_the_rebuilt_doubled_graphs(monkeypatch):
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_laman_graph(rng, rng.randint(1, 6))
+        n, seed = g.n, rng.randrange(1 << 20)
+        seen = []
+
+        def spy(a, tolerance):
+            if a.shape[0] == g.m + 1:
+                seen.append(a)
+            return kernel_float(a, tolerance)
+
+        monkeypatch.setattr(direction_network, "kernel_float", spy)
+        fr = faithful_realization(g, seed=seed)
+        monkeypatch.undo()
+        # replay the seeded draws: the doubled systems faithful_realization ranks
+        replay, expected = random.Random(seed), []
+        for _ in range(fr.attempts):
+            d = DirectionAssignment.sample(g, replay)
+            system = build_P_system(g, d).to_numpy()
+            if kernel_float(system, 1e-9)[0] != 2 * n + 1:
+                continue
+            for e in g.edges:
+                t = replay.uniform(0.0, 2.0 * math.pi)
+                ext = _rebuilt_doubled_system(g, d, e.id, (math.cos(t), math.sin(t)))
+                expected.append(ext)
+                if kernel_float(ext, 1e-9)[0] != 2 * n + 2:
+                    break
+        assert len(seen) == len(expected) >= g.m
+        for got, want in zip(seen, expected):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert kernel_float(got, 1e-9)[0] == kernel_float(want, 1e-9)[0]
 
 
 def test_translation_and_scaling_invariance():

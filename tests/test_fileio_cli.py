@@ -81,6 +81,18 @@ def test_cli_check_over_the_vertex_budget(capsys, tmp_path):
     assert code == 2 and "vertex budget" in out
 
 
+def test_cli_develop_and_cover_over_the_vertex_budget(capsys, laman1, tmp_path):
+    # one cell or residue past the budget at n = 1, and at n = 0, whose
+    # cell and residue lists are built all the same
+    empty = tmp_path / "empty.cg"
+    empty.write_text("cg 2 0 0\n")
+    for path in (laman1, str(empty)):
+        out, code = run_cli(capsys, "develop", path, "--window", f"0:{MAX_VERTICES},0:0")
+        assert code == 2 and "vertex budget" in out
+        out, code = run_cli(capsys, "cover", path, "--basis", f"{MAX_VERTICES + 1},0,0,1")
+        assert code == 2 and "vertex budget" in out
+
+
 def test_round_trip_random():
     rng = random.Random(3)
     for _ in range(50):

@@ -1,0 +1,169 @@
+"""Byte-identity check of the perigid CLI between two checkouts.
+
+    python3 tools/byte_identity.py --parent DIR --change DIR [--seed K] [--show N]
+
+Each DIR is the root of a checkout.  The graphs are built once, from the
+instance families of the change's `perfbench/instances.py` (imported, never
+written) at n = 3..12, plus random graphs on at most five vertices with
+loops, parallel edges and (0, 0) loops.  Every graph goes through all ten
+subcommands, in text and in JSON where a command has both (and SVG for
+`realize` and `develop`), with the `rank --dump` file read back.  Each
+checkout runs the whole list in its own subprocess, calling
+`perigid.cli.main` in-process on its own `src/`.  The tool prints the
+invocation count and the first differences in stdout, exit code or dump
+bytes, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import contextlib
+import importlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+SIZES = range(3, 13)
+RANDOM_GRAPHS = 80
+
+
+def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
+    """(label, .cg text) for every graph of the check."""
+    sys.path.insert(0, str(perfbench))
+    inst = importlib.import_module("instances")
+    graphs = []
+
+    def add(label, family, *args):
+        n, edges, _ = family(rng, *args)
+        graphs.append((label, inst.to_cg(n, edges)))
+
+    for n in SIZES:
+        for i in range(4):
+            add(f"minimal n={n} #{i}", inst.minimal, n)
+        for i in range(2):
+            add(f"overbraced n={n} #{i}", inst.overbraced, n)
+            add(f"flexible n={n} #{i}", inst.flexible_nonsparse, n)
+        add(f"ross n={n}", inst.ross, n, True)
+        add(f"non-ross n={n}", inst.ross, n, False)
+        add(f"z-colored n={n}", inst.z_colored, n)
+    for i in range(RANDOM_GRAPHS):
+        n = rng.randint(1, 5)
+        edges = []
+        for _ in range(rng.randint(0, 2 * n + 3)):
+            t = rng.randrange(n)
+            h = t if rng.random() < 0.3 else rng.randrange(n)
+            color = (0, 0) if rng.random() < 0.1 else (rng.randint(-1, 1), rng.randint(-1, 1))
+            edges.append((t, h, color))
+            if rng.random() < 0.15:
+                edges.append((t, h, color))  # parallel copy
+        graphs.append((f"random #{i}", inst.to_cg(n, edges)))
+    return graphs
+
+
+def invocations(path: str) -> list[list[str]]:
+    """Every subcommand on one graph file; the dump path is filled in per side."""
+    both = (["--format", "text"], ["--format", "json"])
+    out = []
+    for fmt in both:
+        out.append(["check", path, *fmt])
+        for family in ("laman", "222", "ross"):
+            out.append(["sparsity", path, "--family", family, *fmt])
+        for cmd in ("decompose", "circuit", "ross", "oned"):
+            out.append([cmd, path, *fmt])
+        for matrix in ("M112", "M222", "M232"):
+            out.append(["rank", path, "--matrix", matrix, "--dump", "{dump}", *fmt])
+    for fmt in (*both, ["--format", "svg"]):
+        out.append(["realize", path, *fmt])
+        out.append(["develop", path, *fmt])
+    out.append(["realize", path, "--seed", "3", "--format", "json"])
+    out.append(["cover", path, "--basis", "2,1,0,2"])
+    return out
+
+
+def run_side(src: str, jobs_file: str, out_file: str) -> None:
+    """Run every invocation in this process against the perigid under src."""
+    sys.path.insert(0, src)
+    perigid = importlib.import_module("perigid.cli")
+    if Path(src).resolve() not in Path(perigid.__file__).resolve().parents:
+        raise SystemExit(f"error: imported perigid from {perigid.__file__}, not from {src}")
+    warnings.simplefilter("ignore")
+    dump = Path(out_file).with_suffix(".dump")
+    results = []
+    for argv in json.loads(Path(jobs_file).read_text()):
+        argv = [str(dump) if a == "{dump}" else a for a in argv]
+        dump.unlink(missing_ok=True)
+        buf = io.BytesIO()
+        wrapper = io.TextIOWrapper(buf, encoding="utf-8")
+        code, error = None, None
+        try:
+            with contextlib.redirect_stdout(wrapper):
+                code = perigid.main(argv)
+                wrapper.flush()
+        except (Exception, SystemExit) as exc:
+            error = repr(exc)
+        wrapper.detach()
+        results.append({
+            "out": base64.b64encode(buf.getvalue()).decode(),
+            "code": code,
+            "error": error,
+            "dump": base64.b64encode(dump.read_bytes()).decode() if dump.exists() else None,
+        })
+    Path(out_file).write_text(json.dumps(results))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["side"]:  # the child process of one checkout
+        run_side(*argv[1:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the graph builder")
+    parser.add_argument("--show", type=int, default=10, help="differences to print")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
+        work = Path(tmp)
+        jobs = []
+        labels = []
+        for i, (label, text) in enumerate(build_graphs(args.change / "perfbench", random.Random(args.seed))):
+            path = work / f"{i:04d}.cg"
+            path.write_text(text)
+            for inv in invocations(str(path)):
+                jobs.append(inv)
+                labels.append(label)
+        (work / "jobs.json").write_text(json.dumps(jobs))
+        procs = {}
+        for side in ("parent", "change"):
+            (work / side).mkdir()
+            cmd = [sys.executable, __file__, "side", str(getattr(args, side).resolve() / "src"),
+                   str(work / "jobs.json"), str(work / side / "results.json")]
+            procs[side] = subprocess.Popen(cmd, cwd=work / side)
+        for side, proc in procs.items():
+            if proc.wait() != 0:
+                print(f"error: the {side} side exited with {proc.returncode}", file=sys.stderr)
+                return 2
+        results = {side: json.loads((work / side / "results.json").read_text()) for side in procs}
+
+    diffs = []
+    for inv, label, old, new in zip(jobs, labels, results["parent"], results["change"]):
+        for key in ("code", "error", "out", "dump"):
+            if old[key] != new[key]:
+                diffs.append((label, inv, key, old[key], new[key]))
+    print(f"{len(jobs)} invocations on {len(set(labels))} graphs, {len(diffs)} differences")
+    for label, inv, key, old, new in diffs[: args.show]:
+        if key in ("out", "dump") and old is not None and new is not None:
+            old, new = base64.b64decode(old)[:200], base64.b64decode(new)[:200]
+        print(f"{label}: {' '.join(inv[:1] + inv[2:])}: {key}\n  parent: {old!r}\n  change: {new!r}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
