@@ -25,17 +25,18 @@ from .errors import BudgetError, MultiplicityWarning, StructuralError
 MAX_PARALLEL = 6  # copies of an edge any sparse graph can use
 MAX_LOOPS = 4  # self-loops per vertex, same reasoning
 MAX_VERTICES = 1 << 16  # vertex budget of a parsed graph, a development or a cover
+MAX_EDGES = 1 << 18  # edge budget of the same
 
 
-def _check_vertex_budget(what: str, n: int, copies: int) -> None:
-    """Refuse, before allocating, max(n, 1) * copies vertices over the budget.
-
-    max(n, 1): the per-copy lists (cells, residues) are built even when n = 0.
-    """
-    if max(n, 1) * copies > MAX_VERTICES:
+def _check_budget(what: str, graph: ColoredGraph, copies: int) -> None:
+    """Refuse, before allocating, max(n, 1) * copies vertices or m * copies edges over
+    the budget; max(n, 1) since the per-copy lists are built even when n = 0."""
+    if max(graph.n, 1) * copies > MAX_VERTICES:
         raise BudgetError(
-            f"{what} of {copies} x {n} vertices exceeds the vertex budget {MAX_VERTICES}"
+            f"{what} of {copies} x {graph.n} vertices exceeds the vertex budget {MAX_VERTICES}"
         )
+    if graph.m * copies > MAX_EDGES:
+        raise BudgetError(f"{what} of {copies} x {graph.m} edges exceeds the edge budget {MAX_EDGES}")
 
 
 class ColorVector(NamedTuple):
@@ -539,7 +540,7 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
     (x0, x1), (y0, y1) = window
     if x1 < x0 or y1 < y0:
         raise StructuralError("empty development window")
-    _check_vertex_budget("development window", graph.n, (x1 - x0 + 1) * (y1 - y0 + 1))
+    _check_budget("development window", graph, (x1 - x0 + 1) * (y1 - y0 + 1))
 
     cells = [
         ColorVector(gx, gy) for gx in range(x0, x1 + 1) for gy in range(y0, y1 + 1)
@@ -669,7 +670,7 @@ def sublattice_cover(
     det = a * d - b * c
     if det == 0:
         raise StructuralError("sub-lattice basis must have nonzero determinant")
-    _check_vertex_budget("sub-lattice cover", graph.n, abs(det))
+    _check_budget("sub-lattice cover", graph, abs(det))
     h11, h21, h22 = _hnf_columns(basis)
     sheets = h11 * h22
 

@@ -29,7 +29,7 @@ from .errors import (
     InternalConsistencyError,
     StructuralError,
 )
-from .linear_rep import NaturalMatrix, Realization, _m222_row, kernel_float
+from .linear_rep import NaturalMatrix, Realization, _dense, _m222_row, kernel_float
 from .sparsity import is_colored_laman
 
 COLLAPSE_TOL = 1e-6  # relative; deliberately looser than the solve tolerance
@@ -295,7 +295,7 @@ def faithful_realization(
             # the doubled graph's system: one more row, for a copy of e
             t = rng.uniform(0.0, 2.0 * math.pi)
             copy = DirectionAssignment({e.id: (math.cos(t), math.sin(t))})
-            row = _m222_row(n, e, *copy.perp(e.id), "float")
+            row = _dense(_m222_row(n, e, *copy.perp(e.id), "float"), 2 * n + 4)
             if kernel_float(np.vstack([system, row]), tolerance)[0] != 2 * n + 2:
                 ok = False
                 break

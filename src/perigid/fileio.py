@@ -7,8 +7,8 @@ The `.cg` text format, one graph per file, UTF-8, '#' starts a comment:
 
 Loops repeat the vertex; parallel edges repeat lines.  Serialization is
 canonical, so parse(serialize(g)) round-trips exactly.  A header with more
-than MAX_VERTICES vertices is refused before any edge line is parsed, since
-the rank and realization routines allocate per vertex whatever m is.
+than MAX_VERTICES vertices or MAX_EDGES edges is refused before any edge
+line is parsed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .colored_graph import MAX_VERTICES, ColoredGraph, DevelopmentReport
+from .colored_graph import MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
 from .direction_network import FaithfulRealization
 from .errors import BudgetError, ParseError
 from .linear_rep import RankReport, Realization
@@ -56,6 +56,8 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
         raise ParseError("counts must be nonnegative", lineno)
     if n > MAX_VERTICES:
         raise BudgetError(f"line {lineno}: n = {n} exceeds the vertex budget {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise BudgetError(f"line {lineno}: m = {m} exceeds the edge budget {MAX_EDGES}")
     if len(rows) - 1 != m:
         raise ParseError(
             f"header promises {m} edges, file has {len(rows) - 1} edge lines", lineno

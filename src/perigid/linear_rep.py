@@ -13,14 +13,16 @@ The rigidity matrix (kind M232) shares the M222 filling pattern with
 (a, b) replaced by the edge displacement of a concrete realization.  Every
 row of these patterns, including the F_p rigidity rows and the 1d rows of
 :mod:`perigid.rigidity` and the realization system of
-:mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row`.
+:mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row` as
+sparse {column: value} entries, at most eight per row; rows are densified
+only for numpy and for dumps (`NaturalMatrix.rows`).
 
 Generic rank is decided by sampling: entries are drawn uniformly from the
-prime field F_p with p = 2^61 - 1 and eliminated exactly, so a full-rank
-sample certifies the generic rank while a deficient one is wrong with
-probability at most m/p per trial.  Floating-point ranks (needed for actual
-realizations) threshold singular values relative to the largest one; the
-exact mode is the arbiter whenever the two disagree.
+prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, so a
+full-rank sample certifies the generic rank while a deficient one is wrong
+with probability at most m/p per trial.  Floating-point ranks (needed for
+actual realizations) threshold singular values relative to the largest one;
+the exact mode is the arbiter whenever the two disagree.
 """
 
 from __future__ import annotations
@@ -122,49 +124,54 @@ def sample_assignment(
 
 @dataclass(frozen=True)
 class NaturalMatrix:
-    """Dense row-per-edge matrix in one of the three filling patterns."""
+    """Row-per-edge matrix in one of the three filling patterns, kept sparse."""
 
     kind: str
     mode: str
     n: int
-    rows: tuple[tuple, ...]
+    entries: tuple[dict, ...]
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
 
     @property
     def ncols(self) -> int:
         return self.n + 2 if self.kind == "M112" else 2 * self.n + 4
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Dense rows; a column no entry names holds the int 0."""
+        return tuple(_dense(row, self.ncols) for row in self.entries)
+
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=float).reshape(self.nrows, self.ncols)
 
 
-def _m112_row(n, e, a, mode):
-    row = [0] * (n + 2)
-    row[e.tail] -= a
-    row[e.head] += a
-    row[n] += e.color.g1 * a
-    row[n + 1] += e.color.g2 * a
-    if mode == "fp":
-        row = [x % PRIME for x in row]
+def _dense(entries: dict, width: int) -> tuple:
+    row = [0] * width
+    for j, x in entries.items():
+        row[j] = x
     return tuple(row)
+
+
+def _pattern_row(terms, mode):
+    """Sum (column, term) pairs in order onto entries that start at the int 0,
+    as on a dense row of zeros: a cancelled loop entry stays, -0.0 becomes 0.0."""
+    row = {}
+    for j, x in terms:
+        row[j] = row.get(j, 0) + x
+    return {j: x % PRIME for j, x in row.items()} if mode == "fp" else row
+
+
+def _m112_row(n, e, a, mode):
+    return _pattern_row(((e.tail, -a), (e.head, a), (n, e.color.g1 * a), (n + 1, e.color.g2 * a)), mode)
 
 
 def _m222_row(n, e, a, b, mode):
-    row = [0] * (2 * n + 4)
-    row[2 * e.tail] -= a
-    row[2 * e.tail + 1] -= b
-    row[2 * e.head] += a
-    row[2 * e.head + 1] += b
-    row[2 * n] += e.color.g1 * a
-    row[2 * n + 1] += e.color.g1 * b
-    row[2 * n + 2] += e.color.g2 * a
-    row[2 * n + 3] += e.color.g2 * b
-    if mode == "fp":
-        row = [x % PRIME for x in row]
-    return tuple(row)
+    t, h, (g1, g2) = 2 * e.tail, 2 * e.head, e.color
+    lattice = ((2 * n, g1 * a), (2 * n + 1, g1 * b), (2 * n + 2, g2 * a), (2 * n + 3, g2 * b))
+    return _pattern_row(((t, -a), (t + 1, -b), (h, a), (h + 1, b)) + lattice, mode)
 
 
 def build_natural_matrix(
@@ -214,63 +221,76 @@ def build_natural_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _reduce(mat: list[list[int]], ncols: int, p: int) -> tuple[int, int]:
-    """Row-reduce mat over F_p in place, pivoting on its first ncols columns.
+def _subtract(row: dict, f: int, prow: dict, p: int) -> None:
+    """row -= f * prow over F_p, in place, dropping entries that vanish."""
+    for j, v in prow.items():
+        x = (row.get(j, 0) - f * v) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    Rows are swapped so that the first rank rows hold the pivots; every later
-    row ends zero on those columns, the rest of it carrying the same row
-    operations.  det is the product of the pivots, negated once per swap:
-    the determinant of a square matrix of full rank.
+
+def _eliminate(rows, p: int, track: bool = False):
+    """Insert rows in order into a sparse echelon form over F_p.
+
+    A row ({column: value} entries or a dense sequence) is reduced by the
+    pivot row stored at its lowest nonzero column until it vanishes or leads
+    at a new column, where it is stored scaled to a leading 1.  Returns the
+    leading columns in insertion order, the product of the leading values
+    (the determinant up to the sign of that permutation: only earlier rows
+    are subtracted) and, with track, the input-row combination (as entries)
+    behind each row that vanished.
     """
-    width = len(mat[0]) if mat else 0
-    rank, det = 0, 1
-    for col in range(ncols):
-        if rank == len(mat):
-            break
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            det = -det
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        det = det * prow[col] % p
-        inv = pow(prow[col], p - 2, p)
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][col] * inv % p
-            if f:
-                row = mat[i]
-                for j in range(col, width):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-    return rank, det
+    pivots, combos, lead_prod, nulls = {}, {}, 1, []
+    for i, row in enumerate(rows):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {j: x % p for j, x in items if x % p}
+        combo = {i: 1}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                break
+            f = row[col]
+            _subtract(row, f, pivots[col], p)
+            if track:
+                _subtract(combo, f, combos[col], p)
+        if row:
+            inv = pow(row[col], -1, p)
+            lead_prod = lead_prod * row[col] % p
+            pivots[col] = {j: x * inv % p for j, x in row.items()}
+            if track:
+                combos[col] = {j: x * inv % p for j, x in combo.items()}
+        elif track:
+            nulls.append(combo)
+    return list(pivots), lead_prod, nulls
 
 
-def modp_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
-    """Row rank by Gaussian elimination over F_p."""
-    return _reduce([list(r) for r in rows], len(rows[0]) if rows else 0, p)[0]
+def modp_rank(rows: Sequence, p: int = PRIME) -> int:
+    """Row rank over F_p of entry-dict or dense rows."""
+    return len(_eliminate(rows, p)[0])
 
 
 def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
-    """Determinant of a square matrix over F_p."""
+    """Determinant of a square matrix of dense rows over F_p."""
     if any(len(r) != len(rows) for r in rows):
         raise StructuralError("determinant needs a square matrix")
-    rank, det = _reduce([list(r) for r in rows], len(rows), p)
-    return det if rank == len(rows) else 0
+    leads, det, _ = _eliminate(rows, p)
+    if len(leads) < len(rows):
+        return 0
+    if sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :]) % 2:
+        det = -det % p
+    return det
 
 
-def modp_null_vectors(rows: Sequence[Sequence[int]], p: int = PRIME) -> list[tuple[int, ...]]:
+def modp_null_vectors(rows: Sequence, p: int = PRIME) -> list[tuple[int, ...]]:
     """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
 
-    The rows are reduced with the m x m identity appended; a row that
-    reduces to zero on the original columns keeps, in the appended ones, the
-    combination of input rows that produced it.
+    One vector per row that the elimination reduces to zero: the
+    combination of input rows that produced it, with a 1 at that row.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    mat = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
-    rank, _ = _reduce(mat, ncols, p)
-    return [tuple(row[ncols:]) for row in mat[rank:]]
+    nulls = _eliminate(rows, p, track=True)[2]
+    return [tuple(y.get(i, 0) for i in range(len(rows))) for y in nulls]
 
 
 @dataclass(frozen=True)
@@ -303,7 +323,7 @@ def rank_mod_p(
     for _ in range(trials):
         asn = sample_assignment(graph, pairs=(kind == "M222"), mode="fp", rng=rng)
         mat = build_natural_matrix(graph, kind, asn)
-        best = max(best, modp_rank(mat.rows))
+        best = max(best, modp_rank(mat.entries))
     return RankReport(kind, best, "fp", trials, seed)
 
 

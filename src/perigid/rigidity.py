@@ -51,8 +51,8 @@ def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> NaturalMat
     return build_natural_matrix(graph, "M232", realization=realization)
 
 
-def _modp_rigidity_rows(graph: ColoredGraph, xy: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Rows mod p at the integer points xy[:n], with lattice rows xy[n], xy[n + 1]."""
+def _modp_rigidity_rows(graph: ColoredGraph, xy: list[tuple[int, int]]) -> list[dict[int, int]]:
+    """Entry rows mod p at the integer points xy[:n], with lattice rows xy[n], xy[n + 1]."""
     (a, b), (c, d) = xy[-2:]
     rows = []
     for e in graph.edges:
@@ -63,7 +63,7 @@ def _modp_rigidity_rows(graph: ColoredGraph, xy: list[tuple[int, int]]) -> list[
     return rows
 
 
-def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[tuple[int, ...]]:
+def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[dict[int, int]]:
     """Rigidity rows mod p at n integer points and lattice rows drawn from rng."""
     r = COORD_RANGE
     xy = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(graph.n + 2)]
@@ -310,8 +310,8 @@ class OneDVerdict:
         return self.status != STATUS_FLEXIBLE
 
 
-def _oned_rows(graph: ColoredGraph, xs: list[int], lat: int) -> list[tuple[int, ...]]:
-    """M112 rows at a = eta; the second lattice column is zero (g2 = 0)."""
+def _oned_rows(graph: ColoredGraph, xs: list[int], lat: int) -> list[dict[int, int]]:
+    """M112 entry rows at a = eta; the second lattice column is zero (g2 = 0)."""
     return [
         _m112_row(graph.n, e, xs[e.head] + e.color.g1 * lat - xs[e.tail], "fp")
         for e in graph.edges

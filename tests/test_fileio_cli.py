@@ -9,8 +9,9 @@ import pytest
 
 from perigid.cli import build_parser, main
 from perigid.colored_graph import ColoredGraph
-from perigid.errors import BudgetError, ParseError
-from perigid.fileio import MAX_VERTICES, parse_colored_graph, serialize_colored_graph
+from perigid.errors import BudgetError, MultiplicityWarning, ParseError
+from perigid import colored_graph
+from perigid.fileio import MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
 from perigid.linear_rep import RankReport
 from perigid.rigidity import _float_realization, rigidity_matrix
 
@@ -91,6 +92,38 @@ def test_cli_develop_and_cover_over_the_vertex_budget(capsys, laman1, tmp_path):
         assert code == 2 and "vertex budget" in out
         out, code = run_cli(capsys, "cover", path, "--basis", f"{MAX_VERTICES + 1},0,0,1")
         assert code == 2 and "vertex budget" in out
+
+
+def test_cli_over_the_edge_budget(capsys, tmp_path):
+    header = tmp_path / "header.cg"
+    header.write_text(f"cg 2 1 {MAX_EDGES + 1}\n")  # refused before the edge count is compared
+    out, code = run_cli(capsys, "check", str(header))
+    assert code == 2 and "edge budget" in out
+    # 64 loops on one vertex: 4097 copies stay inside the vertex budget and
+    # make 64 x 4097 = MAX_EDGES + 64 edges
+    loops = tmp_path / "loops.cg"
+    loops.write_text(f"cg 2 1 64\n" + "0 0 1 0\n" * 64)
+    out, code = run_cli(capsys, "cover", str(loops), "--basis", "4097,0,0,1")
+    assert code == 2 and "edge budget" in out
+    out, code = run_cli(capsys, "develop", str(loops), "--window", "0:4096,0:0")
+    assert code == 2 and "edge budget" in out
+
+
+def test_edge_budget_boundary():
+    with pytest.warns(MultiplicityWarning):
+        loops = G(1, [(0, 0, (1, 0))] * 64)
+    colored_graph._check_budget("cover", loops, MAX_EDGES // 64)
+    with pytest.raises(BudgetError, match="edge budget"):
+        colored_graph._check_budget("cover", loops, MAX_EDGES // 64 + 1)
+
+
+def test_cli_rank_on_the_vertex_budget_with_few_edges(capsys, tmp_path):
+    # sparse rows: 40 edges on 2^16 vertices need no row of width 2n + 4
+    path = tmp_path / "wide.cg"
+    edges = "".join(f"{1637 * i} {1637 * i + 1} {i % 3 - 1} 1\n" for i in range(40))
+    path.write_text(f"cg 2 {MAX_VERTICES} 40\n" + edges)
+    out, code = run_cli(capsys, "rank", str(path), "--matrix", "M222", "--format", "json")
+    assert code == 0 and json.loads(out)["rank"] == 40
 
 
 def test_round_trip_random():

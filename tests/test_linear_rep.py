@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
+from perigid.direction_network import DirectionAssignment, build_P_system
 from perigid.errors import DomainError, StructuralError
 from perigid.linear_rep import (
     PRIME,
     GenericAssignment,
+    Realization,
     build_natural_matrix,
     dump_matrix,
     kernel_float,
@@ -23,6 +25,7 @@ from perigid.linear_rep import (
     sample_assignment,
     verify_determinant_formulas,
 )
+from perigid.rigidity import rigidity_matrix
 from perigid.sparsity import decompose_two_11k, f_value, is_222_graph, is_222_sparse
 
 from randgen import random_11k, random_graph, random_non_11k
@@ -239,3 +242,161 @@ def test_dump_matrix_format():
     asn = GenericAssignment({0: 3}, None, "fp")
     text = dump_matrix(build_natural_matrix(G(1, [(0, 0, (1, 2))]), "M112", asn))
     assert text == "mat 1 3 fp\n0 3 6\n"
+
+
+# ---------------------------------------------------------------------------
+# The sparse elimination against the dense Gaussian elimination it replaced,
+# and the entry-row builders against the dense builders they replaced.
+# ---------------------------------------------------------------------------
+
+
+def _dense_reduce(mat, ncols, p=PRIME):
+    """Row-reduce mat over F_p in place on its first ncols columns; (rank, det)."""
+    width = len(mat[0]) if mat else 0
+    rank, det = 0, 1
+    for col in range(ncols):
+        if rank == len(mat):
+            break
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            det = -det
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        det = det * prow[col] % p
+        inv = pow(prow[col], p - 2, p)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] * inv % p
+            if f:
+                row = mat[i]
+                for j in range(col, width):
+                    row[j] = (row[j] - f * prow[j]) % p
+        rank += 1
+    return rank, det
+
+
+def _random_entry(rng):
+    kind = rng.random()
+    if kind < 0.45:
+        return 0
+    if kind < 0.65:
+        return rng.randint(-3, 3)
+    if kind < 0.75:
+        return rng.choice((-2, -1, 1, 2, 3)) * PRIME  # a multiple of p: zero
+    if kind < 0.85:
+        return PRIME + rng.randint(-3, 3)
+    return rng.randrange(-3 * PRIME, 3 * PRIME)
+
+
+def _random_matrix(rng):
+    m, n = rng.choice(((0, 0), (0, 3), (3, 0))) if rng.random() < 0.05 else (
+        rng.randint(1, 8), rng.randint(1, 8))
+    if rng.random() < 0.3:  # square, for the determinant
+        n = m
+    rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        shape = rng.random()
+        if shape < 0.1:
+            rows[i] = [0] * n
+        elif shape < 0.2 and i:
+            rows[i] = list(rows[rng.randrange(i)])  # a duplicate
+        elif shape < 0.3 and i >= 2:
+            a, b = rng.sample(range(i), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_sparse_elimination_matches_dense_reduction():
+    rng = random.Random(909)
+    shapes = set()
+    for _ in range(600):
+        dense = _random_matrix(rng)
+        m, n = len(dense), len(dense[0]) if dense else 0
+        shapes.add("tall" if m > n else "wide" if m < n else "square")
+        # entry rows name some zero and multiple-of-p entries explicitly
+        entries = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3} for r in dense]
+        want_rank, want_det = _dense_reduce([list(r) for r in dense], n)
+        for rows in (dense, entries):
+            assert modp_rank(rows) == want_rank
+            nulls = modp_null_vectors(rows)
+            assert len(nulls) == m - want_rank
+            for y in nulls:
+                assert len(y) == m and all(0 <= c < PRIME for c in y)
+                assert all(sum(c * r[j] for c, r in zip(y, dense)) % PRIME == 0 for j in range(n))
+            assert _dense_reduce([list(y) for y in nulls], m)[0] == len(nulls)
+        if m == n:
+            assert modp_det(dense) == (want_det if want_rank == m else 0)
+    assert shapes == {"tall", "wide", "square"}
+
+
+def _dense_m112_row(n, e, a, mode):
+    row = [0] * (n + 2)
+    row[e.tail] -= a
+    row[e.head] += a
+    row[n] += e.color.g1 * a
+    row[n + 1] += e.color.g2 * a
+    if mode == "fp":
+        row = [x % PRIME for x in row]
+    return tuple(row)
+
+
+def _dense_m222_row(n, e, a, b, mode):
+    row = [0] * (2 * n + 4)
+    row[2 * e.tail] -= a
+    row[2 * e.tail + 1] -= b
+    row[2 * e.head] += a
+    row[2 * e.head + 1] += b
+    row[2 * n] += e.color.g1 * a
+    row[2 * n + 1] += e.color.g1 * b
+    row[2 * n + 2] += e.color.g2 * a
+    row[2 * n + 3] += e.color.g2 * b
+    if mode == "fp":
+        row = [x % PRIME for x in row]
+    return tuple(row)
+
+
+def _looped_graph(rng):
+    n = rng.randint(1, 5)
+    edges = []
+    for _ in range(rng.randint(0, 9)):
+        t = rng.randrange(n)
+        h = t if rng.random() < 0.35 else rng.randrange(n)
+        color = (0, 0) if rng.random() < 0.2 else (rng.randint(-2, 2), rng.randint(-2, 2))
+        edges.append((t, h, color))
+    return G(n, edges)
+
+
+def _same_rows(got, want):
+    assert got == want
+    assert [list(map(repr, r)) for r in got] == [list(map(repr, r)) for r in want]
+
+
+def test_dense_rows_match_the_dense_builders():
+    rng = random.Random(77)
+    for _ in range(300):
+        g = _looped_graph(rng)
+        n = g.n
+        for mode in ("fp", "float"):
+            asn = sample_assignment(g, pairs=True, mode=mode, rng=rng)
+            _same_rows(
+                build_natural_matrix(g, "M112", asn).rows,
+                tuple(_dense_m112_row(n, e, asn.a[e.id], mode) for e in g.edges),
+            )
+            _same_rows(
+                build_natural_matrix(g, "M222", asn).rows,
+                tuple(_dense_m222_row(n, e, asn.a[e.id], asn.b[e.id], mode) for e in g.edges),
+            )
+        # repeated points collapse edges to zero displacements, and -0.0 terms
+        pts = [[rng.choice((0.0, -0.5, 0.5)), rng.uniform(-1, 1)] for _ in range(n)]
+        lattice = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
+        real = Realization(np.array(pts), np.array(lattice))
+        want = []
+        for e in g.edges:
+            ax, bx = real.eta(e.tail, e.head, tuple(e.color))
+            want.append(_dense_m222_row(n, e, float(ax), float(bx), "float"))
+        _same_rows(rigidity_matrix(g, real).rows, tuple(want))
+        dirs = DirectionAssignment.sample(g, rng)
+        want = tuple(_dense_m222_row(n, e, *dirs.perp(e.id), "float") for e in g.edges)
+        _same_rows(build_P_system(g, dirs).rows, want)

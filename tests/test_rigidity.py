@@ -356,3 +356,27 @@ def test_1d_routes_agree_randomly():
             ],
         )
         is_1d_rigid(g, seed=rng.randrange(1 << 30))  # raises if routes disagree
+
+
+def test_exact_rank_paths_build_no_dense_row(monkeypatch):
+    from perigid import linear_rep
+
+    calls = []
+    dense = linear_rep._dense
+    monkeypatch.setattr(linear_rep, "_dense", lambda *a: calls.append(a) or dense(*a))
+    rng = random.Random(61)
+    circuits = 0
+    for _ in range(20):
+        g = random_graph(rng, nmax=5)
+        linear_rep.rank_mod_p(g, "M112")
+        linear_rep.rank_mod_p(g, "M222")
+        generic_rigidity_rank(g)
+        analysis = laman_analysis(g)
+        if not analysis.sparse:
+            circuits += len(analysis.circuit().circuit.ids) > 0
+        flat = G(g.n, [(e.tail, e.head, (e.color.g1, 0)) for e in g.edges])
+        is_1d_rigid(flat)
+    assert calls == [] and circuits
+    # the spy sees the one path that densifies: rows for numpy and dumps
+    rigidity_matrix(LAMAN1, Realization(np.zeros((1, 2)), np.eye(2))).to_numpy()
+    assert len(calls) == LAMAN1.m

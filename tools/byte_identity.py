@@ -7,7 +7,10 @@ instance families of the change's `perfbench/instances.py` (imported, never
 written) at n = 3..12, plus random graphs on at most five vertices with
 loops, parallel edges and (0, 0) loops.  Every graph goes through all ten
 subcommands, in text and in JSON where a command has both (and SVG for
-`realize` and `develop`), with the `rank --dump` file read back.  Each
+`realize` and `develop`), with the `rank --dump` file read back.  The
+numeric and Z-colored families at n = 64, 128 and 256 (the benchmark's
+numeric sizes) go through `rank` for all three matrices with `--dump`, and
+`oned`, `develop` and `cover`.  Each
 checkout runs the whole list in its own subprocess, calling
 `perigid.cli.main` in-process on its own `src/`.  The tool prints the
 invocation count and the first differences in stdout, exit code or dump
@@ -30,11 +33,12 @@ import warnings
 from pathlib import Path
 
 SIZES = range(3, 13)
+LARGE_SIZES = (64, 128, 256)
 RANDOM_GRAPHS = 80
 
 
 def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
-    """(label, .cg text) for every graph of the check."""
+    """(label, .cg text) for every graph of the check; large ones are labelled so."""
     sys.path.insert(0, str(perfbench))
     inst = importlib.import_module("instances")
     graphs = []
@@ -63,13 +67,28 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
             if rng.random() < 0.15:
                 edges.append((t, h, color))  # parallel copy
         graphs.append((f"random #{i}", inst.to_cg(n, edges)))
+    for n in LARGE_SIZES:
+        add(f"large numeric n={n}", inst.numeric, n)
+        add(f"large z-colored n={n}", inst.z_colored, n)
     return graphs
 
 
-def invocations(path: str) -> list[list[str]]:
-    """Every subcommand on one graph file; the dump path is filled in per side."""
+def invocations(path: str, large: bool = False) -> list[list[str]]:
+    """Every subcommand on one graph file; the dump path is filled in per side.
+
+    A large graph runs only the numeric commands: rank with every matrix and
+    a dump, oned, develop and cover.
+    """
     both = (["--format", "text"], ["--format", "json"])
     out = []
+    if large:
+        for fmt in both:
+            for matrix in ("M112", "M222", "M232"):
+                out.append(["rank", path, "--matrix", matrix, "--dump", "{dump}", *fmt])
+            out.append(["oned", path, *fmt])
+            out.append(["develop", path, *fmt])
+        out.append(["cover", path, "--basis", "2,1,0,2"])
+        return out
     for fmt in both:
         out.append(["check", path, *fmt])
         for family in ("laman", "222", "ross"):
@@ -136,7 +155,7 @@ def main(argv=None) -> int:
         for i, (label, text) in enumerate(build_graphs(args.change / "perfbench", random.Random(args.seed))):
             path = work / f"{i:04d}.cg"
             path.write_text(text)
-            for inv in invocations(str(path)):
+            for inv in invocations(str(path), label.startswith("large")):
                 jobs.append(inv)
                 labels.append(label)
         (work / "jobs.json").write_text(json.dumps(jobs))
