@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import sparsity
-from .colored_graph import develop_window, sublattice_cover
+from .colored_graph import EdgeSubset, develop_window, sublattice_cover, z2_rank
 from .direction_network import faithful_realization
 from .errors import (
     BudgetError,
@@ -102,7 +102,7 @@ def cmd_sparsity(path, args):
         independent = generic_rigidity_rank(graph, seed=args.seed).rank == graph.m
     elif family == "222":
         verdict = sparsity.is_222_sparse(graph)
-        tight = sparsity.is_222_graph(graph)
+        tight = verdict and graph.m == 2 * graph.n - 2 + 2 * z2_rank(EdgeSubset.full(graph))
         extra = f"(2,2,k)-graph: {tight}"
         independent = rank_mod_p(graph, "M222", seed=args.seed).rank == graph.m
     else:

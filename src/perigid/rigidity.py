@@ -253,8 +253,9 @@ def rigid_realization_certificate(
     """
     n = graph.n
     fr = faithful_realization(graph, seed=seed)
-    mat = rigidity_matrix(graph, fr.realization)
-    rank, _ = kernel_float(mat, FLOAT_TOL)
+    # unit rows: no edge collapses and no loop is (0,0), so the rank is unchanged
+    mat = rigidity_matrix(graph, fr.realization).to_numpy()
+    rank, _ = kernel_float(mat / np.linalg.norm(mat, axis=1, keepdims=True), FLOAT_TOL)
     if rank != 2 * n + 1:
         raise InternalConsistencyError(
             f"rigidity matrix rank {rank} at a faithful realization, expected {2 * n + 1}"
@@ -327,6 +328,8 @@ def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerd
     integer (x, L) has rank n.  Both must agree; minimal rigidity also
     needs m = n.
     """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     if any(e.color.g2 for e in graph.edges):
         raise DomainError("1d decision needs colors with zero second component")
     scan = scan_subset(EdgeSubset.full(graph))

@@ -11,7 +11,9 @@ the edges of a colored graph.  Everything in this module is built from it:
 * independence under 2f - 1 on nonempty subsets (the "colored-Laman" family
   characterizing generic minimal rigidity), decided through edge doubling
   (Streinu-Theran): a set grown one edge at a time stays colored-Laman-sparse
-  iff doubling the edge just added leaves it (2,2,2)-sparse,
+  iff doubling the edge just added leaves it (2,2,2)-sparse.  Each doubling
+  probe inserts the copy into the one live partition and takes it out again,
+  since a part minus an element stays f-independent,
 * the id-order greedy basis of that colored-Laman matroid, and a certified
   exhaustive checker.  The checker is exponential, so no library or CLI path
   calls it: it is the reference the tests compare against.
@@ -215,29 +217,20 @@ class PartitionState:
     absorb a displaced element.  Every step reads the fundamental circuit of
     part + x off one gain scan (:meth:`_circuit`); its elements other than x
     are exactly the y for which part + x - y is independent, the exchanges
-    the search follows.  Edge data may include virtual edges (used for
-    doubling tests) registered via :meth:`register_edge`.
+    the search follows.  Doubling probes run on the live partition: a
+    virtual copy registered via :meth:`register_edge` is inserted and, if it
+    lands, taken out of its part again, which leaves both parts independent.
     """
 
     __slots__ = ("edata", "parts", "part_of")
 
-    def __init__(self, graph: ColoredGraph | None = None):
-        self.edata: dict[int, tuple[int, int, ColorVector]] = {}
-        if graph is not None:
-            for e in graph.edges:
-                self.edata[e.id] = (e.tail, e.head, e.color)
+    def __init__(self, graph: ColoredGraph):
+        self.edata = {e.id: (e.tail, e.head, e.color) for e in graph.edges}
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.part_of: dict[int, int] = {}
 
     def register_edge(self, eid: int, tail: int, head: int, color: tuple[int, int]):
         self.edata[eid] = (tail, head, ColorVector(*color))
-
-    def clone(self) -> "PartitionState":
-        other = PartitionState()
-        other.edata = self.edata
-        other.parts = (set(self.parts[0]), set(self.parts[1]))
-        other.part_of = dict(self.part_of)
-        return other
 
     def _indep(self, ids: Iterable[int]) -> bool:
         scan = GainScan()
@@ -403,12 +396,11 @@ class Decomposition:
 
 def decompose_two_11k(graph: ColoredGraph) -> Decomposition:
     """Split a (2,2,k)-graph into two edge-disjoint spanning (1,1,k)-graphs."""
-    if not is_222_graph(graph):
-        raise DomainError("decompose_two_11k needs a (2,2,k)-graph")
     k = image_rank(scan_subset(EdgeSubset.full(graph)).images)
-    ok, parts = union_independent(EdgeSubset.full(graph))
-    if not ok or parts is None:
-        raise InternalConsistencyError("a (2,2,k)-graph must be union-independent")
+    tight = graph.m == 2 * graph.n - 2 + 2 * k
+    parts = union_independent(EdgeSubset.full(graph))[1] if tight else None
+    if parts is None:
+        raise DomainError("decompose_two_11k needs a (2,2,k)-graph")
     subsets = (EdgeSubset.of(graph, parts[0]), EdgeSubset.of(graph, parts[1]))
     for part in subsets:
         good, kk = is_11k(part)
@@ -427,12 +419,13 @@ _VIRTUAL = -1  # id reserved for the doubled copy in oracle queries
 
 
 def _doubling_ok(state: PartitionState, graph: ColoredGraph, ids: Iterable[int]) -> bool:
+    """Does the live partition absorb a parallel copy of each edge in ids, one at a time?"""
     for eid in ids:
         e = graph.edge(eid)
-        probe = state.clone()
-        probe.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
-        if not probe.try_insert(_VIRTUAL):
+        state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+        if not state.try_insert(_VIRTUAL):
             return False
+        state.parts[state.part_of.pop(_VIRTUAL)].discard(_VIRTUAL)
     return True
 
 
@@ -473,16 +466,19 @@ def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
     """Greedy basis of the colored-Laman matroid, edges tried in id order.
 
     An edge joins when the basis plus it stays 2f-independent and survives
-    doubling of each of its edges.  All maximal sparse subsets share this
-    size (matroid property); only the witness depends on the order.
+    doubling of each of its edges; otherwise it is taken out of the live
+    partition again.  All maximal sparse subsets share this size (matroid
+    property); only the witness depends on the order.
     """
     chosen: list[int] = []
     state = PartitionState(graph)
     for eid in sorted(graph.edge_ids()):
-        probe = state.clone()
-        if probe.try_insert(eid) and _doubling_ok(probe, graph, chosen + [eid]):
+        if not state.try_insert(eid):
+            continue
+        if _doubling_ok(state, graph, chosen + [eid]):
             chosen.append(eid)
-            state = probe
+        else:
+            state.parts[state.part_of.pop(eid)].discard(eid)
     return frozenset(chosen)
 
 

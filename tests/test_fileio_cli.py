@@ -10,7 +10,7 @@ import pytest
 from perigid.cli import build_parser, main
 from perigid.colored_graph import ColoredGraph
 from perigid.errors import BudgetError, MultiplicityWarning, ParseError
-from perigid import colored_graph
+from perigid import colored_graph, sparsity
 from perigid.fileio import MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
 from perigid.linear_rep import RankReport
 from perigid.rigidity import _float_realization, rigidity_matrix
@@ -205,9 +205,24 @@ def test_cli_decompose(capsys, tmp_path):
     assert sorted(parts["part1"] + parts["part2"]) == [0, 1, 2, 3]
 
 
-def test_cli_decompose_domain_error(capsys, laman1):
+def test_cli_decompose_domain_error(capsys, laman1, tmp_path):
     out, code = run_cli(capsys, "decompose", laman1)
     assert code == 2 and "error" in out
+    overfull = tmp_path / "overfull.cg"  # m = 2n - 2 + 2k, but not (2,2,k)-sparse
+    overfull.write_text("cg 1 1 4\n0 0 1 0\n0 0 1 0\n0 0 1 0\n0 0 0 1\n")
+    out, code = run_cli(capsys, "decompose", str(overfull))
+    assert code == 2 and "error" in out
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["sparsity", "--family", "222"]])
+def test_one_matroid_union_per_222_question(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "g4.cg"
+    path.write_text("cg 2 1 4\n0 0 1 0\n0 0 0 1\n0 0 1 0\n0 0 0 1\n")
+    calls = []
+    union = sparsity.union_independent
+    monkeypatch.setattr(sparsity, "union_independent", lambda sub: calls.append(sub) or union(sub))
+    _, code = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0 and len(calls) == 1
 
 
 def test_cli_realize_json_schema(capsys, laman1):
@@ -278,6 +293,8 @@ def test_cli_oned(capsys, tmp_path):
     bad.write_text("cg 2 1 1\n0 0 1 1\n")
     out, code = run_cli(capsys, "oned", str(bad))
     assert code == 2
+    out, code = run_cli(capsys, "oned", str(path), "--trials", "0")
+    assert code == 2 and "trials must be >= 1" in out
 
 
 def test_cli_rank_dump(capsys, tmp_path, laman1):

@@ -304,8 +304,10 @@ def test_circuit_skips_a_point_where_the_basis_is_dependent(monkeypatch):
     assert len(draws) == 2
 
 
-# instances.minimal(random.Random(39), 12) from the perfbench instance builder:
-# a colored-Laman graph whose faithful realization has a nearly collapsed edge
+# Colored-Laman graphs from the perfbench instance builder whose faithful
+# realizations have a nearly collapsed edge, so that the raw rigidity rows
+# differ in length by orders of magnitude.
+# instances.minimal(random.Random(39), 12):
 DEFECT_N12 = [
     (3, 3, (0, -1)), (3, 5, (-2, -1)), (8, 7, (1, 2)), (4, 9, (1, 1)), (10, 9, (-2, 2)),
     (3, 3, (-1, -1)), (0, 1, (2, -1)), (3, 0, (1, 1)), (11, 3, (-3, 2)), (3, 3, (-1, 0)),
@@ -313,17 +315,23 @@ DEFECT_N12 = [
     (6, 5, (-2, -2)), (6, 10, (1, 0)), (10, 3, (0, 1)), (0, 7, (0, 0)), (11, 1, (-2, -1)),
     (10, 9, (1, 1)), (1, 4, (2, 1)), (5, 7, (-2, -1)), (0, 2, (1, 2)), (11, 3, (2, 2)),
 ]
+# the n = 14 graph of rng = random.Random(124) after instances.minimal(rng, 10)
+# and instances.minimal(rng, 12):
+DEFECT_N14 = [
+    (3, 5, (1, 0)), (7, 1, (2, 0)), (12, 3, (0, -1)), (13, 10, (1, -2)), (4, 10, (2, 2)),
+    (3, 2, (3, -1)), (2, 12, (1, 1)), (7, 6, (2, 2)), (13, 3, (1, -1)), (3, 11, (2, 0)),
+    (3, 0, (2, -1)), (10, 13, (-1, -2)), (11, 2, (1, 0)), (3, 11, (1, -2)), (6, 9, (0, -2)),
+    (5, 1, (1, -1)), (0, 3, (-1, 2)), (10, 6, (1, 1)), (8, 2, (2, -1)), (6, 7, (1, 1)),
+    (7, 8, (-2, 0)), (3, 6, (-1, 3)), (12, 3, (2, 1)), (11, 5, (-1, 1)), (11, 0, (1, 2)),
+    (4, 10, (-2, 2)), (5, 10, (-2, 2)), (6, 9, (0, 2)), (7, 11, (2, 4)),
+]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InternalConsistencyError,
-    reason="float rank at the faithful realization falls short (ROADMAP item 4: exact genericity)",
-)
 def test_decide_minimal_with_a_near_collapsed_realization():
-    g = G(12, DEFECT_N12)
-    assert is_colored_laman(g)
-    assert decide_rigidity(g, seed=0).status == STATUS_MINIMAL
+    for n, edges in ((12, DEFECT_N12), (14, DEFECT_N14)):
+        g = G(n, edges)
+        assert is_colored_laman(g)
+        assert decide_rigidity(g, seed=0).status == STATUS_MINIMAL
 
 
 def test_1d_examples():

@@ -328,6 +328,9 @@ def test_decompose_examples():
 
     with pytest.raises(DomainError):
         decompose_two_11k(LAMAN1)
+    # m = 2n - 2 + 2k with k = 2, but the three parallel loops overfill
+    with pytest.raises(DomainError):
+        decompose_two_11k(G(1, [(0, 0, (1, 0))] * 3 + [(0, 0, (0, 1))]))
 
 
 def test_decompose_random_222_graphs():
@@ -378,13 +381,12 @@ def test_laman_matches_brute_force_random():
 
 
 def _sparse_by_doubling_every_edge(g, ids):
-    """Reference: insert the whole subset, then probe a copy of every edge."""
-    state = PartitionState(g)
-    if not all(state.try_insert(x) for x in sorted(ids)):
-        return False
+    """Reference: per edge, insert the whole subset into a fresh partition, then a copy."""
     for x in ids:
+        probe = PartitionState(g)
+        if not all(probe.try_insert(y) for y in sorted(ids)):
+            return False
         e = g.edge(x)
-        probe = state.clone()
         probe.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
         if not probe.try_insert(_VIRTUAL):
             return False
@@ -404,6 +406,42 @@ def test_laman_sparse_subset_matches_doubling_every_edge():
         for part, graph in ((list(g.edge_ids()), g), (ids, sub)):
             want = brute_force_sparsity(graph, "laman").sparse
             assert laman_sparse_subset(g, part) == _sparse_by_doubling_every_edge(g, part) == want
+    assert parallels > 100 and zero_loops > 30
+
+
+def _greedy_by_clones(g):
+    """Reference: the id-order greedy with every insertion and doubling probe on a copy."""
+
+    def copied(state):
+        other = PartitionState(g)
+        other.parts = (set(state.parts[0]), set(state.parts[1]))
+        other.part_of = dict(state.part_of)
+        return other
+
+    def doubled(state, x):
+        probe = copied(state)
+        e = g.edge(x)
+        probe.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+        return probe.try_insert(_VIRTUAL)
+
+    chosen, state = [], PartitionState(g)
+    for eid in sorted(g.edge_ids()):
+        probe = copied(state)
+        if probe.try_insert(eid) and all(doubled(probe, x) for x in chosen + [eid]):
+            chosen.append(eid)
+            state = probe
+    return frozenset(chosen)
+
+
+def test_greedy_basis_on_the_live_partition_matches_the_clone_greedy():
+    rng = random.Random(67)
+    zero_loops = parallels = 0
+    for _ in range(320):
+        g = random_graph(rng, nmax=5, mmax=12, color_range=1)
+        ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
+        parallels += len(set(ends)) < len(ends)
+        zero_loops += any(e.tail == e.head and tuple(e.color) == (0, 0) for e in g.edges)
+        assert max_laman_sparse_subset(g) == _greedy_by_clones(g)
     assert parallels > 100 and zero_loops > 30
 
 

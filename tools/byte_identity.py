@@ -5,7 +5,8 @@
 Each DIR is the root of a checkout.  The graphs are built once, from the
 instance families of the change's `perfbench/instances.py` (imported, never
 written) at n = 3..12, plus random graphs on at most five vertices with
-loops, parallel edges and (0, 0) loops.  Every graph goes through all ten
+loops, parallel edges and (0, 0) loops, and (2,2,k)-graphs for k = 0, 1, 2
+at n = 3..12, so that `decompose` succeeds on more than a handful.  Every graph goes through all ten
 subcommands, in text and in JSON where a command has both (and SVG for
 `realize` and `develop`), with the `rank --dump` file read back.  The
 numeric and Z-colored families at n = 64, 128 and 256 (the benchmark's
@@ -70,7 +71,35 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
     for n in LARGE_SIZES:
         add(f"large numeric n={n}", inst.numeric, n)
         add(f"large z-colored n={n}", inst.z_colored, n)
+    for n in SIZES:
+        for k in (0, 1, 2):
+            graphs.append((f"(2,2,{k}) n={n}", inst.to_cg(n, two_11k_edges(rng, n, k))))
     return graphs
+
+
+def two_11k_edges(rng: random.Random, n: int, k: int) -> list[tuple[int, int, tuple[int, int]]]:
+    """A (2,2,k)-graph: two spanning trees plus k edges each, shuffled.
+
+    Tree colors are potential differences sigma(h) - sigma(t), so their
+    cycles have image 0; each part's k extra edges (loops allowed) add
+    nonzero multiples of independent vectors, which lie on one line when
+    k = 1.  Each part is then a spanning (1,1,k)-graph and the whole graph
+    has image rank k and m = 2n - 2 + 2k.
+    """
+    sigma = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+    line = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1)])
+    shifts = [line, (-line[1], line[0])][:k]
+    edges = []
+    for _ in range(2):
+        order = rng.sample(range(n), n)
+        part = [(order[rng.randrange(i)], order[i], (0, 0)) for i in range(1, n)]
+        for w1, w2 in shifts:
+            c = rng.choice((-2, -1, 1, 2))
+            part.append((rng.randrange(n), rng.randrange(n), (c * w1, c * w2)))
+        for t, h, (w1, w2) in part:
+            edges.append((t, h, (sigma[h][0] - sigma[t][0] + w1, sigma[h][1] - sigma[t][1] + w2)))
+    rng.shuffle(edges)
+    return edges
 
 
 def invocations(path: str, large: bool = False) -> list[list[str]]:
