@@ -26,6 +26,7 @@ MAX_PARALLEL = 6  # copies of an edge any sparse graph can use
 MAX_LOOPS = 4  # self-loops per vertex, same reasoning
 MAX_VERTICES = 1 << 16  # vertex budget of a parsed graph, a development or a cover
 MAX_EDGES = 1 << 18  # edge budget of the same
+MAX_COLOR = 1 << 53  # largest |color entry| of a parsed graph: the last one exact as a float
 
 
 def _check_budget(what: str, graph: ColoredGraph, copies: int) -> None:

@@ -8,7 +8,8 @@ The `.cg` text format, one graph per file, UTF-8, '#' starts a comment:
 Loops repeat the vertex; parallel edges repeat lines.  Serialization is
 canonical, so parse(serialize(g)) round-trips exactly.  A header with more
 than MAX_VERTICES vertices or MAX_EDGES edges is refused before any edge
-line is parsed.
+line is parsed, and an edge line with a color entry beyond MAX_COLOR in
+magnitude is refused too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .colored_graph import MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
+from .colored_graph import MAX_COLOR, MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
 from .direction_network import FaithfulRealization
 from .errors import BudgetError, ParseError
 from .linear_rep import RankReport, Realization
@@ -72,6 +73,8 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
             raise ParseError(f"tail {t} out of range [0, {n})", lineno, 1)
         if not 0 <= h < n:
             raise ParseError(f"head {h} out of range [0, {n})", lineno, 2)
+        if max(abs(g1), abs(g2)) > MAX_COLOR:
+            raise BudgetError(f"line {lineno}: a color entry exceeds the color budget {MAX_COLOR}")
         edges.append((t, h, (g1, g2)))
     return ColoredGraph.build(n, edges)
 

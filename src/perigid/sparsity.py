@@ -418,15 +418,21 @@ def decompose_two_11k(graph: ColoredGraph) -> Decomposition:
 _VIRTUAL = -1  # id reserved for the doubled copy in oracle queries
 
 
-def _doubling_ok(state: PartitionState, graph: ColoredGraph, ids: Iterable[int]) -> bool:
-    """Does the live partition absorb a parallel copy of each edge in ids, one at a time?"""
-    for eid in ids:
-        e = graph.edge(eid)
-        state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
-        if not state.try_insert(_VIRTUAL):
-            return False
-        state.parts[state.part_of.pop(_VIRTUAL)].discard(_VIRTUAL)
-    return True
+def _grow(state: PartitionState, graph: ColoredGraph, eid: int) -> bool:
+    """Add eid to the live partition if it and then a parallel copy of it fit.
+
+    The copy is taken out again once it lands; when either insertion fails,
+    the parts are left as they were (a failed `try_insert` touches nothing,
+    and a part minus an element stays f-independent).
+    """
+    if not state.try_insert(eid):
+        return False
+    e = graph.edge(eid)
+    state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+    landed = state.try_insert(_VIRTUAL)
+    drop = _VIRTUAL if landed else eid
+    state.parts[state.part_of.pop(drop)].discard(drop)
+    return landed
 
 
 def laman_sparse_subset(graph: ColoredGraph, ids: Iterable[int]) -> bool:
@@ -437,10 +443,7 @@ def laman_sparse_subset(graph: ColoredGraph, ids: Iterable[int]) -> bool:
     a violating T in S contains e, so |T + e'| = |T| + 1 > 2f(T) = 2f(T + e').
     """
     state = PartitionState(graph)
-    for eid in sorted(ids):
-        if not (state.try_insert(eid) and _doubling_ok(state, graph, [eid])):
-            return False
-    return True
+    return all(_grow(state, graph, eid) for eid in sorted(ids))
 
 
 def is_colored_laman_sparse(graph: ColoredGraph) -> bool:
@@ -465,21 +468,14 @@ class CircuitReport:
 def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
     """Greedy basis of the colored-Laman matroid, edges tried in id order.
 
-    An edge joins when the basis plus it stays 2f-independent and survives
-    doubling of each of its edges; otherwise it is taken out of the live
-    partition again.  All maximal sparse subsets share this size (matroid
-    property); only the witness depends on the order.
+    An edge joins when it passes the one doubling probe of
+    `laman_sparse_subset`: the basis is sparse, so the basis plus it is
+    sparse iff a parallel copy of it still fits.  All maximal sparse subsets
+    share this size (matroid property); only the witness depends on the
+    order.
     """
-    chosen: list[int] = []
     state = PartitionState(graph)
-    for eid in sorted(graph.edge_ids()):
-        if not state.try_insert(eid):
-            continue
-        if _doubling_ok(state, graph, chosen + [eid]):
-            chosen.append(eid)
-        else:
-            state.parts[state.part_of.pop(eid)].discard(eid)
-    return frozenset(chosen)
+    return frozenset(eid for eid in sorted(graph.edge_ids()) if _grow(state, graph, eid))
 
 
 # ---------------------------------------------------------------------------

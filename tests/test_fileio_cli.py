@@ -11,7 +11,7 @@ from perigid.cli import build_parser, main
 from perigid.colored_graph import ColoredGraph
 from perigid.errors import BudgetError, MultiplicityWarning, ParseError
 from perigid import colored_graph, sparsity
-from perigid.fileio import MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
+from perigid.fileio import MAX_COLOR, MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
 from perigid.linear_rep import RankReport
 from perigid.rigidity import _float_realization, rigidity_matrix
 
@@ -115,6 +115,38 @@ def test_edge_budget_boundary():
     colored_graph._check_budget("cover", loops, MAX_EDGES // 64)
     with pytest.raises(BudgetError, match="edge budget"):
         colored_graph._check_budget("cover", loops, MAX_EDGES // 64 + 1)
+
+
+def _laman1_with_third_color(tmp_path, g1: int) -> str:
+    path = tmp_path / f"color{len(list(tmp_path.iterdir()))}.cg"
+    path.write_text(f"cg 2 1 3\n0 0 1 0\n0 0 0 1\n0 0 {g1} 1\n")
+    return str(path)
+
+
+def test_cli_over_the_color_budget(capsys, tmp_path):
+    for g1 in (10**400, -(10**400), MAX_COLOR + 1):
+        path = _laman1_with_third_color(tmp_path, g1)
+        for cmd in ("check", "realize", "sparsity"):
+            out, code = run_cli(capsys, cmd, path)
+            assert code == 2 and "line 4" in out and "color budget" in out
+    with pytest.raises(BudgetError, match="color budget"):
+        parse_colored_graph(f"cg 2 2 1\n0 1 0 {-MAX_COLOR - 1}\n")
+    assert parse_colored_graph(f"cg 2 2 1\n0 1 {-MAX_COLOR} 0\n").edge(0).color == (-MAX_COLOR, 0)
+    out, code = run_cli(capsys, "sparsity", _laman1_with_third_color(tmp_path, MAX_COLOR))
+    assert code == 0 and "colored-Laman graph: True" in out
+    out, code = run_cli(capsys, "check", _laman1_with_third_color(tmp_path, 2**14))
+    assert code == 0 and "generically minimally rigid" in out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="float genericity test: the doubled systems' smallest singular value "
+    "(~1.4e-5) falls below SOLVE_TOL * sigma_max (~3.3e4), so every direction "
+    "sample is rejected; deciding genericity over F_p would not be",
+)
+def test_cli_check_with_a_color_of_2_to_the_15(capsys, tmp_path):
+    out, code = run_cli(capsys, "check", _laman1_with_third_color(tmp_path, 2**15))
+    assert code == 0 and "generically minimally rigid" in out
 
 
 def test_cli_rank_on_the_vertex_budget_with_few_edges(capsys, tmp_path):

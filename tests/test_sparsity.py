@@ -46,6 +46,10 @@ def full(g):
     return EdgeSubset.full(g)
 
 
+def _subgraph(g, ids):
+    return G(g.n, [(g.edge(x).tail, g.edge(x).head, tuple(g.edge(x).color)) for x in sorted(ids)])
+
+
 # -- f ----------------------------------------------------------------------
 
 
@@ -402,15 +406,16 @@ def test_laman_sparse_subset_matches_doubling_every_edge():
         parallels += len(set(ends)) < len(ends)
         zero_loops += any(e.tail == e.head and tuple(e.color) == (0, 0) for e in g.edges)
         ids = [x for x in g.edge_ids() if rng.random() < 0.7]
-        sub = G(g.n, [(g.edge(x).tail, g.edge(x).head, tuple(g.edge(x).color)) for x in ids])
-        for part, graph in ((list(g.edge_ids()), g), (ids, sub)):
+        for part, graph in ((list(g.edge_ids()), g), (ids, _subgraph(g, ids))):
             want = brute_force_sparsity(graph, "laman").sparse
             assert laman_sparse_subset(g, part) == _sparse_by_doubling_every_edge(g, part) == want
     assert parallels > 100 and zero_loops > 30
 
 
 def _greedy_by_clones(g):
-    """Reference: the id-order greedy with every insertion and doubling probe on a copy."""
+    """Reference: the id-order greedy that, for each candidate, probes a
+    parallel copy of every chosen edge and of the candidate, each insertion
+    and probe on a copy of the partition."""
 
     def copied(state):
         other = PartitionState(g)
@@ -435,14 +440,23 @@ def _greedy_by_clones(g):
 
 def test_greedy_basis_on_the_live_partition_matches_the_clone_greedy():
     rng = random.Random(67)
-    zero_loops = parallels = 0
-    for _ in range(320):
-        g = random_graph(rng, nmax=5, mmax=12, color_range=1)
+    zero_loops = parallels = loops = brute_checked = 0
+    for _ in range(640):
+        n = rng.randint(1, 8)
+        g = random_graph(rng, n=n, m=rng.randint(0, 3 * n + 3), color_range=1)
         ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
         parallels += len(set(ends)) < len(ends)
+        loops += any(e.tail == e.head for e in g.edges)
         zero_loops += any(e.tail == e.head and tuple(e.color) == (0, 0) for e in g.edges)
-        assert max_laman_sparse_subset(g) == _greedy_by_clones(g)
-    assert parallels > 100 and zero_loops > 30
+        basis = max_laman_sparse_subset(g)
+        assert basis == _greedy_by_clones(g)
+        if n <= 3:
+            # independent of every partition: B is sparse and B + e is not
+            brute_checked += 1
+            assert brute_force_sparsity(_subgraph(g, basis), "laman").sparse
+            for e in set(g.edge_ids()) - basis:
+                assert not brute_force_sparsity(_subgraph(g, basis | {e}), "laman").sparse
+    assert parallels > 300 and loops > 400 and zero_loops > 80 and brute_checked > 150
 
 
 @st.composite

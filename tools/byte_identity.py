@@ -6,16 +6,19 @@ Each DIR is the root of a checkout.  The graphs are built once, from the
 instance families of the change's `perfbench/instances.py` (imported, never
 written) at n = 3..12, plus random graphs on at most five vertices with
 loops, parallel edges and (0, 0) loops, and (2,2,k)-graphs for k = 0, 1, 2
-at n = 3..12, so that `decompose` succeeds on more than a handful.  Every graph goes through all ten
+at n = 3..12, so that `decompose` succeeds on more than a handful.
+Over-braced graphs with their extra edges shuffled in, and dense graphs (a
+colored-Laman graph plus 4n - 1 random edges, m = 6n, shuffled) at n = 3..12
+make the greedy basis reject edges all along the id order, so that circuits
+come from many rejected edges.  Every graph goes through all ten
 subcommands, in text and in JSON where a command has both (and SVG for
 `realize` and `develop`), with the `rank --dump` file read back.  The
 numeric and Z-colored families at n = 64, 128 and 256 (the benchmark's
 numeric sizes) go through `rank` for all three matrices with `--dump`, and
-`oned`, `develop` and `cover`.  Each
-checkout runs the whole list in its own subprocess, calling
-`perigid.cli.main` in-process on its own `src/`.  The tool prints the
-invocation count and the first differences in stdout, exit code or dump
-bytes, and exits 1 if there is any.
+`oned`, `develop` and `cover`.  Each checkout runs the whole list in its own
+subprocess, calling `perigid.cli.main` in-process on its own `src/`.  The
+tool prints the invocation count and the first differences in stdout, exit
+code or dump bytes, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -74,6 +77,13 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
     for n in SIZES:
         for k in (0, 1, 2):
             graphs.append((f"(2,2,{k}) n={n}", inst.to_cg(n, two_11k_edges(rng, n, k))))
+    for n in SIZES:
+        for label, edges in (
+            ("shuffled overbraced", inst.overbraced(rng, n)[1]),
+            ("dense", inst.laman_edges(rng, n) + [inst.random_edge(rng, n) for _ in range(4 * n - 1)]),
+        ):
+            rng.shuffle(edges)
+            graphs.append((f"{label} n={n}", inst.to_cg(n, edges)))
     return graphs
 
 
