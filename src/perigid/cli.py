@@ -96,21 +96,19 @@ def cmd_sparsity(path, args):
     graph = _load(path)
     family = args.family
     if family == "laman":
-        verdict = sparsity.is_colored_laman_sparse(graph)
+        verdict = laman_analysis(graph, args.seed).sparse  # an F_p basis certified by counts
         tight = verdict and graph.m == 2 * graph.n + 1
         extra = f"colored-Laman graph: {tight}"
-        independent = generic_rigidity_rank(graph, seed=args.seed).rank == graph.m
     elif family == "222":
         verdict = sparsity.is_222_sparse(graph)
         tight = verdict and graph.m == 2 * graph.n - 2 + 2 * z2_rank(EdgeSubset.full(graph))
         extra = f"(2,2,k)-graph: {tight}"
-        independent = rank_mod_p(graph, "M222", seed=args.seed).rank == graph.m
+        # sparse iff the rows are generically independent, which full rank mod p certifies
+        if (rank_mod_p(graph, "M222", seed=args.seed).rank == graph.m) != verdict:
+            raise InternalConsistencyError(f"222 sparsity disagrees with the F_p rank on {path}")
     else:
-        verdict = independent = is_ross(graph)  # cross-checks its two routes itself
+        verdict = is_ross(graph)
         extra = None
-    # sparse iff the rows are generically independent, which full rank mod p certifies
-    if independent != verdict:
-        raise InternalConsistencyError(f"{family} sparsity disagrees with the F_p rank on {path}")
     code = OK if verdict else NEGATIVE
     if args.format == "json":
         payload = {"family": family, "sparse": verdict}
@@ -134,12 +132,12 @@ def cmd_decompose(path, args):
 
 def cmd_circuit(path, args):
     graph = _load(path)
-    analysis = laman_analysis(graph)
+    analysis = laman_analysis(graph, args.seed)
     if analysis.sparse:
         if args.format == "json":
             return to_json_bytes({"sparse": True, "circuit": None}), OK
         return _text(["colored-Laman-sparse: no circuit"]), OK
-    report = analysis.circuit(args.seed)
+    report = analysis.circuit()
     if args.format == "json":
         return to_json_bytes({"sparse": False, "circuit": circuit_json(report)}), NEGATIVE
     ids = " ".join(map(str, sorted(report.circuit.ids)))

@@ -86,12 +86,10 @@ def build_P_system(graph: ColoredGraph, directions: DirectionAssignment) -> Natu
 
 
 def realization_kernel(
-    graph: ColoredGraph,
-    directions: DirectionAssignment,
-    tolerance: float = SOLVE_TOL,
+    graph: ColoredGraph, directions: DirectionAssignment
 ) -> tuple[int, list[Realization]]:
     """Dimension and orthonormal basis of the realization space."""
-    rank, basis = kernel_float(build_P_system(graph, directions), tolerance)
+    rank, basis = kernel_float(build_P_system(graph, directions), SOLVE_TOL)
     dim = 2 * graph.n + 4 - rank
     assert basis.shape[1] == dim
     return dim, [Realization.from_flat(basis[:, j], graph.n) for j in range(dim)]
@@ -265,11 +263,7 @@ class FaithfulRealization:
 
 
 def faithful_realization(
-    graph: ColoredGraph,
-    seed: int = 0,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-    tolerance: float = SOLVE_TOL,
-    collapse_tolerance: float = COLLAPSE_TOL,
+    graph: ColoredGraph, seed: int = 0, tolerance: float = SOLVE_TOL
 ) -> FaithfulRealization:
     """Unique-up-to-normalization faithful realization of a colored-Laman graph.
 
@@ -284,7 +278,7 @@ def faithful_realization(
         raise DomainError("faithful_realization needs a colored-Laman graph")
     n = graph.n
     rng = random.Random(seed)
-    for attempt in range(1, retry_cap + 1):
+    for attempt in range(1, DEFAULT_RETRY_CAP + 1):
         directions = DirectionAssignment.sample(graph, rng)
         system = build_P_system(graph, directions).to_numpy()
         rank, kernel = kernel_float(system, tolerance)
@@ -315,12 +309,12 @@ def faithful_realization(
         residual = float(np.max(np.abs(system @ vec))) if graph.m else 0.0
         if residual > tolerance * max(1.0, float(np.abs(system).max())):
             continue
-        statuses = edge_status(graph, directions, real, collapse_tolerance)
+        statuses = edge_status(graph, directions, real)
         if any(s.collapsed for s in statuses):
             continue  # theorem says this cannot happen generically; resample
         return FaithfulRealization(real, directions, tuple(statuses), seed, attempt)
     raise GenericitySamplingError(
         "no generic direction sample produced a faithful realization",
         seed,
-        retry_cap,
+        DEFAULT_RETRY_CAP,
     )

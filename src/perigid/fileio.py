@@ -6,15 +6,17 @@ The `.cg` text format, one graph per file, UTF-8, '#' starts a comment:
     <tail> <head> <g1> <g2>     (m lines, 0-indexed vertices)
 
 Loops repeat the vertex; parallel edges repeat lines.  Serialization is
-canonical, so parse(serialize(g)) round-trips exactly.  A header with more
-than MAX_VERTICES vertices or MAX_EDGES edges is refused before any edge
-line is parsed, and an edge line with a color entry beyond MAX_COLOR in
-magnitude is refused too.
+canonical, so parse(serialize(g)) round-trips exactly.  Integers are ASCII
+decimal with an optional sign, and a byte that is not UTF-8 is refused at
+its line.  A header with more than MAX_VERTICES vertices or MAX_EDGES edges
+is refused before any edge line is parsed, and an edge line with a color
+entry beyond MAX_COLOR in magnitude is refused too.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .colored_graph import MAX_COLOR, MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
@@ -24,11 +26,17 @@ from .linear_rep import RankReport, Realization
 from .rigidity import OneDVerdict, RigidityVerdict
 from .sparsity import CircuitReport
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 def parse_colored_graph(data: str | bytes) -> ColoredGraph:
     """Parse the .cg format; errors carry 1-based line (and column) positions."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+            raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -47,9 +55,11 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
 
     def integer(token: str, line: int, col: int) -> int:
         try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"expected an integer, got {token!r}", line, col) from None
+            if _INTEGER.fullmatch(token):
+                return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise ParseError(f"expected an integer, got {token!r}", line, col)
 
     n = integer(header[2], lineno, 3)
     m = integer(header[3], lineno, 4)

@@ -6,8 +6,9 @@ generic pair; its kernel is the space of infinitesimal motions, which always
 contains the 3-dimensional span of the two translations and one rotation.
 A quotient graph is generically minimally rigid exactly when it has m = 2n+1
 edges and the generic rank is 2n + 1, and that in turn happens exactly when
-the graph is colored-Laman.  This module decides rigidity along both the
-combinatorial and the randomized-rank route and insists that they agree.
+the graph is colored-Laman.  This module certifies rather than searches: an
+F_p elimination of the rigidity rows proposes the colored-Laman basis and its
+circuits, exact counts certify them, and a disagreement raises.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
 from .linear_rep import (
     FLOAT_TOL,
+    PRIME,
     NaturalMatrix,
     RankReport,
     Realization,
+    _eliminate,
     _m112_row,
     _m222_row,
     build_natural_matrix,
@@ -32,7 +35,8 @@ from .linear_rep import (
     modp_null_vectors,
     modp_rank,
 )
-from .sparsity import CircuitReport, count_report, is_colored_laman, max_laman_sparse_subset
+from .sparsity import CircuitReport, count_report, laman_sparse_subset
+from .sparsity import max_laman_sparse_subset  # noqa: F401  perfbench/tests read it from here
 
 COORD_RANGE = 1 << 20  # integer sampling window for exact-mode realizations
 
@@ -102,12 +106,9 @@ def generic_rigidity_rank(
     return RankReport("M232", best, mode, trials, seed)
 
 
-def rationalized_rigidity_rank(
-    graph: ColoredGraph, realization: Realization, scale: int = COORD_RANGE
-) -> int:
+def rationalized_rigidity_rank(graph: ColoredGraph, realization: Realization) -> int:
     """Exact F_p rank at the nearest integer realization to a float one."""
-    span = max(realization.scale(), 1e-12)
-    factor = scale / span
+    factor = COORD_RANGE / max(realization.scale(), 1e-12)
     points = list(realization.p) + list(realization.L)
     xy = [(round(float(x) * factor), round(float(y) * factor)) for x, y in points]
     return modp_rank(_modp_rigidity_rows(graph, xy))
@@ -132,48 +133,58 @@ class LamanAnalysis:
     """The colored-Laman matroid of one graph, decided once.
 
     basis is the greedy basis with edges tried in id order; rejected is the
-    first edge that greedy left out, or None when the graph is sparse.
+    first edge that greedy left out, or None when the graph is sparse, and
+    rejected_circuit is the circuit that edge closes with the basis.
     """
 
     graph: ColoredGraph
     basis: frozenset[int]
     rejected: int | None
+    rejected_circuit: CircuitReport | None
 
     @property
     def sparse(self) -> bool:
         return self.rejected is None
 
-    def circuit(self, seed: int = 0) -> CircuitReport:
-        """The unique circuit C of basis + rejected, read off one F_p dependency.
-
-        At one of three seeded integer points the rigidity rows of B + e (B
-        the basis, e the rejected edge) must have rank |B| with e in the
-        support of their one left null vector: B is then independent there,
-        and the support is C.  Every C - x is independent at that point, so
-        generically independent and, by the main theorem, colored-Laman-
-        sparse; that is the minimality certificate.  The second route is the
-        count: C is not sparse, with m' = 2f, or it is the loop colored (0, 0)
-        (m' = 1, f = 0), whose row is zero.
-        """
+    def circuit(self) -> CircuitReport:
+        """The unique circuit of basis + rejected."""
         if self.sparse:
             raise DomainError("graph is colored-Laman-sparse; no circuit to find")
-        graph, extra = self.graph, self.rejected
-        ids = sorted(self.basis | {extra})
-        support = next((s for s in _dependencies(graph, ids, seed) if extra in s), None)
-        if support is None:
-            raise InternalConsistencyError("no sampled point puts the rejected edge on a circuit")
-        subset = EdgeSubset.of(graph, support)
-        rep = count_report(subset)
-        if rep.m != rep.bound222 and (rep.m, rep.f) != (1, 0):
-            raise InternalConsistencyError("extracted circuit misses m' = 2f")
-        return CircuitReport(subset, rep)
+        return self.rejected_circuit
 
 
-def laman_analysis(graph: ColoredGraph) -> LamanAnalysis:
-    """The id-order greedy basis and the first edge it rejects, if any."""
-    basis = max_laman_sparse_subset(graph)
-    rejected = min((eid for eid in graph.edge_ids() if eid not in basis), default=None)
-    return LamanAnalysis(graph, basis, rejected)
+def laman_analysis(graph: ColoredGraph, seed: int = 0) -> LamanAnalysis:
+    """The id-order greedy basis B and its fundamental circuits, certified.
+
+    One F_p elimination of the rigidity rows in id order, at a seeded integer
+    point, proposes B as the rows that lead; each row e that vanishes has a
+    combination supported on e and rows of B before it, a circuit C_e of the
+    rigidity matrix at that point.  The counts certify the proposal: B must
+    be colored-Laman-sparse (F_p independence implies generic independence,
+    so a failure is a bug), and every C_e must have m' = 2f or be the (0, 0)
+    loop, so that e lies in the closure of the B edges before it.  Then B is
+    the greedy basis and, each C_e - x being independent at the point, C_e is
+    the fundamental circuit of e.  A point where some C_e misses the count is
+    degenerate; the next of three is tried.
+    """
+    ids = sorted(graph.edge_ids())
+    rng = random.Random(seed)
+    for _ in range(3):
+        rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
+        combos = _eliminate([rows[x] for x in ids], PRIME, track=True)[2]
+        circuits = [EdgeSubset.of(graph, (ids[i] for i in combo)) for combo in combos]
+        reports = [CircuitReport(c, count_report(c)) for c in circuits]
+        # m' = 2f, or m' = 1 and f = 0: the loop colored (0, 0), whose row is zero
+        if all(r.counts.m == max(r.counts.bound222, 1) for r in reports):
+            break
+    else:
+        raise InternalConsistencyError("at every sampled point a rejected edge's circuit misses m' = 2f")
+    rejected = [max(c.ids) for c in circuits]
+    basis = frozenset(ids).difference(rejected)
+    if not laman_sparse_subset(graph, basis):
+        raise InternalConsistencyError("rows independent mod p on an edge set that is not sparse")
+    first = (rejected[0], reports[0]) if reports else (None, None)
+    return LamanAnalysis(graph, basis, *first)
 
 
 @dataclass(frozen=True)
@@ -190,35 +201,26 @@ class RigidityVerdict:
 def decide_rigidity(
     graph: ColoredGraph, seed: int = 0, attach_witness: bool = True
 ) -> RigidityVerdict:
-    """Full rigidity decision with combinatorial/numeric cross-check.
+    """Full rigidity decision from one certified colored-Laman analysis.
 
-    The maximal colored-Laman-sparse subset size must equal the generic
-    rigidity rank (the matrix represents the same matroid); disagreement
-    raises.  Rigid verdicts require that size to be 2n + 1, i.e. a spanning
-    colored-Laman subgraph; minimally rigid additionally means m = 2n + 1.
-    A faithful-realization witness is attached to minimally rigid verdicts
-    and the circuit of LamanAnalysis.circuit to every non-sparse input;
-    basis, sparsity verdict and circuit all come from one sparsity analysis.
+    The generic rank is the size of the basis `laman_analysis` proposes by
+    F_p elimination and certifies by counts.  Rigid verdicts need rank
+    2n + 1, a spanning colored-Laman subgraph; minimally rigid also needs
+    m = 2n + 1.  Minimally rigid verdicts carry a faithful-realization
+    witness, and non-sparse inputs the analysis's circuit.
     """
     n, m = graph.n, graph.m
-    analysis = laman_analysis(graph)
-    basis = analysis.basis
-    report = generic_rigidity_rank(graph, trials=3, seed=seed)
-    if report.rank != len(basis):
-        raise InternalConsistencyError(
-            f"combinatorial rank {len(basis)} != generic matrix rank {report.rank}"
-        )
-    rigid = len(basis) == 2 * n + 1
-    if rigid:
+    analysis = laman_analysis(graph, seed)
+    rank = len(analysis.basis)
+    if rank == 2 * n + 1:
         status = STATUS_MINIMAL if m == 2 * n + 1 else STATUS_OVER
     else:
         status = STATUS_FLEXIBLE
-    dof = (2 * n + 4) - report.rank - 3
     witness = None
     if attach_witness and status == STATUS_MINIMAL:
         witness, _ = rigid_realization_certificate(graph, seed=seed)
-    circuit = None if analysis.sparse else analysis.circuit(seed)
-    return RigidityVerdict(status, report.rank, dof, n, m, witness, circuit)
+    circuit = None if analysis.sparse else analysis.circuit()
+    return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, circuit)
 
 
 def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
@@ -274,24 +276,19 @@ ROSS_LOOPS = ((1, 0), (0, 1), (1, 1))
 
 
 def is_ross(graph: ColoredGraph) -> bool:
-    """Fixed-lattice rigidity counts, decided two ways and cross-checked.
+    """Fixed-lattice rigidity counts, decided by one certified analysis.
 
     A Ross graph has m = 2n - 2, m' <= 2n' - 2 on every nonempty subset and
     m' <= 2n' - 3 on rank-zero subsets.  It is one exactly when adding the
-    loops (1,0), (0,1), (1,1) at vertex 0 gives a colored-Laman graph, so
-    that looped graph is decided along both routes of `decide_rigidity`:
-    route (a) by colored-Laman sparsity, route (b) by an F_p rigidity rank of
-    2n + 1, which certifies full rank over Q and so is never reached by a
-    non-Ross graph.  Both run at every size; disagreement raises.
+    loops (1,0), (0,1), (1,1) at vertex 0 gives a colored-Laman graph, that
+    is (with m = 2n + 1) a colored-Laman-sparse one.  `laman_analysis` of
+    that looped graph decides it the way `decide_rigidity` does: an F_p
+    elimination proposes, the colored-Laman counts certify, and a
+    disagreement raises.
     """
     if graph.n == 0 or graph.m != 2 * graph.n - 2:
         return False
-    looped = graph.with_extra_loops(0, ROSS_LOOPS)
-    by_counts = is_colored_laman(looped)
-    by_rank = generic_rigidity_rank(looped).rank == 2 * graph.n + 1
-    if by_counts != by_rank:
-        raise InternalConsistencyError(f"Ross routes disagree: counts={by_counts} rank={by_rank}")
-    return by_counts
+    return laman_analysis(graph.with_extra_loops(0, ROSS_LOOPS)).sparse
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ the edges of a colored graph.  Everything in this module is built from it:
 Matroid union never probes a circuit one element at a time: each exchange
 step reads the fundamental circuit of a part plus one edge off a single gain
 scan (:meth:`PartitionState._circuit`).  `perigid.rigidity.laman_analysis`
-builds on the greedy basis here; it reads the circuit of a non-sparse graph
-off one F_p dependency among rigidity rows, which this module cannot import.
+finds the greedy basis by an F_p elimination this module cannot import and
+certifies it with the counts here; the greedy search is its test reference.
 
 Empty subsets have n' = m' = c' = rk' = 0 by convention; the Laman-style
 count 2f - 1 is only ever tested on nonempty subsets.

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.cli import build_parser, main
 from perigid.colored_graph import ColoredGraph
@@ -167,6 +169,64 @@ def test_round_trip_random():
         assert serialize_colored_graph(parse_colored_graph(text)) == text
 
 
+def test_parse_refuses_bytes_that_are_not_utf8(capsys, laman1, tmp_path):
+    with pytest.raises(ParseError) as e:
+        parse_colored_graph(b"cg 2 1 0\n\xff\n")
+    assert e.value.line == 2
+    with pytest.raises(ParseError) as e:
+        parse_colored_graph(b"cg 2 1 1\n0 0 1 0 # \xc3\xa9\n\n\xc3")
+    assert e.value.line == 4
+    bad = tmp_path / "bad.cg"
+    bad.write_bytes(b"cg 2 1 0\n\xff\n")
+    out, code = run_cli(capsys, "check", str(bad), laman1)
+    assert code == 2 and "line 2" in out and "generically minimally rigid" in out
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "0x1", "1.0", "\uff11"])
+def test_parse_refuses_integers_that_are_not_ascii_decimal(token):
+    with pytest.raises(ParseError, match="expected an integer") as e:
+        parse_colored_graph(f"cg 2 {token} 0\n")
+    assert (e.value.line, e.value.column) == (1, 3)
+    assert parse_colored_graph("cg 2 +1 0\n").n == 1
+
+
+_CG_PIECES = [
+    b"cg", b"2", b"0", b"1", b"-1", b"+1", b"3", b" ", b"\t", b"\n", b"\r\n", b"\x85", b"#",
+    b"\xff", b"\xc3", "\u0663".encode(), b"1_0", b"\x00", b"9" * 30,
+    str(MAX_COLOR + 1).encode(), str(MAX_VERTICES + 1).encode(), str(MAX_EDGES + 1).encode(),
+]
+
+
+@st.composite
+def _cg_bytes(draw):
+    """Raw bytes, or .cg text of a small graph with pieces spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    n = draw(st.integers(0, 3))
+    vertex, coord = st.integers(0, max(n - 1, 0)), st.integers(-2, 2)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.tuples(coord, coord)), max_size=6))
+    data = serialize_colored_graph(G(n, edges) if n else G(0, [])).encode()
+    for piece in draw(st.lists(st.sampled_from(_CG_PIECES), max_size=3)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + piece + data[at:]
+    return data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_cg_bytes())
+def test_parse_fuzz_gives_a_graph_or_a_positioned_error(data):
+    try:
+        g = parse_colored_graph(data)
+    except ParseError as exc:
+        assert exc.line >= 1 and str(exc).startswith(f"line {exc.line}")
+    except BudgetError as exc:
+        assert str(exc).startswith("line ")
+    else:
+        text = serialize_colored_graph(g)
+        assert parse_colored_graph(text) == g
+        assert serialize_colored_graph(parse_colored_graph(text.encode())) == text
+
+
 def test_cli_check_exit_codes(capsys, laman1, two_loops):
     out, code = run_cli(capsys, "check", laman1)
     assert code == 0 and "minimally rigid" in out
@@ -218,14 +278,34 @@ def test_cli_sparsity_beyond_sixteen_edges(capsys, tmp_path):
 
 @pytest.mark.parametrize("family", ["laman", "222"])
 def test_cli_sparsity_routes_cross_checked(capsys, monkeypatch, laman1, family):
-    from perigid import cli, sparsity
+    from perigid import cli, rigidity
 
     if family == "laman":
-        monkeypatch.setattr(sparsity, "is_colored_laman_sparse", lambda g: False)
+        # lying counts refuse the F_p basis, for check as for sparsity
+        laman_sparse_subset = rigidity.laman_sparse_subset
+        monkeypatch.setattr(rigidity, "laman_sparse_subset", lambda g, ids: not laman_sparse_subset(g, ids))
+        out, code = run_cli(capsys, "check", laman1)
+        assert code == 3 and "internal error" in out
     else:
         monkeypatch.setattr(cli, "rank_mod_p", lambda g, kind, seed: RankReport(kind, 0, "fp", 3, seed))
     out, code = run_cli(capsys, "sparsity", laman1, "--family", family)
     assert code == 3 and "internal error" in out
+
+
+@pytest.mark.parametrize("argv", [["check"], ["circuit"], ["ross"], ["sparsity", "--family", "laman"]])
+def test_colored_laman_questions_run_no_greedy_and_no_rank_trials(capsys, monkeypatch, tmp_path, laman1, two_loops, argv):
+    from perigid import cli, rigidity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certified analysis replaces this call")
+
+    for owner, name in [(sparsity, "max_laman_sparse_subset"), (rigidity, "max_laman_sparse_subset"),
+                        (rigidity, "generic_rigidity_rank"), (cli, "generic_rigidity_rank")]:
+        monkeypatch.setattr(owner, name, refuse)
+    ross = tmp_path / "ross.cg"
+    ross.write_text("cg 2 2 2\n0 1 0 0\n0 1 1 0\n")
+    for path in (laman1, two_loops, str(ross)):
+        assert run_cli(capsys, argv[0], path, *argv[1:])[1] in (0, 1)
 
 
 def test_cli_decompose(capsys, tmp_path):

@@ -25,7 +25,7 @@ from perigid.rigidity import (
     rigid_realization_certificate,
     rigidity_matrix,
 )
-from perigid.sparsity import CircuitReport, is_colored_laman
+from perigid.sparsity import CircuitReport, is_colored_laman, max_laman_sparse_subset
 
 from randgen import random_graph, random_laman_graph
 
@@ -230,7 +230,8 @@ def test_ross_routes_cross_checked(monkeypatch, n, genuine):
     if not genuine:
         g = _doubled_last_edge(g)
     assert is_ross(g) is genuine
-    monkeypatch.setattr(rigidity, "is_colored_laman", lambda looped: not is_colored_laman(looped))
+    laman_sparse_subset = rigidity.laman_sparse_subset
+    monkeypatch.setattr(rigidity, "laman_sparse_subset", lambda h, ids: not laman_sparse_subset(h, ids))
     with pytest.raises(InternalConsistencyError):
         is_ross(g)
 
@@ -269,37 +270,72 @@ def test_certificate_passes_the_zero_loop_singleton():
     assert certify_circuit(rep) is rep
 
 
+def test_certified_analysis_is_the_greedy_basis():
+    rng = random.Random(71)
+    zero_loops = parallels = circuits = 0
+    for i in range(640):
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n=n, m=rng.randint(0, 3 * n + 3), color_range=1)
+        ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
+        parallels += len(set(ends)) < len(ends)
+        zero_loops += any(e.tail == e.head and tuple(e.color) == (0, 0) for e in g.edges)
+        seed = i % 5
+        analysis = laman_analysis(g, seed)
+        assert analysis.basis == max_laman_sparse_subset(g)
+        outside = sorted(set(g.edge_ids()) - analysis.basis)
+        assert analysis.rejected == (outside[0] if outside else None)
+        if outside:
+            circuits += 1
+            rep = analysis.circuit()
+            assert rep.circuit.ids - analysis.basis == {analysis.rejected}
+            assert certify_circuit(rep, seed) is rep
+    assert parallels > 300 and zero_loops > 80 and circuits > 300
+
+
+def _degenerate_draws(monkeypatch, spoil, count):
+    """Spy on the sampled rows; spoil(rows) the first `count` draws in place."""
+    sampled = rigidity._sampled_modp_rows
+    draws = []
+
+    def draw(graph, rng):
+        rows = sampled(graph, rng)
+        draws.append(rows)
+        if len(draws) <= count:
+            spoil(rows)
+        return rows
+
+    monkeypatch.setattr(rigidity, "_sampled_modp_rows", draw)
+    return draws
+
+
 def test_circuit_count_route_catches_a_short_support(monkeypatch):
     g = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0)), (0, 1, (0, 0))])
-    analysis = laman_analysis(g)
-    assert sorted(analysis.circuit().circuit.ids) == [0, 1]
-    dependencies = rigidity._dependencies
+    assert sorted(laman_analysis(g).circuit().circuit.ids) == [0, 1]
 
-    def drop_one(graph, ids, seed):
-        for support in dependencies(graph, ids, seed):
-            yield support - {min(support - {analysis.rejected})}
+    def zero_rejected_row(rows):  # the circuit of edge 1 shrinks to {1}: m' = 1 < 2f
+        rows[1] = {}
 
-    monkeypatch.setattr(rigidity, "_dependencies", drop_one)
+    with monkeypatch.context() as patch:
+        draws = _degenerate_draws(patch, zero_rejected_row, 1)
+        assert sorted(laman_analysis(g).circuit().circuit.ids) == [0, 1]
+        assert len(draws) == 2
+    draws = _degenerate_draws(monkeypatch, zero_rejected_row, 6)  # three points per call
     with pytest.raises(InternalConsistencyError, match="m' = 2f"):
-        analysis.circuit()
+        laman_analysis(g)
     with pytest.raises(InternalConsistencyError, match="m' = 2f"):
         decide_rigidity(g)
+    assert len(draws) == 6
 
 
 def test_circuit_skips_a_point_where_the_basis_is_dependent(monkeypatch):
     g = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0)), (0, 1, (0, 0))])
+
+    def zero_basis_row(rows):  # edge 0 of the basis gets a zero row, edge 1 leads instead
+        rows[0] = {}
+
+    draws = _degenerate_draws(monkeypatch, zero_basis_row, 1)
     analysis = laman_analysis(g)
-    sampled = rigidity._sampled_modp_rows
-    draws = []
-
-    def first_draw_degenerate(graph, rng):
-        rows = sampled(graph, rng)
-        draws.append(rows)
-        if len(draws) == 1:  # edge 0 of the basis gets a zero row, e stays independent
-            rows[0] = tuple(0 for _ in rows[0])
-        return rows
-
-    monkeypatch.setattr(rigidity, "_sampled_modp_rows", first_draw_degenerate)
+    assert analysis.basis == {0, 2} and analysis.rejected == 1
     assert sorted(analysis.circuit().circuit.ids) == [0, 1]
     assert len(draws) == 2
 

@@ -12,13 +12,14 @@ colored-Laman graph plus 4n - 1 random edges, m = 6n, shuffled) at n = 3..12
 make the greedy basis reject edges all along the id order, so that circuits
 come from many rejected edges.  Every graph goes through all ten
 subcommands, in text and in JSON where a command has both (and SVG for
-`realize` and `develop`), with the `rank --dump` file read back.  The
-numeric and Z-colored families at n = 64, 128 and 256 (the benchmark's
-numeric sizes) go through `rank` for all three matrices with `--dump`, and
-`oned`, `develop` and `cover`.  Each checkout runs the whole list in its own
-subprocess, calling `perigid.cli.main` in-process on its own `src/`.  The
-tool prints the invocation count and the first differences in stdout, exit
-code or dump bytes, and exits 1 if there is any.
+`realize` and `develop`), with the `rank --dump` file read back, and
+`check`, `circuit`, `sparsity --family laman` and `realize` again at
+`--seed 3`.  The numeric and Z-colored families at n = 64, 128 and 256 (the
+benchmark's numeric sizes) go through `rank` for all three matrices with
+`--dump`, and `oned`, `develop` and `cover`.  Each checkout runs the whole
+list in its own subprocess, calling `perigid.cli.main` in-process on its own
+`src/`.  The tool prints the invocation count and the first differences in
+stdout, exit code or dump bytes, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -139,7 +140,9 @@ def invocations(path: str, large: bool = False) -> list[list[str]]:
     for fmt in (*both, ["--format", "svg"]):
         out.append(["realize", path, *fmt])
         out.append(["develop", path, *fmt])
-    out.append(["realize", path, "--seed", "3", "--format", "json"])
+    # certified outputs do not depend on the sampled points
+    for argv in (["check"], ["circuit"], ["sparsity", "--family", "laman"], ["realize"]):
+        out.append([argv[0], path, *argv[1:], "--seed", "3", "--format", "json"])
     out.append(["cover", path, "--basis", "2,1,0,2"])
     return out
 
