@@ -322,7 +322,7 @@ def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerd
     Combinatorial route: a spanning connected subgraph with a cycle of
     nonzero image, i.e. a spanning (1,1,1)-subgraph.  Numeric route: the
     m x (n+1) matrix with entries from eta = x_j + g*L - x_i at random
-    integer (x, L) has rank n.  Both must agree; minimal rigidity also
+    integer (x, L) has rank n > 0.  Both must agree; minimal rigidity also
     needs m = n.
     """
     if trials < 1:
@@ -341,7 +341,8 @@ def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerd
         xs = [rng.randint(-COORD_RANGE, COORD_RANGE) for _ in range(graph.n)]
         lat = rng.randint(-COORD_RANGE, COORD_RANGE)
         best = max(best, modp_rank(_oned_rows(graph, xs, lat)))
-    numeric = best == graph.n
+    # at n = 0 the one kernel vector is the lattice column, not a translation
+    numeric = graph.n > 0 and best == graph.n
     if combinatorial != numeric:
         raise InternalConsistencyError(
             f"1d routes disagree: combinatorial={combinatorial} numeric={numeric}"

@@ -19,8 +19,10 @@ the edges of a colored graph.  Everything in this module is built from it:
   calls it: it is the reference the tests compare against.
 
 Matroid union never probes a circuit one element at a time: each exchange
-step reads the fundamental circuit of a part plus one edge off a single gain
-scan (:meth:`PartitionState._circuit`).  `perigid.rigidity.laman_analysis`
+step reads the fundamental circuit of a part plus one edge off the part's
+kept gain scan (:meth:`PartitionState._circuit`).  The scan is extended when
+an edge lands directly, undone when a doubling copy that just landed is
+taken out, and rebuilt after an exchange.  `perigid.rigidity.laman_analysis`
 finds the greedy basis by an F_p elimination this module cannot import and
 certifies it with the counts here; the greedy search is its test reference.
 
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .colored_graph import (
+    ZERO,
     ClosedWalk,
     ColoredGraph,
     ColorVector,
@@ -208,6 +211,68 @@ def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
 # ---------------------------------------------------------------------------
 
 
+class _KeptScan:
+    """The gain scan of one matroid-union part, kept between read-offs.
+
+    Holds the part's `GainScan`, the adjacency of its forest and its
+    non-tree edges (aligned with `scan.images`).  `last` records how to take
+    out the most recent :meth:`insert` again; every read-off clears it,
+    since its `find` calls may compress paths through that union.
+    """
+
+    __slots__ = ("scan", "adj", "extras", "last")
+
+    def __init__(self, edata: dict[int, tuple[int, int, ColorVector]], ids: Iterable[int]):
+        self.scan = GainScan()
+        self.adj: dict[int, list[tuple[int, int]]] = {}
+        self.extras: list[int] = []
+        self.last: tuple | None = None
+        for y in ids:
+            self.add(y, *edata[y])
+
+    def add(self, eid: int, tail: int, head: int, color: ColorVector) -> bool:
+        """Scan one more edge; True when it joins the forest."""
+        scan = self.scan
+        cycles = len(scan.images)
+        scan.add(eid, tail, head, color)
+        if len(scan.images) > cycles:
+            self.extras.append(eid)
+            return False
+        self.adj.setdefault(tail, []).append((head, eid))
+        self.adj.setdefault(head, []).append((tail, eid))
+        return True
+
+    def insert(self, eid: int, tail: int, head: int, color: ColorVector):
+        """:meth:`add`, remembering the state :meth:`undo` restores."""
+        scan = self.scan
+        fresh = {tail, head} - scan.parent.keys()
+        roots = {scan.find(v)[0] for v in {tail, head} - fresh}
+        saved = [(v, scan.pot[v], scan.rank[v]) for v in roots]
+        tree = self.add(eid, tail, head, color)
+        self.last = (eid, tail, head, tree, fresh, saved)
+
+    def undo(self, eid: int) -> bool:
+        """Take eid out if it was the last insertion and no find ran since."""
+        if self.last is None or self.last[0] != eid:
+            return False
+        _, tail, head, tree, fresh, saved = self.last
+        self.last = None
+        scan = self.scan
+        if tree:
+            scan.tree_edges.pop()
+            self.adj[tail].pop()
+            self.adj[head].pop()
+        else:
+            scan.images.pop()
+            self.extras.pop()
+        for v, pot, rank in saved:
+            scan.parent[v], scan.pot[v], scan.rank[v] = v, pot, rank
+        for v in fresh:
+            del scan.parent[v], scan.pot[v], scan.rank[v]
+            self.adj.pop(v, None)
+        return True
+
+
 class PartitionState:
     """Working partition of an independent set of the doubled matroid.
 
@@ -215,19 +280,24 @@ class PartitionState:
     Edmonds' matroid-partition scheme: try both parts directly, otherwise
     search breadth-first through single-element exchanges until some part can
     absorb a displaced element.  Every step reads the fundamental circuit of
-    part + x off one gain scan (:meth:`_circuit`); its elements other than x
-    are exactly the y for which part + x - y is independent, the exchanges
-    the search follows.  Doubling probes run on the live partition: a
-    virtual copy registered via :meth:`register_edge` is inserted and, if it
-    lands, taken out of its part again, which leaves both parts independent.
+    part + x off the part's kept gain scan (:meth:`_circuit`); its elements
+    other than x are exactly the y for which part + x - y is independent, the
+    exchanges the search follows.  Each part's scan is built lazily from
+    `parts`, extended by an edge that lands directly, and rebuilt after an
+    exchange chain; code that assigns or edits `parts` itself must reset
+    `kept`.  Doubling probes run on the live partition: a virtual copy
+    registered via :meth:`register_edge` is inserted and, if it lands, taken
+    out of its part again (:meth:`discard`), which leaves both parts
+    independent and, when it landed directly, undoes its scan step.
     """
 
-    __slots__ = ("edata", "parts", "part_of")
+    __slots__ = ("edata", "parts", "part_of", "kept")
 
     def __init__(self, graph: ColoredGraph):
         self.edata = {e.id: (e.tail, e.head, e.color) for e in graph.edges}
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.part_of: dict[int, int] = {}
+        self.kept: list[_KeptScan | None] = [None, None]
 
     def register_edge(self, eid: int, tail: int, head: int, color: tuple[int, int]):
         self.edata[eid] = (tail, head, ColorVector(*color))
@@ -241,30 +311,36 @@ class PartitionState:
         f = len(scan.parent) + image_rank(scan.images) - scan.component_count()
         return f == m
 
-    def _circuit(self, part: set[int], x: int) -> set[int] | None:
-        """The unique circuit of part + x, or None when part + x is independent.
+    def _kept(self, r: int) -> _KeptScan:
+        kept = self.kept[r]
+        if kept is None:
+            kept = self.kept[r] = _KeptScan(self.edata, self.parts[r])
+        return kept
 
-        f is the rank of the vectors (e_head - e_tail, g_e) over Q, and part
-        is independent: a forest plus k <= 2 non-tree edges with independent
-        cycle images.  Scanned last, x is dependent iff it closes a cycle whose
-        image lies in their span.  The dependency puts a coefficient mu_z on
-        x and each non-tree edge z (a zero image, a parallel pair or Cramer's
+    def _circuit(self, r: int, x: int) -> set[int] | None:
+        """The unique circuit of part r + x, or None when part r + x is independent.
+
+        f is the rank of the vectors (e_head - e_tail, g_e) over Q, and the
+        part is independent: a forest plus k <= 2 non-tree edges with
+        independent cycle images.  x is dependent iff it closes a cycle whose
+        image lies in their span; a vertex the part does not touch is its own
+        root with potential 0.  The dependency puts a coefficient mu_z on x
+        and each non-tree edge z (a zero image, a parallel pair or Cramer's
         rule on three images); on the forest it is the flow that cancels the
         vertex part of those edges, nonzero on a tree edge iff the demands
         below it do not cancel.  The circuit is the dependency's support.
         """
         edata = self.edata
-        scan = GainScan()
-        order = list(part)
-        for y in order:
-            scan.add(y, *edata[y])
-        cycles = len(scan.images)
-        scan.add(x, *edata[x])
-        if len(scan.images) == cycles:
+        kept = self._kept(r)
+        kept.last = None
+        scan = kept.scan
+        t, h, color = edata[x]
+        rt, pt = scan.find(t) if t in scan.parent else (t, ZERO)
+        rh, ph = scan.find(h) if h in scan.parent else (h, ZERO)
+        if rt != rh:
             return None  # x joins two components or reaches a new vertex
-        tree = set(scan.tree_edges)
-        extras = [y for y in order if y not in tree]
-        *imgs, (x1, x2) = scan.images
+        x1, x2 = color.plus(pt).minus(ph)
+        imgs, extras = scan.images, kept.extras
         if len(extras) > 2 or image_rank(imgs) != len(extras):
             raise InternalConsistencyError("a matroid-union part is not f-independent")
         if not extras:
@@ -290,11 +366,7 @@ class PartitionState:
             t, h, _ = edata[z]
             demand[h] = demand.get(h, 0) + mu[z]
             demand[t] = demand.get(t, 0) - mu[z]
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for y in tree:
-            t, h, _ = edata[y]
-            adj.setdefault(t, []).append((h, y))
-            adj.setdefault(h, []).append((t, y))
+        adj = kept.adj
         seen: set[int] = set()
         for root in [v for v, d in demand.items() if d]:
             if root in seen:
@@ -325,8 +397,9 @@ class PartitionState:
         """
         queue: deque[tuple[int, int, set[int] | None]] = deque()
         for r in (0, 1):
-            circuit = self._circuit(self.parts[r], eid)
+            circuit = self._circuit(r, eid)
             if circuit is None:
+                self._kept(r).insert(eid, *self.edata[eid])
                 self.parts[r].add(eid)
                 self.part_of[eid] = r
                 return True
@@ -337,7 +410,7 @@ class PartitionState:
         while queue:
             x, r, circuit = queue.popleft()
             if circuit is None:
-                circuit = self._circuit(self.parts[r], x)
+                circuit = self._circuit(r, x)
                 if circuit is None:
                     self._apply(x, r, parent)
                     return True
@@ -346,6 +419,15 @@ class PartitionState:
                 parent[y] = (x, r)
                 queue.append((y, 1 - r, None))
         return False
+
+    def discard(self, eid: int):
+        """Take eid out of its part; its scan step is undone if possible,
+        otherwise the part's scan is dropped and rebuilt when next read."""
+        r = self.part_of.pop(eid)
+        self.parts[r].discard(eid)
+        kept = self.kept[r]
+        if kept is not None and not kept.undo(eid):
+            self.kept[r] = None
 
     def _apply(self, x: int, r: int, parent: dict[int, tuple[int, int]]):
         while True:
@@ -356,8 +438,12 @@ class PartitionState:
             if x not in parent:
                 break
             x, r = parent[x]
-        if not (self._indep(self.parts[0]) and self._indep(self.parts[1])):
-            raise InternalConsistencyError("matroid-union augmentation broke a part")
+        # rebuilding both scans is the self-check: f == |part| iff rk == #images
+        self.kept = [None, None]
+        for side in (0, 1):
+            images = self._kept(side).scan.images
+            if image_rank(images) != len(images):
+                raise InternalConsistencyError("matroid-union augmentation broke a part")
 
 
 def union_independent(
@@ -430,8 +516,7 @@ def _grow(state: PartitionState, graph: ColoredGraph, eid: int) -> bool:
     e = graph.edge(eid)
     state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
     landed = state.try_insert(_VIRTUAL)
-    drop = _VIRTUAL if landed else eid
-    state.parts[state.part_of.pop(drop)].discard(drop)
+    state.discard(_VIRTUAL if landed else eid)
     return landed
 
 

@@ -407,6 +407,12 @@ def test_cli_oned(capsys, tmp_path):
     assert code == 2
     out, code = run_cli(capsys, "oned", str(path), "--trials", "0")
     assert code == 2 and "trials must be >= 1" in out
+    empty = tmp_path / "empty.cg"
+    empty.write_text("cg 2 0 0\n")
+    out, code = run_cli(capsys, "oned", str(empty))
+    assert code == 1 and "generically flexible" in out
+    out, code = run_cli(capsys, "check", str(empty))
+    assert code == 1 and "generically flexible" in out
 
 
 def test_cli_rank_dump(capsys, tmp_path, laman1):

@@ -377,6 +377,12 @@ def test_1d_examples():
     assert is_1d_rigid(G(1, [(0, 0, (0, 0))])).status == STATUS_FLEXIBLE
 
 
+def test_1d_vertex_free_graph_is_flexible():
+    # rank 0 == n holds, but the one kernel vector is the lattice column
+    verdict = is_1d_rigid(G(0, []))
+    assert verdict.status == STATUS_FLEXIBLE and verdict.rank == 0
+
+
 def test_1d_overconstrained():
     g = G(2, [(0, 1, (0, 0)), (0, 1, (1, 0)), (1, 1, (2, 0))])
     assert is_1d_rigid(g).status == STATUS_OVER

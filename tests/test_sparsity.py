@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigid.colored_graph import ColoredGraph, EdgeSubset
+from perigid.colored_graph import ZERO, ColoredGraph, EdgeSubset
 from perigid import sparsity
-from perigid.errors import BudgetError, DomainError
+from perigid.errors import BudgetError, DomainError, InternalConsistencyError
 from perigid.rigidity import decide_rigidity, find_laman_circuit, is_ross, laman_analysis
 from perigid.sparsity import (
     _VIRTUAL,
@@ -235,12 +235,18 @@ def circuit_by_probes(state, part, x):
     return {y for y in with_x if state._indep(with_x - {y})}
 
 
+def kept_state(g, part):
+    """A state whose part 0 is `part`; its kept scan is built on first read."""
+    state = PartitionState(g)
+    state.parts = (set(part), set())
+    return state
+
+
 def test_circuit_read_off_cases():
     def read_off(edges, part, x):
-        g = G(4, edges)
-        state = PartitionState(g)
+        state = kept_state(G(4, edges), part)
         assert state._indep(part)
-        got = state._circuit(set(part), x)
+        got = state._circuit(0, x)
         assert got == circuit_by_probes(state, part, x)
         return got if got is None else sorted(got)
 
@@ -285,14 +291,150 @@ def test_circuit_read_off_matches_probes():
                     part.add(x)
             parts = [part]
         for part in parts:
+            state = kept_state(g, part)  # one kept scan, read for every x
             for x in ids:
                 if x in part:
                     continue
-                got = state._circuit(part, x)
+                got = state._circuit(0, x)
                 assert got == circuit_by_probes(state, part, x)
                 if got is not None:
                     shapes.add(len(got))
     assert shapes >= {1, 2, 3, 4, 5}
+
+
+def _resolve(scan, v):
+    """Root and potential of v, walking the parents without compressing them."""
+    pot = ZERO
+    while scan.parent[v] != v:
+        pot = pot.plus(scan.pot[v])
+        v = scan.parent[v]
+    return v, pot
+
+
+def assert_kept_scans_hold(state):
+    """Each part is independent; each kept scan is a gain scan of its part
+    (every tree edge and non-tree image agrees with the potentials); and the
+    kept read-off of part + x equals the probing reference for every x."""
+    edata = state.edata
+    for r in (0, 1):
+        part, kept = state.parts[r], state.kept[r]
+        assert state._indep(part)
+        if kept is None:
+            continue
+        scan = kept.scan
+        assert sorted(scan.tree_edges + kept.extras) == sorted(part)
+        assert len(scan.images) == len(kept.extras)
+        assert set(scan.parent) == {v for y in part for v in edata[y][:2]}
+        assert sorted(y for nbrs in kept.adj.values() for _, y in nbrs) == sorted(
+            scan.tree_edges * 2
+        )
+        for y in scan.tree_edges:
+            t, h, color = edata[y]
+            (rt, pt), (rh, ph) = _resolve(scan, t), _resolve(scan, h)
+            assert rt == rh and ph == pt.plus(color)
+        for y, image in zip(kept.extras, scan.images):
+            t, h, color = edata[y]
+            (rt, pt), (rh, ph) = _resolve(scan, t), _resolve(scan, h)
+            assert rt == rh and image == color.plus(pt).minus(ph)
+    for r in (0, 1):
+        for x in edata:
+            if x not in state.parts[r]:
+                assert state._circuit(r, x) == circuit_by_probes(state, state.parts[r], x)
+
+
+def test_kept_scans_through_random_insertions_probes_and_exchanges(monkeypatch):
+    seen = {"undone": 0, "dropped": 0, "chains": 0, "failed": 0, "grown": 0}
+    undo, apply = sparsity._KeptScan.undo, PartitionState._apply
+
+    def counted_undo(kept, eid):
+        done = undo(kept, eid)
+        seen["undone" if done else "dropped"] += 1
+        return done
+
+    def counted_apply(state, x, r, parent):
+        seen["chains"] += 1
+        return apply(state, x, r, parent)
+
+    monkeypatch.setattr(sparsity._KeptScan, "undo", counted_undo)
+    monkeypatch.setattr(PartitionState, "_apply", counted_apply)
+    rng = random.Random(83)
+    zero_loops = parallels = loops = 0
+    for _ in range(200):
+        g = random_graph(rng, nmax=4, mmax=10, color_range=1)
+        ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
+        parallels += len(set(ends)) < len(ends)
+        loops += any(e.tail == e.head for e in g.edges)
+        zero_loops += any(e.tail == e.head and tuple(e.color) == (0, 0) for e in g.edges)
+        state = PartitionState(g)
+        pending = sorted(g.edge_ids())
+        while pending:
+            step = rng.random()
+            if step < 0.4:  # a grow step: an insertion, then its doubling probe
+                landed = sparsity._grow(state, g, pending.pop(0))
+                seen["grown" if landed else "failed"] += 1
+            elif step < 0.6:  # a bare insertion
+                state.try_insert(pending.pop(0))
+            elif step < 0.85 and state.part_of:  # a doubling probe of a placed edge
+                e = g.edge(rng.choice(sorted(state.part_of)))
+                state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+                if state.try_insert(_VIRTUAL):
+                    state.discard(_VIRTUAL)
+            elif state.part_of:  # a removal after read-offs: the scan is rebuilt
+                state.discard(rng.choice(sorted(state.part_of)))
+            assert_kept_scans_hold(state)
+    assert parallels > 100 and loops > 130 and zero_loops > 40
+    assert min(seen.values()) > 60, seen
+
+
+def test_a_find_after_an_insertion_forces_a_rebuild():
+    # parts 0-1 and 2-3 have equal-rank roots; edge 2 (1-3) joins them
+    g = G(4, [(0, 1, (0, 0)), (2, 3, (0, 0)), (1, 3, (1, 0)), (3, 2, (0, 1))])
+
+    def inserted():
+        state = PartitionState(g)
+        assert all(state.try_insert(eid) for eid in (0, 1, 2))
+        assert state.parts == ({0, 1, 2}, set())
+        return state
+
+    state = inserted()  # nothing read in between: the step is undone
+    kept = state.kept[0]
+    state.discard(2)
+    assert state.kept[0] is kept
+    assert_kept_scans_hold(state)
+
+    state = inserted()  # a read-off of part 0 runs find(3) through the union
+    assert state._circuit(0, 3) is None
+    state.discard(2)
+    assert state.kept[0] is None
+    assert_kept_scans_hold(state)
+
+    # undoing anyway would leave vertex 3 compressed onto the other root
+    state = inserted()
+    kept = state.kept[0]
+    last = kept.last
+    state._circuit(0, 3)
+    kept.last = last
+    assert kept.undo(2)
+    assert kept.scan.find(3)[0] != kept.scan.find(2)[0]
+
+
+def test_a_broken_exchange_fails_the_rebuild(monkeypatch):
+    # the last loop needs a chain: part 0 holds three of the loops' images
+    g = G(1, [(0, 0, (-1, 1)), (0, 0, (-1, 0)), (0, 0, (-1, -1)), (0, 0, (-1, -1))])
+    assert union_independent(full(g))[0]
+    apply = PartitionState._apply
+
+    def misplaced(state, x, r, parent):
+        # the chain's last element goes back into the part it came from
+        return apply(state, x, 1 - r, parent)
+
+    def no_probe(state, ids):
+        raise AssertionError("the self-check must not probe")
+
+    monkeypatch.setattr(PartitionState, "_apply", misplaced)
+    monkeypatch.setattr(PartitionState, "_indep", no_probe)
+    with pytest.raises(InternalConsistencyError, match="matroid-union augmentation broke a part"):
+        union_independent(full(g))
 
 
 def test_union_partitions_match_the_probing_search(monkeypatch):
