@@ -340,8 +340,8 @@ def kernel_float(
     Orthogonal elimination via SVD; singular values below
     tolerance * (largest singular value) count as zero.
     """
-    if tolerance <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tolerance < 1:  # also refuses NaN
+        raise DomainError(f"tolerance must lie in (0, 1), got {tolerance}")
     a = matrix.to_numpy() if isinstance(matrix, NaturalMatrix) else np.asarray(matrix, float)
     if a.ndim != 2:
         raise StructuralError("kernel_float needs a 2d matrix")

@@ -19,12 +19,13 @@ the edges of a colored graph.  Everything in this module is built from it:
   calls it: it is the reference the tests compare against.
 
 Matroid union never probes a circuit one element at a time: each exchange
-step reads the fundamental circuit of a part plus one edge off the part's
-kept gain scan (:meth:`PartitionState._circuit`).  The scan is extended when
-an edge lands directly, undone when a doubling copy that just landed is
-taken out, and rebuilt after an exchange.  `perigid.rigidity.laman_analysis`
-finds the greedy basis by an F_p elimination this module cannot import and
-certifies it with the counts here; the greedy search is its test reference.
+step reads the fundamental circuit of a part plus one edge off the two root
+paths of its ends in the part's breadth-first spanning forest
+(:meth:`PartitionState._circuit`).  A forest is never edited: every change
+to its part drops it, and the next read builds it again in one linear pass.
+`perigid.rigidity.laman_analysis` finds the greedy basis by an F_p
+elimination this module cannot import and certifies it with the counts
+here; the greedy search is its test reference.
 
 Empty subsets have n' = m' = c' = rk' = 0 by convention; the Laman-style
 count 2f - 1 is only ever tested on nonempty subsets.
@@ -37,12 +38,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .colored_graph import (
-    ZERO,
     ClosedWalk,
     ColoredGraph,
     ColorVector,
     EdgeSubset,
-    GainScan,
     fundamental_cycles,
     image_rank,
     rho_of_walk,
@@ -71,20 +70,10 @@ class CountReport:
         return 2 * self.f
 
 
-def _edge_tuples(graph: ColoredGraph, ids: Iterable[int]):
-    for eid in sorted(ids):
-        e = graph.edge(eid)
-        yield e.id, e.tail, e.head, e.color
-
-
 def count_report(subset: EdgeSubset) -> CountReport:
-    scan = GainScan()
-    m = 0
-    for eid, t, h, c in _edge_tuples(subset.graph, subset.ids):
-        scan.add(eid, t, h, c)
-        m += 1
+    scan = scan_subset(subset)
     return CountReport(
-        n=len(scan.parent), m=m, c=scan.component_count(), rk=image_rank(scan.images)
+        n=len(scan.parent), m=len(subset), c=scan.component_count(), rk=image_rank(scan.images)
     )
 
 
@@ -211,66 +200,56 @@ def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
 # ---------------------------------------------------------------------------
 
 
-class _KeptScan:
-    """The gain scan of one matroid-union part, kept between read-offs.
+class _Forest:
+    """A breadth-first spanning forest of one matroid-union part, never edited.
 
-    Holds the part's `GainScan`, the adjacency of its forest and its
-    non-tree edges (aligned with `scan.images`).  `last` records how to take
-    out the most recent :meth:`insert` again; every read-off clears it,
-    since its `find` calls may compress paths through that union.
+    `up[v] = (u, y, g1, g2)`: v hangs under u by tree edge y, and
+    sigma(v) - sigma(u) = (g1, g2).  A vertex without an entry is a root,
+    also one the part does not touch.  `extras` are the part's non-tree
+    edges in id order and `images` their cycle images
+    color + sigma(tail) - sigma(head).
     """
 
-    __slots__ = ("scan", "adj", "extras", "last")
+    __slots__ = ("up", "extras", "images")
 
     def __init__(self, edata: dict[int, tuple[int, int, ColorVector]], ids: Iterable[int]):
-        self.scan = GainScan()
-        self.adj: dict[int, list[tuple[int, int]]] = {}
-        self.extras: list[int] = []
-        self.last: tuple | None = None
+        ids = sorted(ids)
+        adj: dict[int, list[tuple[int, int, int, int]]] = {}
         for y in ids:
-            self.add(y, *edata[y])
+            t, h, (g1, g2) = edata[y]
+            adj.setdefault(t, []).append((h, y, g1, g2))
+            adj.setdefault(h, []).append((t, y, -g1, -g2))
+        up: dict[int, tuple[int, int, int, int]] = {}
+        pot: dict[int, tuple[int, int]] = {}
+        for root in adj:
+            if root in pot:
+                continue
+            pot[root] = (0, 0)
+            bfs = [root]
+            for u in bfs:
+                p1, p2 = pot[u]
+                for v, y, g1, g2 in adj[u]:
+                    if v not in pot:
+                        pot[v] = (p1 + g1, p2 + g2)
+                        up[v] = (u, y, g1, g2)
+                        bfs.append(v)
+        tree = {y for _, y, _, _ in up.values()}
+        self.up = up
+        self.extras = [y for y in ids if y not in tree]
+        self.images = []
+        for y in self.extras:
+            t, h, (g1, g2) = edata[y]
+            self.images.append((g1 + pot[t][0] - pot[h][0], g2 + pot[t][1] - pot[h][1]))
 
-    def add(self, eid: int, tail: int, head: int, color: ColorVector) -> bool:
-        """Scan one more edge; True when it joins the forest."""
-        scan = self.scan
-        cycles = len(scan.images)
-        scan.add(eid, tail, head, color)
-        if len(scan.images) > cycles:
-            self.extras.append(eid)
-            return False
-        self.adj.setdefault(tail, []).append((head, eid))
-        self.adj.setdefault(head, []).append((tail, eid))
-        return True
-
-    def insert(self, eid: int, tail: int, head: int, color: ColorVector):
-        """:meth:`add`, remembering the state :meth:`undo` restores."""
-        scan = self.scan
-        fresh = {tail, head} - scan.parent.keys()
-        roots = {scan.find(v)[0] for v in {tail, head} - fresh}
-        saved = [(v, scan.pot[v], scan.rank[v]) for v in roots]
-        tree = self.add(eid, tail, head, color)
-        self.last = (eid, tail, head, tree, fresh, saved)
-
-    def undo(self, eid: int) -> bool:
-        """Take eid out if it was the last insertion and no find ran since."""
-        if self.last is None or self.last[0] != eid:
-            return False
-        _, tail, head, tree, fresh, saved = self.last
-        self.last = None
-        scan = self.scan
-        if tree:
-            scan.tree_edges.pop()
-            self.adj[tail].pop()
-            self.adj[head].pop()
-        else:
-            scan.images.pop()
-            self.extras.pop()
-        for v, pot, rank in saved:
-            scan.parent[v], scan.pot[v], scan.rank[v] = v, pot, rank
-        for v in fresh:
-            del scan.parent[v], scan.pot[v], scan.rank[v]
-            self.adj.pop(v, None)
-        return True
+    def root(self, v: int) -> tuple[int, int, int]:
+        """The root of v's tree and sigma(v) - sigma(root)."""
+        up = self.up
+        p1 = p2 = 0
+        while v in up:
+            v, _, g1, g2 = up[v]
+            p1 += g1
+            p2 += g2
+        return v, p1, p2
 
 
 class PartitionState:
@@ -280,15 +259,15 @@ class PartitionState:
     Edmonds' matroid-partition scheme: try both parts directly, otherwise
     search breadth-first through single-element exchanges until some part can
     absorb a displaced element.  Every step reads the fundamental circuit of
-    part + x off the part's kept gain scan (:meth:`_circuit`); its elements
+    part + x off the part's spanning forest (:meth:`_circuit`); its elements
     other than x are exactly the y for which part + x - y is independent, the
-    exchanges the search follows.  Each part's scan is built lazily from
-    `parts`, extended by an edge that lands directly, and rebuilt after an
-    exchange chain; code that assigns or edits `parts` itself must reset
-    `kept`.  Doubling probes run on the live partition: a virtual copy
-    registered via :meth:`register_edge` is inserted and, if it lands, taken
-    out of its part again (:meth:`discard`), which leaves both parts
-    independent and, when it landed directly, undoes its scan step.
+    exchanges the search follows.  Each part's forest is built from `parts`
+    when first read and dropped by every change to the part (an insertion,
+    :meth:`discard` or an exchange chain); code that assigns or edits `parts`
+    itself must reset `kept`.  Doubling probes run on the live partition: a
+    virtual copy registered via :meth:`register_edge` is inserted and, if it
+    lands, taken out of its part again (:meth:`discard`), which leaves both
+    parts independent.
     """
 
     __slots__ = ("edata", "parts", "part_of", "kept")
@@ -297,50 +276,39 @@ class PartitionState:
         self.edata = {e.id: (e.tail, e.head, e.color) for e in graph.edges}
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.part_of: dict[int, int] = {}
-        self.kept: list[_KeptScan | None] = [None, None]
+        self.kept: list[_Forest | None] = [None, None]
 
     def register_edge(self, eid: int, tail: int, head: int, color: tuple[int, int]):
         self.edata[eid] = (tail, head, ColorVector(*color))
 
-    def _indep(self, ids: Iterable[int]) -> bool:
-        scan = GainScan()
-        m = 0
-        for eid in ids:
-            scan.add(eid, *self.edata[eid])
-            m += 1
-        f = len(scan.parent) + image_rank(scan.images) - scan.component_count()
-        return f == m
-
-    def _kept(self, r: int) -> _KeptScan:
-        kept = self.kept[r]
-        if kept is None:
-            kept = self.kept[r] = _KeptScan(self.edata, self.parts[r])
-        return kept
+    def _forest(self, r: int) -> _Forest:
+        forest = self.kept[r]
+        if forest is None:
+            forest = self.kept[r] = _Forest(self.edata, self.parts[r])
+        return forest
 
     def _circuit(self, r: int, x: int) -> set[int] | None:
         """The unique circuit of part r + x, or None when part r + x is independent.
 
         f is the rank of the vectors (e_head - e_tail, g_e) over Q, and the
         part is independent: a forest plus k <= 2 non-tree edges with
-        independent cycle images.  x is dependent iff it closes a cycle whose
-        image lies in their span; a vertex the part does not touch is its own
-        root with potential 0.  The dependency puts a coefficient mu_z on x
-        and each non-tree edge z (a zero image, a parallel pair or Cramer's
-        rule on three images); on the forest it is the flow that cancels the
-        vertex part of those edges, nonzero on a tree edge iff the demands
-        below it do not cancel.  The circuit is the dependency's support.
+        independent cycle images.  x is dependent iff its ends share a root
+        and its image lies in their span.  The dependency puts a coefficient
+        mu_z on x and each non-tree edge z (a zero image, a parallel pair or
+        Cramer's rule on three images); on the forest it is the flow that
+        cancels the vertex part of those edges.  Each z adds +mu_z to every
+        tree edge on head(z)'s root path and -mu_z on tail(z)'s; a tree edge
+        is in the circuit, the dependency's support, iff its sum is nonzero.
         """
         edata = self.edata
-        kept = self._kept(r)
-        kept.last = None
-        scan = kept.scan
-        t, h, color = edata[x]
-        rt, pt = scan.find(t) if t in scan.parent else (t, ZERO)
-        rh, ph = scan.find(h) if h in scan.parent else (h, ZERO)
+        forest = self._forest(r)
+        t, h, (c1, c2) = edata[x]
+        rt, t1, t2 = forest.root(t)
+        rh, h1, h2 = forest.root(h)
         if rt != rh:
-            return None  # x joins two components or reaches a new vertex
-        x1, x2 = color.plus(pt).minus(ph)
-        imgs, extras = scan.images, kept.extras
+            return None  # x joins two trees or reaches a new vertex
+        x1, x2 = c1 + t1 - h1, c2 + t2 - h2
+        imgs, extras = forest.images, forest.extras
         if len(extras) > 2 or image_rank(imgs) != len(extras):
             raise InternalConsistencyError("a matroid-union part is not f-independent")
         if not extras:
@@ -360,30 +328,17 @@ class PartitionState:
                 extras[0]: x2 * b1 - x1 * b2,
                 extras[1]: a2 * x1 - a1 * x2,
             }
+        up = forest.up
+        flow: dict[int, int] = {}
+        for z, c in mu.items():
+            if c:
+                t, h, _ = edata[z]
+                for v, s in ((h, c), (t, -c)):
+                    while v in up:
+                        v, y, _, _ = up[v]
+                        flow[y] = flow.get(y, 0) + s
         circuit = {z for z, c in mu.items() if c}
-        demand: dict[int, int] = {}
-        for z in circuit:
-            t, h, _ = edata[z]
-            demand[h] = demand.get(h, 0) + mu[z]
-            demand[t] = demand.get(t, 0) - mu[z]
-        adj = kept.adj
-        seen: set[int] = set()
-        for root in [v for v, d in demand.items() if d]:
-            if root in seen:
-                continue
-            seen.add(root)
-            bfs, up = [root], {}
-            for v in bfs:
-                for w, y in adj.get(v, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        up[w] = (v, y)
-                        bfs.append(w)
-            for v in reversed(bfs[1:]):
-                if demand.get(v):
-                    u, y = up[v]
-                    circuit.add(y)
-                    demand[u] = demand.get(u, 0) + demand[v]
+        circuit.update(y for y, s in flow.items() if s)
         return circuit
 
     def try_insert(self, eid: int) -> bool:
@@ -399,7 +354,7 @@ class PartitionState:
         for r in (0, 1):
             circuit = self._circuit(r, eid)
             if circuit is None:
-                self._kept(r).insert(eid, *self.edata[eid])
+                self.kept[r] = None
                 self.parts[r].add(eid)
                 self.part_of[eid] = r
                 return True
@@ -421,13 +376,10 @@ class PartitionState:
         return False
 
     def discard(self, eid: int):
-        """Take eid out of its part; its scan step is undone if possible,
-        otherwise the part's scan is dropped and rebuilt when next read."""
+        """Take eid out of its part; the part's forest is rebuilt when next read."""
         r = self.part_of.pop(eid)
         self.parts[r].discard(eid)
-        kept = self.kept[r]
-        if kept is not None and not kept.undo(eid):
-            self.kept[r] = None
+        self.kept[r] = None
 
     def _apply(self, x: int, r: int, parent: dict[int, tuple[int, int]]):
         while True:
@@ -438,10 +390,10 @@ class PartitionState:
             if x not in parent:
                 break
             x, r = parent[x]
-        # rebuilding both scans is the self-check: f == |part| iff rk == #images
+        # rebuilding both forests is the self-check: f == |part| iff rk == #images
         self.kept = [None, None]
         for side in (0, 1):
-            images = self._kept(side).scan.images
+            images = self._forest(side).images
             if image_rank(images) != len(images):
                 raise InternalConsistencyError("matroid-union augmentation broke a part")
 

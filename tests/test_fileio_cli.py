@@ -352,6 +352,12 @@ def test_cli_realize_rejects_flexible(capsys, two_loops):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1"])
+def test_cli_realize_refuses_an_out_of_range_tolerance(capsys, laman1, tol):
+    out, code = run_cli(capsys, "realize", laman1, "--tol", tol)
+    assert code == 2 and out == f"error: tolerance must lie in (0, 1), got {float(tol)}\n"
+
+
 def test_cli_develop_text_and_json(capsys, tmp_path):
     path = tmp_path / "f.cg"
     path.write_text("cg 2 1 3\n0 0 1 0\n0 0 0 2\n0 0 1 2\n")

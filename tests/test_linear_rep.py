@@ -129,6 +129,14 @@ def test_kernel_float_bad_tolerance():
         kernel_float(np.eye(2), 0.0)
 
 
+def test_kernel_float_refuses_nan_and_tolerances_of_one_or_more():
+    # each of these would count every singular value as zero
+    for tolerance in (float("nan"), float("inf"), 1.0, 2.0, -1e-9):
+        with pytest.raises(DomainError, match=r"tolerance must lie in \(0, 1\)"):
+            kernel_float(np.eye(2), tolerance)
+    assert kernel_float(np.eye(2), 0.5)[0] == 2
+
+
 def test_fp_rank_at_least_float_rank_same_assignment():
     rng = random.Random(10)
     for _ in range(40):

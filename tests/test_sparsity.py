@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigid.colored_graph import ZERO, ColoredGraph, EdgeSubset
+from perigid.colored_graph import ColoredGraph, EdgeSubset, GainScan, image_rank
 from perigid import sparsity
 from perigid.errors import BudgetError, DomainError, InternalConsistencyError
 from perigid.rigidity import decide_rigidity, find_laman_circuit, is_ross, laman_analysis
@@ -199,13 +199,23 @@ def test_union_matches_exhaustive_partitions():
         assert union_independent(full(g))[0] == exhaustive_partition(g)
 
 
+def indep(state, ids):
+    """Is the set f-independent?  One gain scan of it: the probing reference."""
+    scan = GainScan()
+    m = 0
+    for eid in ids:
+        scan.add(eid, *state.edata[eid])
+        m += 1
+    return len(scan.parent) + image_rank(scan.images) - scan.component_count() == m
+
+
 class ProbingState(PartitionState):
     """The exchange search with |part| independence probes per step: the
     reference for the circuit read-off and for the search order."""
 
     def try_insert(self, eid):
         for r in (0, 1):
-            if self._indep(self.parts[r] | {eid}):
+            if indep(self, self.parts[r] | {eid}):
                 self.parts[r].add(eid)
                 self.part_of[eid] = r
                 return True
@@ -216,11 +226,11 @@ class ProbingState(PartitionState):
             x, r = queue.popleft()
             part = self.parts[r]
             with_x = part | {x}
-            if self._indep(with_x):
+            if indep(self, with_x):
                 self._apply(x, r, parent)
                 return True
             for y in sorted(part):
-                if y not in visited and self._indep(with_x - {y}):
+                if y not in visited and indep(self, with_x - {y}):
                     visited.add(y)
                     parent[y] = (x, r)
                     queue.append((y, 1 - r))
@@ -230,13 +240,13 @@ class ProbingState(PartitionState):
 def circuit_by_probes(state, part, x):
     """{y : part + x - y is f-independent}, or None when part + x is."""
     with_x = set(part) | {x}
-    if state._indep(with_x):
+    if indep(state, with_x):
         return None
-    return {y for y in with_x if state._indep(with_x - {y})}
+    return {y for y in with_x if indep(state, with_x - {y})}
 
 
 def kept_state(g, part):
-    """A state whose part 0 is `part`; its kept scan is built on first read."""
+    """A state whose part 0 is `part`; its forest is built on first read."""
     state = PartitionState(g)
     state.parts = (set(part), set())
     return state
@@ -245,7 +255,7 @@ def kept_state(g, part):
 def test_circuit_read_off_cases():
     def read_off(edges, part, x):
         state = kept_state(G(4, edges), part)
-        assert state._indep(part)
+        assert indep(state, part)
         got = state._circuit(0, x)
         assert got == circuit_by_probes(state, part, x)
         return got if got is None else sorted(got)
@@ -283,15 +293,15 @@ def test_circuit_read_off_matches_probes():
             parts = [
                 {ids[i] for i in range(g.m) if mask >> i & 1} for mask in range(1 << g.m)
             ]
-            parts = [p for p in parts if state._indep(p)]
+            parts = [p for p in parts if indep(state, p)]
         else:  # a random independent part grown greedily
             part = set()
             for x in rng.sample(ids, g.m):
-                if state._indep(part | {x}):
+                if indep(state, part | {x}):
                     part.add(x)
             parts = [part]
         for part in parts:
-            state = kept_state(g, part)  # one kept scan, read for every x
+            state = kept_state(g, part)  # one forest, read for every x
             for x in ids:
                 if x in part:
                     continue
@@ -302,60 +312,42 @@ def test_circuit_read_off_matches_probes():
     assert shapes >= {1, 2, 3, 4, 5}
 
 
-def _resolve(scan, v):
-    """Root and potential of v, walking the parents without compressing them."""
-    pot = ZERO
-    while scan.parent[v] != v:
-        pot = pot.plus(scan.pot[v])
-        v = scan.parent[v]
-    return v, pot
-
-
-def assert_kept_scans_hold(state):
-    """Each part is independent; each kept scan is a gain scan of its part
-    (every tree edge and non-tree image agrees with the potentials); and the
-    kept read-off of part + x equals the probing reference for every x."""
+def assert_forests_hold(state):
+    """Each part is independent; each forest spans its part (every up-link
+    agrees with its tree edge's color, the tree and non-tree edges are the
+    part, each image agrees with the root potentials); and the read-off of
+    part + x equals the probing reference for every x."""
     edata = state.edata
     for r in (0, 1):
-        part, kept = state.parts[r], state.kept[r]
-        assert state._indep(part)
-        if kept is None:
+        part, forest = state.parts[r], state.kept[r]
+        assert indep(state, part)
+        if forest is None:
             continue
-        scan = kept.scan
-        assert sorted(scan.tree_edges + kept.extras) == sorted(part)
-        assert len(scan.images) == len(kept.extras)
-        assert set(scan.parent) == {v for y in part for v in edata[y][:2]}
-        assert sorted(y for nbrs in kept.adj.values() for _, y in nbrs) == sorted(
-            scan.tree_edges * 2
-        )
-        for y in scan.tree_edges:
+        for v, (u, y, g1, g2) in forest.up.items():
             t, h, color = edata[y]
-            (rt, pt), (rh, ph) = _resolve(scan, t), _resolve(scan, h)
-            assert rt == rh and ph == pt.plus(color)
-        for y, image in zip(kept.extras, scan.images):
-            t, h, color = edata[y]
-            (rt, pt), (rh, ph) = _resolve(scan, t), _resolve(scan, h)
-            assert rt == rh and image == color.plus(pt).minus(ph)
+            assert (t, h, color) in ((u, v, (g1, g2)), (v, u, (-g1, -g2)))
+        tree = [y for _, y, _, _ in forest.up.values()]
+        assert sorted(tree + forest.extras) == sorted(part)
+        assert forest.extras == sorted(forest.extras)
+        assert len(forest.images) == len(forest.extras)
+        for y, image in zip(forest.extras, forest.images):
+            t, h, (c1, c2) = edata[y]
+            (rt, t1, t2), (rh, h1, h2) = forest.root(t), forest.root(h)
+            assert rt == rh and image == (c1 + t1 - h1, c2 + t2 - h2)
     for r in (0, 1):
         for x in edata:
             if x not in state.parts[r]:
                 assert state._circuit(r, x) == circuit_by_probes(state, state.parts[r], x)
 
 
-def test_kept_scans_through_random_insertions_probes_and_exchanges(monkeypatch):
-    seen = {"undone": 0, "dropped": 0, "chains": 0, "failed": 0, "grown": 0}
-    undo, apply = sparsity._KeptScan.undo, PartitionState._apply
-
-    def counted_undo(kept, eid):
-        done = undo(kept, eid)
-        seen["undone" if done else "dropped"] += 1
-        return done
+def test_forests_through_random_insertions_probes_and_exchanges(monkeypatch):
+    seen = {"chains": 0, "failed": 0, "grown": 0}
+    apply = PartitionState._apply
 
     def counted_apply(state, x, r, parent):
         seen["chains"] += 1
         return apply(state, x, r, parent)
 
-    monkeypatch.setattr(sparsity._KeptScan, "undo", counted_undo)
     monkeypatch.setattr(PartitionState, "_apply", counted_apply)
     rng = random.Random(83)
     zero_loops = parallels = loops = 0
@@ -379,43 +371,55 @@ def test_kept_scans_through_random_insertions_probes_and_exchanges(monkeypatch):
                 state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
                 if state.try_insert(_VIRTUAL):
                     state.discard(_VIRTUAL)
-            elif state.part_of:  # a removal after read-offs: the scan is rebuilt
+            elif state.part_of:  # a removal after read-offs: the forest is rebuilt
                 state.discard(rng.choice(sorted(state.part_of)))
-            assert_kept_scans_hold(state)
+            assert_forests_hold(state)
     assert parallels > 100 and loops > 130 and zero_loops > 40
     assert min(seen.values()) > 60, seen
 
 
-def test_a_find_after_an_insertion_forces_a_rebuild():
-    # parts 0-1 and 2-3 have equal-rank roots; edge 2 (1-3) joins them
-    g = G(4, [(0, 1, (0, 0)), (2, 3, (0, 0)), (1, 3, (1, 0)), (3, 2, (0, 1))])
+def triangle_strip(rng, n):
+    """Three loops at vertex 0, two edges from 1 to 0, then v joined to v - 1
+    and v - 2: a colored-Laman graph whose spanning forests are paths."""
+    edges = [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1)), (1, 0, (0, 0)), (1, 0, (1, -1))]
+    for v in range(2, n):
+        for u in (v - 1, v - 2):
+            edges.append((v, u, (rng.randint(-2, 2), rng.randint(-2, 2))))
+    return G(n, edges)
 
-    def inserted():
-        state = PartitionState(g)
-        assert all(state.try_insert(eid) for eid in (0, 1, 2))
-        assert state.parts == ({0, 1, 2}, set())
-        return state
 
-    state = inserted()  # nothing read in between: the step is undone
-    kept = state.kept[0]
-    state.discard(2)
-    assert state.kept[0] is kept
-    assert_kept_scans_hold(state)
+def test_deep_forests_read_off_like_probes():
+    # a root path is about n / 2 edges long: a short circuit cancels on most
+    # of its two root paths, and a chord between far ends has a long circuit
+    n = 200
+    g = triangle_strip(random.Random(5), n)
+    state = PartitionState(g)
+    ids = sorted(g.edge_ids())
+    assert all(sparsity._grow(state, g, eid) for eid in ids)
+    rng = random.Random(6)
+    sizes = []
+    for r in (0, 1):
+        forest = state._forest(r)
+        assert max(len(path_to_root(forest, v)) for v in range(n)) > n // 3
+        probes = [g.edge(x) for x in rng.sample(sorted(state.parts[1 - r]), 4)]
+        probes += [g.edge(x) for x in rng.sample(sorted(state.parts[r]), 2)]  # parallel copies
+        for e in probes + [g.edge(0), g.edge(3)]:
+            state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+            sizes.append(len(state._circuit(r, _VIRTUAL) or ()))
+            assert state._circuit(r, _VIRTUAL) == circuit_by_probes(state, state.parts[r], _VIRTUAL)
+        for tail, head in ((0, n - 1), (n // 2, n - 1), (n - 1, n - 2)):  # chords
+            state.register_edge(_VIRTUAL, tail, head, (rng.randint(-2, 2), rng.randint(-2, 2)))
+            sizes.append(len(state._circuit(r, _VIRTUAL) or ()))
+            assert state._circuit(r, _VIRTUAL) == circuit_by_probes(state, state.parts[r], _VIRTUAL)
+    assert max(sizes) > n // 2 and 0 < min(s for s in sizes if s) < 10, sizes
 
-    state = inserted()  # a read-off of part 0 runs find(3) through the union
-    assert state._circuit(0, 3) is None
-    state.discard(2)
-    assert state.kept[0] is None
-    assert_kept_scans_hold(state)
 
-    # undoing anyway would leave vertex 3 compressed onto the other root
-    state = inserted()
-    kept = state.kept[0]
-    last = kept.last
-    state._circuit(0, 3)
-    kept.last = last
-    assert kept.undo(2)
-    assert kept.scan.find(3)[0] != kept.scan.find(2)[0]
+def path_to_root(forest, v):
+    path = []
+    while v in forest.up:
+        v, y, _, _ = forest.up[v]
+        path.append(y)
+    return path
 
 
 def test_a_broken_exchange_fails_the_rebuild(monkeypatch):
@@ -428,11 +432,7 @@ def test_a_broken_exchange_fails_the_rebuild(monkeypatch):
         # the chain's last element goes back into the part it came from
         return apply(state, x, 1 - r, parent)
 
-    def no_probe(state, ids):
-        raise AssertionError("the self-check must not probe")
-
     monkeypatch.setattr(PartitionState, "_apply", misplaced)
-    monkeypatch.setattr(PartitionState, "_indep", no_probe)
     with pytest.raises(InternalConsistencyError, match="matroid-union augmentation broke a part"):
         union_independent(full(g))
 

@@ -16,7 +16,10 @@ subcommands, in text and in JSON where a command has both (and SVG for
 `check`, `circuit`, `sparsity --family laman` and `realize` again at
 `--seed 3`.  The numeric and Z-colored families at n = 64, 128 and 256 (the
 benchmark's numeric sizes) go through `rank` for all three matrices with
-`--dump`, and `oned`, `develop` and `cover`.  Each checkout runs the whole
+`--dump`, and `oned`, `develop` and `cover`.  Triangle strips at n = 16, 32
+and 64, alone and with one random edge more, have path-like spanning forests
+about n / 2 deep; they go through `check`, `circuit`, `ross` and `sparsity`
+with all three families.  Each checkout runs the whole
 list in its own subprocess, calling `perigid.cli.main` in-process on its own
 `src/`.  The tool prints the invocation count and the first differences in
 stdout, exit code or dump bytes, and exits 1 if there is any.
@@ -39,6 +42,7 @@ from pathlib import Path
 
 SIZES = range(3, 13)
 LARGE_SIZES = (64, 128, 256)
+DEEP_SIZES = (16, 32, 64)
 RANDOM_GRAPHS = 80
 
 
@@ -85,7 +89,21 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
         ):
             rng.shuffle(edges)
             graphs.append((f"{label} n={n}", inst.to_cg(n, edges)))
+    for n in DEEP_SIZES:
+        edges = strip_edges(rng, n)
+        graphs.append((f"deep strip n={n}", inst.to_cg(n, edges)))
+        graphs.append((f"deep strip+1 n={n}", inst.to_cg(n, edges + [inst.random_edge(rng, n)])))
     return graphs
+
+
+def strip_edges(rng: random.Random, n: int) -> list[tuple[int, int, tuple[int, int]]]:
+    """A colored-Laman triangle strip: three loops at vertex 0, two edges from
+    1 to 0, then each v >= 2 joined to v - 1 and v - 2 with random colors."""
+    edges = [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1)), (1, 0, (0, 0)), (1, 0, (1, -1))]
+    for v in range(2, n):
+        for u in (v - 1, v - 2):
+            edges.append((v, u, (rng.randint(-2, 2), rng.randint(-2, 2))))
+    return edges
 
 
 def two_11k_edges(rng: random.Random, n: int, k: int) -> list[tuple[int, int, tuple[int, int]]]:
@@ -113,15 +131,23 @@ def two_11k_edges(rng: random.Random, n: int, k: int) -> list[tuple[int, int, tu
     return edges
 
 
-def invocations(path: str, large: bool = False) -> list[list[str]]:
+def invocations(path: str, kind: str = "") -> list[list[str]]:
     """Every subcommand on one graph file; the dump path is filled in per side.
 
     A large graph runs only the numeric commands: rank with every matrix and
-    a dump, oned, develop and cover.
+    a dump, oned, develop and cover.  A deep one runs only the sparsity
+    commands: check, circuit, ross and sparsity with every family.
     """
     both = (["--format", "text"], ["--format", "json"])
     out = []
-    if large:
+    if kind == "deep":
+        for fmt in both:
+            for cmd in ("check", "circuit", "ross"):
+                out.append([cmd, path, *fmt])
+            for family in ("laman", "222", "ross"):
+                out.append(["sparsity", path, "--family", family, *fmt])
+        return out
+    if kind == "large":
         for fmt in both:
             for matrix in ("M112", "M222", "M232"):
                 out.append(["rank", path, "--matrix", matrix, "--dump", "{dump}", *fmt])
@@ -197,7 +223,7 @@ def main(argv=None) -> int:
         for i, (label, text) in enumerate(build_graphs(args.change / "perfbench", random.Random(args.seed))):
             path = work / f"{i:04d}.cg"
             path.write_text(text)
-            for inv in invocations(str(path), label.startswith("large")):
+            for inv in invocations(str(path), label.split()[0]):
                 jobs.append(inv)
                 labels.append(label)
         (work / "jobs.json").write_text(json.dumps(jobs))
