@@ -56,8 +56,6 @@ class ColorVector(NamedTuple):
         return ColorVector(self.g1 - other[0], self.g2 - other[1])
 
 
-ZERO = ColorVector(0, 0)
-
 
 def _color(value: Sequence[int]) -> ColorVector:
     g1, g2 = value
@@ -219,10 +217,10 @@ class EdgeSubset:
     ids: frozenset[int]
 
     def __post_init__(self):
-        known = set(self.graph.edge_ids())
-        if not set(self.ids) <= known:
+        ids = frozenset(self.ids)
+        if not self.graph._by_id.keys() >= ids:
             raise StructuralError("subset references unknown edge ids")
-        object.__setattr__(self, "ids", frozenset(self.ids))
+        object.__setattr__(self, "ids", ids)
 
     @classmethod
     def full(cls, graph: ColoredGraph) -> "EdgeSubset":
@@ -286,89 +284,111 @@ def rho_of_walk(walk: ClosedWalk) -> ColorVector:
 
 
 # ---------------------------------------------------------------------------
-# Gain union-find: the workhorse for counts, rank and potentials.
+# Gain forest: the workhorse for counts, rank, potentials and cycle walks.
 # ---------------------------------------------------------------------------
 
 
 class GainScan:
-    """Union-find with Z^2 potentials over a list of colored edges.
+    """Rooted spanning forest with Z^2 potentials over a list of colored edges.
 
-    Feeding every edge of a subset through :meth:`add` yields, in one pass:
-    the spanned vertices, the connected components, a potential per vertex
-    (signed color sum along a forest path to its component root) and the
-    images of all fundamental cycles.
+    Built in one breadth-first pass over `edges`, (id, tail, head, (g1, g2))
+    tuples with adjacency in the order given; each of `vertices` the edges
+    miss becomes a tree of its own.  Everything is plain ints:
+
+    * `up[v] = (u, y, g1, g2)`: v hangs under u by tree edge y, and
+      sigma(v) - sigma(u) = (g1, g2); a root has no entry;
+    * `root[v] = (r, p1, p2)` for every spanned vertex: v's tree has root r,
+      and sigma(v) - sigma(r) = (p1, p2);
+    * `trees[r]`: the vertices of the tree rooted at r;
+    * `extras`: the non-tree edges, and `images` their cycle images
+      color + sigma(tail) - sigma(head).
+
+    :meth:`add` grows the forest by one edge and is its only change.
     """
 
-    __slots__ = ("parent", "pot", "rank", "images", "tree_edges")
+    __slots__ = ("up", "root", "trees", "extras", "images")
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.pot: dict[int, ColorVector] = {}
-        self.rank: dict[int, int] = {}
-        self.images: list[ColorVector] = []
-        self.tree_edges: list[int] = []
+    def __init__(
+        self, edges: Iterable[tuple[int, int, int, Sequence[int]]], vertices: Iterable[int] = ()
+    ):
+        edges = list(edges)
+        adj: dict[int, list[tuple[int, int, int, int]]] = {}
+        for y, t, h, (g1, g2) in edges:
+            adj.setdefault(t, []).append((h, y, g1, g2))
+            adj.setdefault(h, []).append((t, y, -g1, -g2))
+        for v in vertices:
+            adj.setdefault(v, [])
+        up: dict[int, tuple[int, int, int, int]] = {}
+        root: dict[int, tuple[int, int, int]] = {}
+        trees: dict[int, list[int]] = {}
+        for r in adj:
+            if r in root:
+                continue
+            root[r] = (r, 0, 0)
+            bfs = trees[r] = [r]
+            for u in bfs:
+                _, p1, p2 = root[u]
+                for v, y, g1, g2 in adj[u]:
+                    if v not in root:
+                        root[v] = (r, p1 + g1, p2 + g2)
+                        up[v] = (u, y, g1, g2)
+                        bfs.append(v)
+        tree = {y for _, y, _, _ in up.values()}
+        self.up, self.root, self.trees = up, root, trees
+        self.extras: list[int] = []
+        self.images: list[tuple[int, int]] = []
+        for y, t, h, (g1, g2) in edges:
+            if y not in tree:
+                _, t1, t2 = root[t]
+                _, h1, h2 = root[h]
+                self.extras.append(y)
+                self.images.append((g1 + t1 - h1, g2 + t2 - h2))
 
-    def ensure_vertex(self, v: int):
-        if v not in self.parent:
-            self.parent[v] = v
-            self.pot[v] = ZERO
-            self.rank[v] = 0
+    def add(self, eid: int, tail: int, head: int, color: Sequence[int]):
+        """Grow the forest by one edge.
 
-    def find(self, v: int) -> tuple[int, ColorVector]:
-        """Root of v's component and the potential of v relative to the root."""
-        parent, pot = self.parent, self.pot
-        chain = []
-        while parent[v] != v:
-            chain.append(v)
-            v = parent[v]
-        root = v
-        acc = ZERO
-        for u in reversed(chain):
-            acc = acc.plus(pot[u])
-            parent[u] = root
-            pot[u] = acc
-        if chain:
-            return root, pot[chain[0]]
-        return root, ZERO
-
-    def add(self, eid: int, tail: int, head: int, color: ColorVector):
-        """Insert one edge; records either a tree edge or a cycle image."""
-        self.ensure_vertex(tail)
-        self.ensure_vertex(head)
-        rt, pt = self.find(tail)
-        rh, ph = self.find(head)
+        A new end starts as a tree of its own.  An edge inside one tree
+        becomes a non-tree edge with its image; an edge between two trees
+        hangs the smaller one under the other's end, re-rooted at its own end,
+        and shifts that tree's roots and potentials.
+        """
+        g1, g2 = color
+        root, trees = self.root, self.trees
+        for v in (tail, head):
+            if v not in root:
+                root[v] = (v, 0, 0)
+                trees[v] = [v]
+        rt, t1, t2 = root[tail]
+        rh, h1, h2 = root[head]
         if rt == rh:
-            self.images.append(color.plus(pt).minus(ph))
+            self.extras.append(eid)
+            self.images.append((g1 + t1 - h1, g2 + t2 - h2))
             return
-        self.tree_edges.append(eid)
-        # want sigma(head) = sigma(tail) + color
-        if self.rank[rt] < self.rank[rh]:
-            self.parent[rt] = rh
-            self.pot[rt] = ph.minus(pt).minus(color)
-        else:
-            self.parent[rh] = rt
-            self.pot[rh] = color.plus(pt).minus(ph)
-            if self.rank[rt] == self.rank[rh]:
-                self.rank[rt] += 1
+        if len(trees[rt]) > len(trees[rh]):  # hang head's tree under tail
+            rt, t1, t2, rh, h1, h2 = rh, h1, h2, rt, t1, t2
+            tail, head, g1, g2 = head, tail, -g1, -g2
+        # now tail's tree is the smaller: re-root it at tail, hang it under head
+        up = self.up
+        v, link = tail, (head, eid, -g1, -g2)
+        while v != rt:
+            u, y, c1, c2 = up[v]
+            up[v] = link
+            v, link = u, (v, y, -c1, -c2)
+        up[rt] = link
+        # sigma(w) - sigma(rh) = (sigma(w) - sigma(tail)) + (sigma(head) - sigma(rh)) - color
+        s1, s2 = h1 - g1 - t1, h2 - g2 - t2
+        moved = trees.pop(rt)
+        for w in moved:
+            _, p1, p2 = root[w]
+            root[w] = (rh, p1 + s1, p2 + s2)
+        trees[rh].extend(moved)
 
     # -- results ------------------------------------------------------------
 
-    def spanned(self) -> list[int]:
-        return sorted(self.parent)
-
-    def component_count(self) -> int:
-        return sum(1 for v in self.parent if self.parent[v] == v)
-
     def component_map(self) -> dict[int, int]:
         """Vertex -> component index; components numbered by min vertex."""
-        roots: dict[int, list[int]] = {}
-        for v in self.parent:
-            roots.setdefault(self.find(v)[0], []).append(v)
-        ordered = sorted(roots.values(), key=min)
-        return {v: i for i, comp in enumerate(ordered) for v in sorted(comp)}
-
-    def potential(self, v: int) -> ColorVector:
-        return self.find(v)[1]
+        ordered = sorted(self.trees.values(), key=min)
+        return {v: i for i, comp in enumerate(ordered) for v in comp}
 
 
 def image_rank(images: Iterable[Sequence[int]]) -> int:
@@ -401,13 +421,11 @@ def lattice_index(images: Iterable[Sequence[int]]) -> int | None:
     return g if g else None
 
 
-def scan_subset(subset: EdgeSubset) -> GainScan:
-    scan = GainScan()
+def scan_subset(subset: EdgeSubset, vertices: Iterable[int] = ()) -> GainScan:
+    """The gain forest of the subset's edges in id order, plus `vertices`."""
     graph = subset.graph
-    for eid in subset.sorted_ids():
-        e = graph.edge(eid)
-        scan.add(e.id, e.tail, e.head, e.color)
-    return scan
+    chosen = map(graph.edge, subset.sorted_ids())
+    return GainScan(((e.id, e.tail, e.head, e.color) for e in chosen), vertices)
 
 
 def z2_rank(subset: EdgeSubset) -> int:
@@ -421,69 +439,41 @@ def components(subset: EdgeSubset) -> tuple[int, tuple[tuple[int, ...], ...]]:
     Returns (count, partition of the spanned vertices); the empty subset
     spans nothing and has zero components.
     """
-    scan = scan_subset(subset)
-    cmap = scan.component_map()
-    parts: dict[int, list[int]] = {}
-    for v, c in cmap.items():
-        parts.setdefault(c, []).append(v)
-    ordered = tuple(tuple(sorted(parts[c])) for c in sorted(parts))
+    trees = scan_subset(subset).trees.values()
+    ordered = tuple(sorted(tuple(sorted(tree)) for tree in trees))
     return len(ordered), ordered
 
 
 def fundamental_cycles(subset: EdgeSubset) -> list[tuple[int, ClosedWalk]]:
-    """One closed walk per non-tree edge of a DFS forest of the subset.
+    """One closed walk per non-tree edge of the subset's breadth-first gain forest.
 
-    The walk traverses the extra edge forward and returns along the forest.
-    All downstream results are independent of the forest choice.
+    The walk traverses the extra edge forward, climbs from its head to where
+    the two root paths meet and descends to its tail.  Another forest gives
+    other walks, but their images generate the same subgroup of Z^2.
     """
     graph = subset.graph
-    ids = subset.sorted_ids()
-    adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for eid in ids:
-        e = graph.edge(eid)
-        adj.setdefault(e.tail, []).append((e.head, eid, True))
-        if e.tail != e.head:
-            adj.setdefault(e.head, []).append((e.tail, eid, False))
-    parent: dict[int, tuple[int, int, bool] | None] = {}
-    tree: set[int] = set()
-    for start in sorted(adj):
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, eid, fwd in adj.get(v, ()):
-                if w not in parent and eid not in tree:
-                    tree.add(eid)
-                    parent[w] = (v, eid, fwd)
-                    stack.append(w)
+    scan = scan_subset(subset)
+    up = scan.up
 
-    def path_to_root(v: int) -> list[tuple[int, int, bool]]:
+    def path_to_root(v: int) -> list[tuple[int, bool]]:
+        """The steps from v up to its root: (tree edge, forward?)."""
         out = []
-        while parent[v] is not None:
-            u, eid, fwd = parent[v]
-            out.append((v, eid, fwd))
+        while v in up:
+            u, y, _, _ = up[v]
+            out.append((y, graph.edge(y).tail == v))
             v = u
         return out
 
     cycles = []
-    for eid in ids:
-        if eid in tree:
-            continue
+    for eid in scan.extras:
         e = graph.edge(eid)
         up_h = path_to_root(e.head)
         up_t = path_to_root(e.tail)
-        while up_h and up_t and up_h[-1][1] == up_t[-1][1]:
+        while up_h and up_t and up_h[-1] == up_t[-1]:
             up_h.pop()
             up_t.pop()
-        steps: list[tuple[int, bool]] = [(eid, True)]
-        # head -> LCA: traverse parent edges against their tree direction
-        for _, peid, fwd in up_h:
-            steps.append((peid, not fwd))
-        # LCA -> tail: traverse downward, i.e. with the tree direction
-        for _, peid, fwd in reversed(up_t):
-            steps.append((peid, fwd))
+        # head up to the meeting point, then down to the tail against each step
+        steps = [(eid, True), *up_h, *((y, not fwd) for y, fwd in reversed(up_t))]
         cycles.append((eid, ClosedWalk(graph, tuple(steps))))
     return cycles
 
@@ -543,6 +533,31 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
         raise StructuralError("empty development window")
     _check_budget("development window", graph, (x1 - x0 + 1) * (y1 - y0 + 1))
 
+    # classification of the quotient graph, component by component: the
+    # images of a component's non-tree edges generate its image subgroup
+    scan = scan_subset(EdgeSubset.full(graph), range(graph.n))
+    images_of: dict[int, list[tuple[int, int]]] = {r: [] for r in scan.trees}
+    for y, image in zip(scan.extras, scan.images):
+        images_of[scan.root[graph.edge(y).tail][0]].append(image)
+    per_component = []
+    pred_inf: float = 0
+    pred_fin: float = 0
+    for r, tree in sorted(scan.trees.items(), key=lambda item: min(item[1])):
+        imgs = images_of[r]
+        k_c = image_rank(imgs)
+        idx_c = lattice_index(imgs) if k_c == 2 else None
+        per_component.append(
+            ComponentClassification(tuple(sorted(tree)), k_c, idx_c, _predict(k_c, idx_c))
+        )
+        if k_c == 2:
+            pred_inf += idx_c
+        elif k_c == 1:
+            pred_inf = math.inf
+        else:
+            pred_fin = math.inf
+    k = image_rank(scan.images)
+    index = lattice_index(scan.images) if k == 2 else None
+
     cells = [
         ColorVector(gx, gy) for gx in range(x0, x1 + 1) for gy in range(y0, y1 + 1)
     ]
@@ -583,35 +598,6 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
     ]
     core_components = len({component_of[v] for v in core})
 
-    # classification of the quotient graph, component by component
-    full_scan = scan_subset(EdgeSubset.full(graph))
-    for v in range(graph.n):
-        full_scan.ensure_vertex(v)
-    cmap = full_scan.component_map()
-    comp_edges: dict[int, list[int]] = {c: [] for c in set(cmap.values())}
-    for e in graph.edges:
-        comp_edges[cmap[e.tail]].append(e.id)
-    per_component = []
-    pred_inf: float = 0
-    pred_fin: float = 0
-    for c in sorted(comp_edges):
-        sub = EdgeSubset.of(graph, comp_edges[c])
-        imgs = scan_subset(sub).images
-        k_c = image_rank(imgs)
-        idx_c = lattice_index(imgs) if k_c == 2 else None
-        vs = tuple(sorted(v for v, cc in cmap.items() if cc == c))
-        per_component.append(
-            ComponentClassification(vs, k_c, idx_c, _predict(k_c, idx_c))
-        )
-        if k_c == 2:
-            pred_inf += idx_c
-        elif k_c == 1:
-            pred_inf = math.inf
-        else:
-            pred_fin = math.inf
-
-    k = image_rank(full_scan.images)
-    index = lattice_index(full_scan.images) if k == 2 else None
     return DevelopmentReport(
         window=window,
         vertices=verts,

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .colored_graph import ColoredGraph, ColorVector, GainScan, image_rank
+from .colored_graph import ColoredGraph, EdgeSubset, GainScan, image_rank, scan_subset
 from .errors import (
     DomainError,
     GenericitySamplingError,
@@ -137,7 +137,7 @@ def edge_status(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_kernel_basis(images: Sequence[ColorVector]) -> list[np.ndarray]:
+def _lattice_kernel_basis(images: Sequence[tuple[int, int]]) -> list[np.ndarray]:
     """Basis of the 2x2 matrices annihilating every cycle image.
 
     Rows of such a matrix are orthogonal to the image span, so the space has
@@ -153,20 +153,20 @@ def _lattice_kernel_basis(images: Sequence[ColorVector]) -> list[np.ndarray]:
             np.array([[0.0, 0.0], [0.0, 1.0]]),
         ]
     if k == 1:
-        g = next((v for v in images if v.g1 or v.g2))
-        perp = np.array([-g.g2, g.g1], dtype=float)
+        g1, g2 = next(v for v in images if any(v))
+        perp = np.array([-g2, g1], dtype=float)
         return [np.vstack([perp, [0.0, 0.0]]), np.vstack([[0.0, 0.0], perp])]
     return []
 
 
-def _canonical_collapsed_lattice(images: Sequence[ColorVector]) -> np.ndarray:
+def _canonical_collapsed_lattice(images: Sequence[tuple[int, int]]) -> np.ndarray:
     k = image_rank(images)
     if k == 0:
         return np.eye(2)
     if k == 2:
         return np.zeros((2, 2))
-    g = next((v for v in images if v.g1 or v.g2))
-    return np.vstack([[-float(g.g2), float(g.g1)], [0.0, 0.0]])
+    g1, g2 = next(v for v in images if any(v))
+    return np.vstack([[-float(g2), float(g1)], [0.0, 0.0]])
 
 
 def _collapsed_points(
@@ -178,19 +178,9 @@ def _collapsed_points(
     cmap = scan.component_map()
     p = np.zeros((graph.n, 2))
     for v in range(graph.n):
-        sigma = scan.potential(v)
         anchor = np.asarray(anchors.get(cmap[v], (0.0, 0.0)), dtype=float)
-        p[v] = anchor - lattice @ np.array([float(sigma.g1), float(sigma.g2)])
+        p[v] = anchor - lattice @ np.array(scan.root[v][1:], dtype=float)
     return p
-
-
-def _full_scan(graph: ColoredGraph) -> GainScan:
-    scan = GainScan()
-    for e in graph.edges:
-        scan.add(e.id, e.tail, e.head, e.color)
-    for v in range(graph.n):
-        scan.ensure_vertex(v)
-    return scan
 
 
 def collapsed_realization(
@@ -205,9 +195,8 @@ def collapsed_realization(
     then places each vertex at its component anchor minus L times its forest
     potential.  Verified collapsed before returning.
     """
-    scan = _full_scan(graph)
-    cmap = scan.component_map()
-    ncomp = len(set(cmap.values())) if cmap else 0
+    scan = scan_subset(EdgeSubset.full(graph), range(graph.n))
+    ncomp = len(scan.trees)
     if lattice is None:
         lattice = _canonical_collapsed_lattice(scan.images)
     lattice = np.asarray(lattice, dtype=float).reshape(2, 2)
@@ -232,9 +221,9 @@ def collapsed_space_basis(graph: ColoredGraph) -> list[Realization]:
     One generator per lattice-kernel basis matrix (anchors at the origin) and
     two translation generators per connected component.
     """
-    scan = _full_scan(graph)
+    scan = scan_subset(EdgeSubset.full(graph), range(graph.n))
     cmap = scan.component_map()
-    ncomp = len(set(cmap.values())) if cmap else 0
+    ncomp = len(scan.trees)
     out = []
     for w in _lattice_kernel_basis(scan.images):
         out.append(Realization(_collapsed_points(graph, scan, w, {}), w))
@@ -306,7 +295,7 @@ def faithful_realization(
         if lead.size and vec[lead[0]] < 0:
             vec = -vec
         real = Realization.from_flat(vec, n)
-        residual = float(np.max(np.abs(system @ vec))) if graph.m else 0.0
+        residual = float(np.max(np.abs(system @ vec)))
         if residual > tolerance * max(1.0, float(np.abs(system).max())):
             continue
         statuses = edge_status(graph, directions, real)

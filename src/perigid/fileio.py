@@ -101,10 +101,6 @@ def serialize_colored_graph(graph: ColoredGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _round_trip_float(x: float) -> float:
-    return float(x)
-
-
 def realization_json(
     realization: Realization,
     statuses,
@@ -112,10 +108,10 @@ def realization_json(
 ) -> dict[str, Any]:
     return {
         "n": realization.n,
-        "p": [[_round_trip_float(x), _round_trip_float(y)] for x, y in realization.p],
-        "L": [[_round_trip_float(v) for v in row] for row in realization.L],
+        "p": [[float(x), float(y)] for x, y in realization.p],
+        "L": [[float(v) for v in row] for row in realization.L],
         "edges": [
-            {"id": s.edge_id, "alpha": _round_trip_float(s.alpha), "collapsed": s.collapsed}
+            {"id": s.edge_id, "alpha": float(s.alpha), "collapsed": s.collapsed}
             for s in statuses
         ],
         "seed": seed,

@@ -349,7 +349,7 @@ def kernel_float(
     if rows == 0 or cols == 0:
         return 0, np.eye(cols)
     _, svals, vt = np.linalg.svd(a)
-    cutoff = tolerance * (svals[0] if len(svals) else 0.0)
+    cutoff = tolerance * svals[0]
     rank = int(np.sum(svals > cutoff))
     return rank, vt[rank:].T
 

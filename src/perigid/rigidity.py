@@ -330,9 +330,9 @@ def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerd
     if any(e.color.g2 for e in graph.edges):
         raise DomainError("1d decision needs colors with zero second component")
     scan = scan_subset(EdgeSubset.full(graph))
-    spans = len(scan.parent) == graph.n and graph.n > 0
-    connected = spans and scan.component_count() == 1
-    has_cycle = any(v.g1 for v in scan.images)
+    spans = len(scan.root) == graph.n and graph.n > 0
+    connected = spans and len(scan.trees) == 1
+    has_cycle = any(g1 for g1, _ in scan.images)
     combinatorial = connected and has_cycle
 
     rng = random.Random(seed)

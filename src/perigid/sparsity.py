@@ -20,9 +20,10 @@ the edges of a colored graph.  Everything in this module is built from it:
 
 Matroid union never probes a circuit one element at a time: each exchange
 step reads the fundamental circuit of a part plus one edge off the two root
-paths of its ends in the part's breadth-first spanning forest
-(:meth:`PartitionState._circuit`).  A forest is never edited: every change
-to its part drops it, and the next read builds it again in one linear pass.
+paths of its ends in the part's gain forest (:class:`GainScan`,
+:meth:`PartitionState._circuit`).  A direct insertion grows the forest by
+that edge; a removal or an exchange chain drops it, and the next read
+builds it again in one breadth-first pass.
 `perigid.rigidity.laman_analysis` finds the greedy basis by an F_p
 elimination this module cannot import and certifies it with the counts
 here; the greedy search is its test reference.
@@ -40,12 +41,13 @@ from typing import Iterable
 from .colored_graph import (
     ClosedWalk,
     ColoredGraph,
-    ColorVector,
     EdgeSubset,
+    GainScan,
     fundamental_cycles,
     image_rank,
     rho_of_walk,
     scan_subset,
+    z2_rank,
 )
 from .errors import BudgetError, DomainError, InternalConsistencyError
 
@@ -73,7 +75,7 @@ class CountReport:
 def count_report(subset: EdgeSubset) -> CountReport:
     scan = scan_subset(subset)
     return CountReport(
-        n=len(scan.parent), m=len(subset), c=scan.component_count(), rk=image_rank(scan.images)
+        n=len(scan.root), m=len(subset), c=len(scan.trees), rk=image_rank(scan.images)
     )
 
 
@@ -200,58 +202,6 @@ def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
 # ---------------------------------------------------------------------------
 
 
-class _Forest:
-    """A breadth-first spanning forest of one matroid-union part, never edited.
-
-    `up[v] = (u, y, g1, g2)`: v hangs under u by tree edge y, and
-    sigma(v) - sigma(u) = (g1, g2).  A vertex without an entry is a root,
-    also one the part does not touch.  `extras` are the part's non-tree
-    edges in id order and `images` their cycle images
-    color + sigma(tail) - sigma(head).
-    """
-
-    __slots__ = ("up", "extras", "images")
-
-    def __init__(self, edata: dict[int, tuple[int, int, ColorVector]], ids: Iterable[int]):
-        ids = sorted(ids)
-        adj: dict[int, list[tuple[int, int, int, int]]] = {}
-        for y in ids:
-            t, h, (g1, g2) = edata[y]
-            adj.setdefault(t, []).append((h, y, g1, g2))
-            adj.setdefault(h, []).append((t, y, -g1, -g2))
-        up: dict[int, tuple[int, int, int, int]] = {}
-        pot: dict[int, tuple[int, int]] = {}
-        for root in adj:
-            if root in pot:
-                continue
-            pot[root] = (0, 0)
-            bfs = [root]
-            for u in bfs:
-                p1, p2 = pot[u]
-                for v, y, g1, g2 in adj[u]:
-                    if v not in pot:
-                        pot[v] = (p1 + g1, p2 + g2)
-                        up[v] = (u, y, g1, g2)
-                        bfs.append(v)
-        tree = {y for _, y, _, _ in up.values()}
-        self.up = up
-        self.extras = [y for y in ids if y not in tree]
-        self.images = []
-        for y in self.extras:
-            t, h, (g1, g2) = edata[y]
-            self.images.append((g1 + pot[t][0] - pot[h][0], g2 + pot[t][1] - pot[h][1]))
-
-    def root(self, v: int) -> tuple[int, int, int]:
-        """The root of v's tree and sigma(v) - sigma(root)."""
-        up = self.up
-        p1 = p2 = 0
-        while v in up:
-            v, _, g1, g2 = up[v]
-            p1 += g1
-            p2 += g2
-        return v, p1, p2
-
-
 class PartitionState:
     """Working partition of an independent set of the doubled matroid.
 
@@ -261,10 +211,11 @@ class PartitionState:
     absorb a displaced element.  Every step reads the fundamental circuit of
     part + x off the part's spanning forest (:meth:`_circuit`); its elements
     other than x are exactly the y for which part + x - y is independent, the
-    exchanges the search follows.  Each part's forest is built from `parts`
-    when first read and dropped by every change to the part (an insertion,
-    :meth:`discard` or an exchange chain); code that assigns or edits `parts`
-    itself must reset `kept`.  Doubling probes run on the live partition: a
+    exchanges the search follows.  Each part keeps its gain forest in
+    `kept`: a direct insertion grows it by the new edge, while
+    :meth:`discard` and an exchange chain drop it, and the next read builds
+    it again from `parts`; code that assigns or edits `parts` itself must
+    reset `kept`.  Doubling probes run on the live partition: a
     virtual copy registered via :meth:`register_edge` is inserted and, if it
     lands, taken out of its part again (:meth:`discard`), which leaves both
     parts independent.
@@ -276,15 +227,16 @@ class PartitionState:
         self.edata = {e.id: (e.tail, e.head, e.color) for e in graph.edges}
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.part_of: dict[int, int] = {}
-        self.kept: list[_Forest | None] = [None, None]
+        self.kept: list[GainScan | None] = [GainScan(()), GainScan(())]
 
     def register_edge(self, eid: int, tail: int, head: int, color: tuple[int, int]):
-        self.edata[eid] = (tail, head, ColorVector(*color))
+        self.edata[eid] = (tail, head, color)
 
-    def _forest(self, r: int) -> _Forest:
+    def _forest(self, r: int) -> GainScan:
         forest = self.kept[r]
         if forest is None:
-            forest = self.kept[r] = _Forest(self.edata, self.parts[r])
+            edata = self.edata
+            forest = self.kept[r] = GainScan((y, *edata[y]) for y in sorted(self.parts[r]))
         return forest
 
     def _circuit(self, r: int, x: int) -> set[int] | None:
@@ -299,12 +251,13 @@ class PartitionState:
         cancels the vertex part of those edges.  Each z adds +mu_z to every
         tree edge on head(z)'s root path and -mu_z on tail(z)'s; a tree edge
         is in the circuit, the dependency's support, iff its sum is nonzero.
+        A vertex the part does not touch is a root of its own.
         """
         edata = self.edata
         forest = self._forest(r)
         t, h, (c1, c2) = edata[x]
-        rt, t1, t2 = forest.root(t)
-        rh, h1, h2 = forest.root(h)
+        rt, t1, t2 = forest.root.get(t, (t, 0, 0))
+        rh, h1, h2 = forest.root.get(h, (h, 0, 0))
         if rt != rh:
             return None  # x joins two trees or reaches a new vertex
         x1, x2 = c1 + t1 - h1, c2 + t2 - h2
@@ -354,7 +307,7 @@ class PartitionState:
         for r in (0, 1):
             circuit = self._circuit(r, eid)
             if circuit is None:
-                self.kept[r] = None
+                self.kept[r].add(eid, *self.edata[eid])
                 self.parts[r].add(eid)
                 self.part_of[eid] = r
                 return True
@@ -376,7 +329,8 @@ class PartitionState:
         return False
 
     def discard(self, eid: int):
-        """Take eid out of its part; the part's forest is rebuilt when next read."""
+        """Take eid out of its part and drop the part's forest: it is rebuilt
+        when next read."""
         r = self.part_of.pop(eid)
         self.parts[r].discard(eid)
         self.kept[r] = None
@@ -420,7 +374,7 @@ def is_222_sparse(graph: ColoredGraph) -> bool:
 
 def is_222_graph(graph: ColoredGraph) -> bool:
     """(2,2,k)-graph: (2,2,.)-sparse with the full count m = 2n - 2 + 2k."""
-    k = image_rank(scan_subset(EdgeSubset.full(graph)).images)
+    k = z2_rank(EdgeSubset.full(graph))
     if graph.m != 2 * graph.n - 2 + 2 * k:
         return False
     return is_222_sparse(graph)
@@ -434,7 +388,7 @@ class Decomposition:
 
 def decompose_two_11k(graph: ColoredGraph) -> Decomposition:
     """Split a (2,2,k)-graph into two edge-disjoint spanning (1,1,k)-graphs."""
-    k = image_rank(scan_subset(EdgeSubset.full(graph)).images)
+    k = z2_rank(EdgeSubset.full(graph))
     tight = graph.m == 2 * graph.n - 2 + 2 * k
     parts = union_independent(EdgeSubset.full(graph))[1] if tight else None
     if parts is None:

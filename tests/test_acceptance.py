@@ -219,7 +219,7 @@ def test_criterion_07_circuit_collapse():
     for g in fixtures:
         scan = scan_subset(EdgeSubset.full(g))
         k = image_rank(scan.images)
-        c = scan.component_count()
+        c = len(scan.trees)
         d = DirectionAssignment.sample(g, rng)
         dim, basis = realization_kernel(g, d)
         assert dim == 4 - 2 * k + 2 * c, (g, dim)

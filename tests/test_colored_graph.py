@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -12,8 +13,10 @@ from perigid.colored_graph import (
     ColoredGraph,
     ColorVector,
     EdgeSubset,
+    GainScan,
     components,
     develop_window,
+    fundamental_cycles,
     image_rank,
     lattice_index,
     rho_of_walk,
@@ -152,7 +155,7 @@ def test_develop_core_matches_index_on_random_rank2_graphs():
         scan = scan_subset(sub)
         if image_rank(scan.images) != 2 or components(sub)[0] != 1:
             continue
-        if len(scan.parent) != g.n:
+        if len(scan.root) != g.n:
             continue
         idx = lattice_index(scan.images)
         if idx is None or idx > 4:
@@ -215,3 +218,90 @@ def test_multiplicity_warning():
 def test_edge_validation():
     with pytest.raises(StructuralError):
         G(1, [(0, 1, (0, 0))])
+
+
+def test_subset_ids_are_checked_against_the_id_index(monkeypatch):
+    g = G(2, [(0, 1, (0, 0)), (1, 1, (1, 0)), (0, 0, (0, 1))])
+    with pytest.raises(StructuralError):
+        EdgeSubset.of(g, [0, 3])
+
+    def spy(graph):
+        raise AssertionError("a subset rebuilt the graph's id list")
+
+    monkeypatch.setattr(ColoredGraph, "edge_ids", spy)
+    assert EdgeSubset.of(g, [0, 2]).sorted_ids() == [0, 2]
+    with pytest.raises(StructuralError):
+        EdgeSubset.of(g, [-1])
+
+
+def _assert_gain_forest(scan, edges, vertices):
+    """Every up-link agrees with its edge's color, each root potential is the
+    sum along its root path, the tree and non-tree edges are the input
+    edges, and each image is color + sigma(tail) - sigma(head)."""
+    by_id = {y: (t, h, tuple(c)) for y, t, h, c in edges}
+    for v, (u, y, g1, g2) in scan.up.items():
+        assert by_id[y] in ((u, v, (g1, g2)), (v, u, (-g1, -g2)))
+    for v, at in scan.root.items():
+        p1 = p2 = 0
+        while v in scan.up:
+            v, _, g1, g2 = scan.up[v]
+            p1, p2 = p1 + g1, p2 + g2
+        assert at == (v, p1, p2)
+    assert sorted(v for tree in scan.trees.values() for v in tree) == sorted(scan.root)
+    assert all(scan.root[v][0] == r for r, tree in scan.trees.items() for v in tree)
+    assert set(scan.root) == {v for _, t, h, _ in edges for v in (t, h)} | set(vertices)
+    tree_edges = [y for _, y, _, _ in scan.up.values()]
+    assert sorted(tree_edges + scan.extras) == sorted(by_id)
+    assert len(scan.images) == len(scan.extras)
+    for y, image in zip(scan.extras, scan.images):
+        t, h, (c1, c2) = by_id[y]
+        (rt, t1, t2), (rh, h1, h2) = scan.root[t], scan.root[h]
+        assert rt == rh and image == (c1 + t1 - h1, c2 + t2 - h2)
+
+
+def _partition(scan):
+    return sorted(sorted(tree) for tree in scan.trees.values())
+
+
+def test_gain_forest_built_and_grown_agree_on_random_multigraphs():
+    rng = random.Random(23)
+    seen = {"loops": 0, "parallel": 0, "zero loops": 0, "isolated": 0, "rank 2": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultiplicityWarning)
+        graphs = [random_graph(rng, nmax=6, mmax=14, color_range=t % 3) for t in range(400)]
+    for g in graphs:
+        edges = [(e.id, e.tail, e.head, e.color) for e in g.edges]
+        ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
+        isolated = set(range(g.n)) - {v for pair in ends for v in pair}
+        seen["loops"] += any(t == h for t, h in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero loops"] += any(e.tail == e.head and e.color == (0, 0) for e in g.edges)
+        seen["isolated"] += bool(isolated)
+
+        built = GainScan(edges, range(g.n))
+        _assert_gain_forest(built, edges, range(g.n))
+        grown = GainScan(())
+        for edge in rng.sample(edges, len(edges)):
+            grown.add(*edge)
+        _assert_gain_forest(grown, edges, ())
+        singletons = [[v] for v in sorted(isolated)]
+        assert sorted(_partition(grown) + singletons) == _partition(built)
+        k = image_rank(built.images)
+        seen["rank 2"] += k == 2
+        assert image_rank(grown.images) == k
+        assert lattice_index(grown.images) == lattice_index(built.images)
+
+        cycles = fundamental_cycles(EdgeSubset.full(g))
+        assert [y for y, _ in cycles] == GainScan(edges).extras
+        for y, walk in cycles:
+            assert walk.steps[0] == (y, True)
+            at = walk.start_vertex()
+            for eid, forward in walk.steps:
+                e = g.edge(eid)
+                assert at == (e.tail if forward else e.head)
+                at = e.head if forward else e.tail
+            assert at == walk.start_vertex()
+        rhos = [rho_of_walk(walk) for _, walk in cycles]
+        assert image_rank(rhos) == k
+        assert lattice_index(rhos) == lattice_index(built.images)
+    assert min(seen.values()) > 40, seen

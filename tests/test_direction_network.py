@@ -114,11 +114,9 @@ def test_collapsed_space_dimension():
     rng = random.Random(16)
     for _ in range(40):
         g = random_graph(rng, nmax=4)
-        scan = scan_subset(EdgeSubset.full(g))
-        for v in range(g.n):
-            scan.ensure_vertex(v)
+        scan = scan_subset(EdgeSubset.full(g), range(g.n))
         k = image_rank(scan.images)
-        c = scan.component_count()
+        c = len(scan.trees)
         basis = [b.to_flat() for b in collapsed_space_basis(g)]
         dim = np.linalg.matrix_rank(np.array(basis)) if basis else 0
         assert dim == 4 - 2 * k + 2 * c
@@ -140,7 +138,7 @@ def test_random_circuit_kernels_are_collapsed():
         g = random_circuit_graph(rng)
         scan = scan_subset(EdgeSubset.full(g))
         k = image_rank(scan.images)
-        c = scan.component_count()
+        c = len(scan.trees)
         d = DirectionAssignment.sample(g, rng)
         dim, basis = realization_kernel(g, d)
         assert dim == 4 - 2 * k + 2 * c

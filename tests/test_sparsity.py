@@ -200,13 +200,10 @@ def test_union_matches_exhaustive_partitions():
 
 
 def indep(state, ids):
-    """Is the set f-independent?  One gain scan of it: the probing reference."""
-    scan = GainScan()
-    m = 0
-    for eid in ids:
-        scan.add(eid, *state.edata[eid])
-        m += 1
-    return len(scan.parent) + image_rank(scan.images) - scan.component_count() == m
+    """Is the set f-independent?  One gain forest of it: the probing reference."""
+    ids = list(ids)
+    scan = GainScan((eid, *state.edata[eid]) for eid in ids)
+    return len(scan.root) + image_rank(scan.images) - len(scan.trees) == len(ids)
 
 
 class ProbingState(PartitionState):
@@ -249,6 +246,7 @@ def kept_state(g, part):
     """A state whose part 0 is `part`; its forest is built on first read."""
     state = PartitionState(g)
     state.parts = (set(part), set())
+    state.kept = [None, None]
     return state
 
 
@@ -328,11 +326,10 @@ def assert_forests_hold(state):
             assert (t, h, color) in ((u, v, (g1, g2)), (v, u, (-g1, -g2)))
         tree = [y for _, y, _, _ in forest.up.values()]
         assert sorted(tree + forest.extras) == sorted(part)
-        assert forest.extras == sorted(forest.extras)
         assert len(forest.images) == len(forest.extras)
         for y, image in zip(forest.extras, forest.images):
             t, h, (c1, c2) = edata[y]
-            (rt, t1, t2), (rh, h1, h2) = forest.root(t), forest.root(h)
+            (rt, t1, t2), (rh, h1, h2) = forest.root[t], forest.root[h]
             assert rt == rh and image == (c1 + t1 - h1, c2 + t2 - h2)
     for r in (0, 1):
         for x in edata:
@@ -563,6 +560,7 @@ def _greedy_by_clones(g):
         other = PartitionState(g)
         other.parts = (set(state.parts[0]), set(state.parts[1]))
         other.part_of = dict(state.part_of)
+        other.kept = [None, None]
         return other
 
     def doubled(state, x):

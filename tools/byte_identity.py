@@ -19,7 +19,10 @@ benchmark's numeric sizes) go through `rank` for all three matrices with
 `--dump`, and `oned`, `develop` and `cover`.  Triangle strips at n = 16, 32
 and 64, alone and with one random edge more, have path-like spanning forests
 about n / 2 deep; they go through `check`, `circuit`, `ross` and `sparsity`
-with all three families.  Each checkout runs the whole
+with all three families, and so do multigraphs on n = 2 and 3 vertices with
+m = 500 and 2,000 random edges (loops, parallel edges and (0, 0) loops among
+them), whose greedy basis rejects hundreds of edges, each with its own
+circuit.  Each checkout runs the whole
 list in its own subprocess, calling `perigid.cli.main` in-process on its own
 `src/`.  The tool prints the invocation count and the first differences in
 stdout, exit code or dump bytes, and exits 1 if there is any.
@@ -43,6 +46,7 @@ from pathlib import Path
 SIZES = range(3, 13)
 LARGE_SIZES = (64, 128, 256)
 DEEP_SIZES = (16, 32, 64)
+MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
 RANDOM_GRAPHS = 80
 
 
@@ -93,7 +97,24 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
         edges = strip_edges(rng, n)
         graphs.append((f"deep strip n={n}", inst.to_cg(n, edges)))
         graphs.append((f"deep strip+1 n={n}", inst.to_cg(n, edges + [inst.random_edge(rng, n)])))
+    for n, m in MULTI_SIZES:
+        graphs.append((f"multigraph n={n} m={m}", inst.to_cg(n, multigraph_edges(rng, n, m))))
     return graphs
+
+
+def multigraph_edges(rng: random.Random, n: int, m: int) -> list[tuple[int, int, tuple[int, int]]]:
+    """m random edges on n vertices: about a third loops, one in ten colored
+    (0, 0), and one in five a parallel copy of the edge before it."""
+    edges = []
+    while len(edges) < m:
+        if edges and rng.random() < 0.2:
+            edges.append(edges[-1])
+            continue
+        t = rng.randrange(n)
+        h = t if rng.random() < 0.3 else rng.randrange(n)
+        color = (0, 0) if rng.random() < 0.1 else (rng.randint(-2, 2), rng.randint(-2, 2))
+        edges.append((t, h, color))
+    return edges
 
 
 def strip_edges(rng: random.Random, n: int) -> list[tuple[int, int, tuple[int, int]]]:
@@ -135,12 +156,13 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     """Every subcommand on one graph file; the dump path is filled in per side.
 
     A large graph runs only the numeric commands: rank with every matrix and
-    a dump, oned, develop and cover.  A deep one runs only the sparsity
-    commands: check, circuit, ross and sparsity with every family.
+    a dump, oned, develop and cover.  A deep one and a multigraph run only
+    the sparsity commands: check, circuit, ross and sparsity with every
+    family.
     """
     both = (["--format", "text"], ["--format", "json"])
     out = []
-    if kind == "deep":
+    if kind in ("deep", "multigraph"):
         for fmt in both:
             for cmd in ("check", "circuit", "ross"):
                 out.append([cmd, path, *fmt])
