@@ -18,7 +18,7 @@ class BudgetError(PerigidError):
 
 
 class GenericitySamplingError(PerigidError):
-    """Random direction/realization sampling kept hitting non-generic data."""
+    """No direction sample gave a faithful realization; the message counts why each failed."""
 
     def __init__(self, message: str, seed: int, attempts: int):
         super().__init__(f"{message} (seed={seed}, attempts={attempts})")

@@ -20,9 +20,9 @@ only for numpy and for dumps (`NaturalMatrix.rows`).
 Generic rank is decided by sampling: entries are drawn uniformly from the
 prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, so a
 full-rank sample certifies the generic rank while a deficient one is wrong
-with probability at most m/p per trial.  Floating-point ranks (needed for
-actual realizations) threshold singular values relative to the largest one;
-the exact mode is the arbiter whenever the two disagree.
+with probability at most m/p per trial; back-substitution gives a kernel
+(`modp_kernel`).  Floating-point ranks threshold singular values relative
+to the largest one and decide nothing the exact mode can.
 """
 
 from __future__ import annotations
@@ -237,10 +237,10 @@ def _eliminate(rows, p: int, track: bool = False):
     A row ({column: value} entries or a dense sequence) is reduced by the
     pivot row stored at its lowest nonzero column until it vanishes or leads
     at a new column, where it is stored scaled to a leading 1.  Returns the
-    leading columns in insertion order, the product of the leading values
-    (the determinant up to the sign of that permutation: only earlier rows
-    are subtracted) and, with track, the input-row combination (as entries)
-    behind each row that vanished.
+    pivot rows by leading column, in insertion order, the product of the
+    leading values (the determinant up to the sign of that column order:
+    only earlier rows are subtracted) and, with track, the input-row
+    combination (as entries) behind each row that vanished.
     """
     pivots, combos, lead_prod, nulls = {}, {}, 1, []
     for i, row in enumerate(rows):
@@ -263,7 +263,7 @@ def _eliminate(rows, p: int, track: bool = False):
                 combos[col] = {j: x * inv % p for j, x in combo.items()}
         elif track:
             nulls.append(combo)
-    return list(pivots), lead_prod, nulls
+    return pivots, lead_prod, nulls
 
 
 def modp_rank(rows: Sequence, p: int = PRIME) -> int:
@@ -275,7 +275,8 @@ def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     """Determinant of a square matrix of dense rows over F_p."""
     if any(len(r) != len(rows) for r in rows):
         raise StructuralError("determinant needs a square matrix")
-    leads, det, _ = _eliminate(rows, p)
+    pivots, det, _ = _eliminate(rows, p)
+    leads = list(pivots)
     if len(leads) < len(rows):
         return 0
     if sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :]) % 2:
@@ -283,14 +284,31 @@ def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     return det
 
 
-def modp_null_vectors(rows: Sequence, p: int = PRIME) -> list[tuple[int, ...]]:
-    """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
-
-    One vector per row that the elimination reduces to zero: the
-    combination of input rows that produced it, with a 1 at that row.
+def modp_kernel(rows: Sequence, width: int, p: int = PRIME) -> list[list[int]]:
+    """A basis of the x of length width with row . x = 0 mod p for every row:
+    one per column no pivot row leads, by back-substitution from the last pivot.
     """
-    nulls = _eliminate(rows, p, track=True)[2]
-    return [tuple(y.get(i, 0) for i in range(len(rows))) for y in nulls]
+    pivots = _eliminate(rows, p)[0]
+    basis = []
+    for free in (j for j in range(width) if j not in pivots):
+        x = [0] * width
+        x[free] = 1
+        for col in sorted(pivots, reverse=True):  # x[col] is still 0: its leading 1 adds nothing
+            x[col] = -sum(v * x[j] for j, v in pivots[col].items()) % p
+        basis.append(x)
+    return basis
+
+
+def _modp_rigidity_rows(graph: ColoredGraph, xy: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
+    """Entry rows mod p at the integer points xy[:n], with lattice rows xy[n], xy[n + 1]."""
+    (a, b), (c, d) = xy[-2:]
+    rows = []
+    for e in graph.edges:
+        g1, g2 = e.color.g1, e.color.g2
+        ex = xy[e.head][0] + a * g1 + b * g2 - xy[e.tail][0]
+        ey = xy[e.head][1] + c * g1 + d * g2 - xy[e.tail][1]
+        rows.append(_m222_row(graph.n, e, ex, ey, "fp"))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,9 @@ from .linear_rep import (
     Realization,
     _eliminate,
     _m112_row,
-    _m222_row,
+    _modp_rigidity_rows,
     build_natural_matrix,
     kernel_float,
-    modp_null_vectors,
     modp_rank,
 )
 from .sparsity import CircuitReport, count_report, laman_sparse_subset
@@ -53,18 +52,6 @@ def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> NaturalMat
     this is the M222 filling pattern with eta substituted for (a, b).
     """
     return build_natural_matrix(graph, "M232", realization=realization)
-
-
-def _modp_rigidity_rows(graph: ColoredGraph, xy: list[tuple[int, int]]) -> list[dict[int, int]]:
-    """Entry rows mod p at the integer points xy[:n], with lattice rows xy[n], xy[n + 1]."""
-    (a, b), (c, d) = xy[-2:]
-    rows = []
-    for e in graph.edges:
-        g1, g2 = e.color.g1, e.color.g2
-        ex = xy[e.head][0] + a * g1 + b * g2 - xy[e.tail][0]
-        ey = xy[e.head][1] + c * g1 + d * g2 - xy[e.tail][1]
-        rows.append(_m222_row(graph.n, e, ex, ey, "fp"))
-    return rows
 
 
 def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[dict[int, int]]:
@@ -104,28 +91,6 @@ def generic_rigidity_rank(
         else:
             raise DomainError(f"unknown mode {mode!r}")
     return RankReport("M232", best, mode, trials, seed)
-
-
-def rationalized_rigidity_rank(graph: ColoredGraph, realization: Realization) -> int:
-    """Exact F_p rank at the nearest integer realization to a float one."""
-    factor = COORD_RANGE / max(realization.scale(), 1e-12)
-    points = list(realization.p) + list(realization.L)
-    xy = [(round(float(x) * factor), round(float(y) * factor)) for x, y in points]
-    return modp_rank(_modp_rigidity_rows(graph, xy))
-
-
-def _dependencies(graph: ColoredGraph, ids: list[int], seed: int):
-    """Support of the one F_p dependency among the rigidity rows of ids.
-
-    Yields one support per seeded integer point (three at most) at which the
-    rows have rank len(ids) - 1, so that their left null space is one vector.
-    """
-    rng = random.Random(seed)
-    for _ in range(3):
-        rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
-        nulls = modp_null_vectors([rows[x] for x in ids])
-        if len(nulls) == 1:
-            yield frozenset(x for x, c in zip(ids, nulls[0]) if c)
 
 
 @dataclass(frozen=True)
@@ -223,20 +188,6 @@ def decide_rigidity(
     return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, circuit)
 
 
-def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
-    """Certify over F_p that a sparsity circuit C is edge-minimal; return it.
-
-    At one of three seeded integer points the rows of C must have rank
-    |C| - 1 and a null vector supported on all of C.  Then every C - x is
-    independent there, so generically independent and, by the main theorem,
-    sparse: one elimination per point and no augmenting search.
-    """
-    circuit = report.circuit
-    if any(s == circuit.ids for s in _dependencies(circuit.graph, circuit.sorted_ids(), seed)):
-        return report
-    raise InternalConsistencyError("circuit is not edge-minimal")
-
-
 def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
     """The circuit LamanAnalysis.circuit reads off the graph's analysis."""
     return laman_analysis(graph).circuit()
@@ -247,25 +198,21 @@ def rigid_realization_certificate(
 ) -> tuple[FaithfulRealization, RankReport]:
     """Faithful realization whose rigidity matrix certifies minimal rigidity.
 
-    Verifies rank 2n + 1 in floating point and, after rationalizing the
-    realization, over F_p.  A faithful realization exists only for
-    colored-Laman graphs (anything else raises DomainError), so the matrix
-    has exactly 2n + 1 rows; full row rank then means that deleting any
-    single row drops the rank to 2n, which is what makes the rigidity minimal.
+    Verifies rank 2n + 1 over F_p at the exact point `faithful_realization`
+    decided, to which the rational faithful realization reduces.  A faithful
+    realization exists only for colored-Laman graphs (anything else raises
+    DomainError), so the matrix has exactly 2n + 1 rows; full row rank then
+    means that deleting any single row drops the rank to 2n, which is what
+    makes the rigidity minimal.
     """
     n = graph.n
     fr = faithful_realization(graph, seed=seed)
-    # unit rows: no edge collapses and no loop is (0,0), so the rank is unchanged
-    mat = rigidity_matrix(graph, fr.realization).to_numpy()
-    rank, _ = kernel_float(mat / np.linalg.norm(mat, axis=1, keepdims=True), FLOAT_TOL)
+    rank = modp_rank(_modp_rigidity_rows(graph, fr.exact))
     if rank != 2 * n + 1:
         raise InternalConsistencyError(
-            f"rigidity matrix rank {rank} at a faithful realization, expected {2 * n + 1}"
+            f"rigidity matrix rank {rank} mod p at a faithful realization, expected {2 * n + 1}"
         )
-    exact = rationalized_rigidity_rank(graph, fr.realization)
-    if exact != 2 * n + 1:
-        raise InternalConsistencyError("rationalized realization lost rank")
-    return fr, RankReport("M232", rank, "float", 1, seed)
+    return fr, RankReport("M232", rank, "fp", 1, seed)
 
 
 # ---------------------------------------------------------------------------

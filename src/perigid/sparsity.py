@@ -125,23 +125,23 @@ def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
         raise DomainError("classify_11k_shape needs a (1,1,2)-graph")
     graph = subset.graph
 
-    # iterated leaf removal down to the 2-core
+    # leaf removal down to the 2-core, from a worklist of degree-1 vertices
     ids = set(subset.ids)
-    deg: dict[int, int] = {}
+    incident: dict[int, list[int]] = {}
     for eid in ids:
         e = graph.edge(eid)
-        deg[e.tail] = deg.get(e.tail, 0) + 1
-        deg[e.head] = deg.get(e.head, 0) + 1
-    changed = True
-    while changed:
-        changed = False
-        for eid in sorted(ids):
-            e = graph.edge(eid)
-            if e.tail != e.head and (deg[e.tail] == 1 or deg[e.head] == 1):
-                ids.discard(eid)
-                deg[e.tail] -= 1
-                deg[e.head] -= 1
-                changed = True
+        incident.setdefault(e.tail, []).append(eid)
+        incident.setdefault(e.head, []).append(eid)
+    deg = {v: len(eids) for v, eids in incident.items()}  # a loop counts twice
+    leaves = [v for v, d in deg.items() if d == 1]
+    while leaves:
+        v = leaves.pop()
+        if deg[v] == 1:  # so v's one edge left is not a loop
+            e = graph.edge(next(eid for eid in incident[v] if eid in ids))
+            ids.discard(e.id)
+            deg[e.tail] -= 1
+            deg[e.head] -= 1
+            leaves += (e.tail, e.head)
 
     cdeg: dict[int, int] = {}
     adj: dict[int, list[tuple[int, int]]] = {}

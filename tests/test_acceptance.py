@@ -29,14 +29,20 @@ from perigid.direction_network import (
     faithful_realization,
     realization_kernel,
 )
-from perigid.linear_rep import kernel_float, rank_mod_p, sample_assignment, verify_determinant_formulas
+from perigid.linear_rep import (
+    _modp_rigidity_rows,
+    kernel_float,
+    modp_rank,
+    rank_mod_p,
+    sample_assignment,
+    verify_determinant_formulas,
+)
 from perigid.rigidity import (
     ROSS_LOOPS,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
-    rationalized_rigidity_rank,
     rigidity_matrix,
 )
 from perigid.sparsity import (
@@ -203,7 +209,7 @@ def test_criterion_06_main_theorem_transfer(laman_realizations):
         mat = rigidity_matrix(g, fr.realization)
         rank, _ = kernel_float(mat, 1e-9)
         assert rank == 2 * n + 1, (g, rank)
-        assert rationalized_rigidity_rank(g, fr.realization) == 2 * n + 1
+        assert modp_rank(_modp_rigidity_rows(g, fr.exact)) == 2 * n + 1  # at the exact F_p point
         dense = mat.to_numpy()
         for i in range(dense.shape[0]):
             r, _ = kernel_float(np.delete(dense, i, axis=0), 1e-9)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +23,15 @@ from perigid.direction_network import (
     faithful_realization,
     realization_kernel,
 )
-from perigid.errors import DomainError
-from perigid.linear_rep import Realization, build_natural_matrix, GenericAssignment, kernel_float
+from perigid.errors import DomainError, GenericitySamplingError
+from perigid.linear_rep import (
+    PRIME,
+    GenericAssignment,
+    Realization,
+    build_natural_matrix,
+    kernel_float,
+    modp_rank,
+)
 from randgen import random_circuit_graph, random_graph, random_laman_graph
 
 G = ColoredGraph.build
@@ -158,47 +169,104 @@ def test_doubling_a_collapsed_edge_keeps_the_kernel():
     assert dim2 == dim
 
 
-def _rebuilt_doubled_system(graph, directions, eid, extra):
+def _modp_p_system(graph, directions):
+    """P-system rows mod p, each float perpendicular read as the exact rational it is."""
+
+    def modp(x):
+        q = Fraction(x)
+        return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+    a = {e.id: modp(directions.perp(e.id)[0]) for e in graph.edges}
+    b = {e.id: modp(directions.perp(e.id)[1]) for e in graph.edges}
+    return build_natural_matrix(graph, "M222", GenericAssignment(a, b, "fp")).entries
+
+
+def _rebuilt_doubled_rows(graph, directions, eid, extra):
     """The doubled system built the long way: a new graph, directions and P-system."""
     doubled = graph.with_doubled(eid)
     copy_id = max(e.id for e in doubled.edges)
     dmap = dict(directions.d)
     dmap[copy_id] = extra
-    return build_P_system(doubled, DirectionAssignment(dmap)).to_numpy()
+    return _modp_p_system(doubled, DirectionAssignment(dmap))
 
 
 def test_doubled_systems_match_the_rebuilt_doubled_graphs(monkeypatch):
+    exact_point = direction_network._exact_point
     rng = random.Random(29)
     for _ in range(40):
         g = random_laman_graph(rng, rng.randint(1, 6))
         n, seed = g.n, rng.randrange(1 << 20)
-        seen = []
+        verdicts = []
 
-        def spy(a, tolerance):
-            if a.shape[0] == g.m + 1:
-                seen.append(a)
-            return kernel_float(a, tolerance)
+        def spy(graph, directions, draws):
+            verdicts.append(exact_point(graph, directions, draws))
+            return verdicts[-1]
 
-        monkeypatch.setattr(direction_network, "kernel_float", spy)
+        monkeypatch.setattr(direction_network, "_exact_point", spy)
         fr = faithful_realization(g, seed=seed)
         monkeypatch.undo()
-        # replay the seeded draws: the doubled systems faithful_realization ranks
-        replay, expected = random.Random(seed), []
-        for _ in range(fr.attempts):
+        assert len(verdicts) == fr.attempts
+        assert fr.exact == tuple(verdicts[-1])
+        # replay the seeded draws: the F_p verdict on each doubled row is the
+        # F_p rank of the rebuilt doubled graph's P-system
+        replay, doubled = random.Random(seed), 0
+        for verdict in verdicts:
             d = DirectionAssignment.sample(g, replay)
-            system = build_P_system(g, d).to_numpy()
-            if kernel_float(system, 1e-9)[0] != 2 * n + 1:
+            if modp_rank(_modp_p_system(g, d)) != 2 * n + 1:
+                assert verdict == "rank"
                 continue
+            full = True
             for e in g.edges:
                 t = replay.uniform(0.0, 2.0 * math.pi)
-                ext = _rebuilt_doubled_system(g, d, e.id, (math.cos(t), math.sin(t)))
-                expected.append(ext)
-                if kernel_float(ext, 1e-9)[0] != 2 * n + 2:
+                doubled += 1
+                rows = _rebuilt_doubled_rows(g, d, e.id, (math.cos(t), math.sin(t)))
+                full = modp_rank(rows) == 2 * n + 2
+                if not full:
                     break
-        assert len(seen) == len(expected) >= g.m
-        for got, want in zip(seen, expected):
-            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-            assert kernel_float(got, 1e-9)[0] == kernel_float(want, 1e-9)[0]
+            assert (verdict == "doubled row") == (not full)
+        assert doubled >= g.m
+
+
+def test_a_non_generic_sample_is_rejected_mod_p_before_any_svd(monkeypatch):
+    # the three loops share one direction: row (1,0) + row (0,1) = row (1,1), rank 2
+    same = DirectionAssignment({e.id: (0.6, 0.8) for e in LAMAN1.edges})
+    monkeypatch.setattr(DirectionAssignment, "sample", classmethod(lambda cls, graph, rng: same))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(GenericitySamplingError, match="rejections: rank 16, doubled row 0,"):
+        faithful_realization(LAMAN1)
+    monkeypatch.undo()
+
+    # distinct directions, but the copy of edge 0 drawn with edge 0's own angle
+    class Repeating:
+        def __init__(self, seed):
+            self.angles = itertools.cycle((0.3, 1.4, 2.9, 0.3))
+
+        def uniform(self, low, high):
+            return next(self.angles)
+
+    monkeypatch.setattr(direction_network, "random", SimpleNamespace(Random=Repeating))
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(GenericitySamplingError, match="rejections: rank 0, doubled row 16,"):
+        faithful_realization(LAMAN1)
+
+
+def test_sampling_error_counts_the_rejections_by_reason(monkeypatch):
+    statuses = direction_network.edge_status
+
+    def one_collapsed(graph, directions, realization):
+        first, *rest = statuses(graph, directions, realization)
+        return [dataclasses.replace(first, collapsed=True), *rest]
+
+    monkeypatch.setattr(direction_network, "edge_status", one_collapsed)
+    with pytest.raises(GenericitySamplingError) as err:
+        faithful_realization(LAMAN1, seed=5)
+    assert err.value.attempts == 16
+    reasons = "rank 0, doubled row 0, collapsed mod p 0, drawing residual 0, drawing edge below COLLAPSE_TOL 16"
+    assert f"rejections: {reasons} (smallest |eta|/scale " in str(err.value)
 
 
 def test_translation_and_scaling_invariance():

@@ -140,15 +140,15 @@ def test_cli_over_the_color_budget(capsys, tmp_path):
     assert code == 0 and "generically minimally rigid" in out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="float genericity test: the doubled systems' smallest singular value "
-    "(~1.4e-5) falls below SOLVE_TOL * sigma_max (~3.3e4), so every direction "
-    "sample is rejected; deciding genericity over F_p would not be",
-)
 def test_cli_check_with_a_color_of_2_to_the_15(capsys, tmp_path):
     out, code = run_cli(capsys, "check", _laman1_with_third_color(tmp_path, 2**15))
     assert code == 0 and "generically minimally rigid" in out
+
+
+def test_cli_realize_with_a_color_of_2_to_the_15(capsys, tmp_path):
+    out, code = run_cli(capsys, "realize", _laman1_with_third_color(tmp_path, 2**15), "--format", "json")
+    edges = json.loads(out)["edges"]
+    assert code == 0 and len(edges) == 3 and not any(e["collapsed"] for e in edges)
 
 
 def test_cli_rank_on_the_vertex_budget_with_few_edges(capsys, tmp_path):

@@ -17,9 +17,10 @@ from perigid.linear_rep import (
     Realization,
     build_natural_matrix,
     dump_matrix,
+    _eliminate,
     kernel_float,
     modp_det,
-    modp_null_vectors,
+    modp_kernel,
     modp_rank,
     rank_mod_p,
     sample_assignment,
@@ -91,6 +92,45 @@ def test_row_dependency_beyond_f_bound():
         sub = EdgeSubset.full(g)
         if g.m > f_value(sub):
             assert rank_mod_p(g, "M112", trials=2, seed=7).rank < g.m
+
+
+def modp_null_vectors(rows):
+    """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
+
+    One vector per row that the elimination reduces to zero: the
+    combination of input rows that produced it, with a 1 at that row.
+    """
+    nulls = _eliminate(rows, PRIME, track=True)[2]
+    return [tuple(y.get(i, 0) for i in range(len(rows))) for y in nulls]
+
+
+def test_modp_kernel_annihilates_every_row():
+    rng = random.Random(17)
+    kinds = set()
+    for trial in range(240):
+        width = rng.randint(0, 9)
+        rows = []
+        for _ in range(0 if trial % 40 == 0 else rng.randint(1, 8)):
+            pick = rng.random()
+            if rows and pick < 0.15:
+                rows.append(dict(rng.choice(rows)))  # a repeated row
+                kinds.add("repeated")
+            elif pick < 0.25:
+                rows.append({})  # a zero row, or one naming zeros only
+                if width and rng.random() < 0.5:
+                    rows[-1] = {rng.randrange(width): rng.choice((0, PRIME))}
+                kinds.add("zero")
+            elif width:
+                cols = rng.sample(range(width), rng.randint(1, min(width, 4)))
+                rows.append({j: rng.choice((rng.randint(-3, 3), rng.randrange(PRIME))) for j in cols})
+        kinds.add("empty" if not rows else "rows")
+        basis = modp_kernel(rows, width)
+        assert len(basis) == width - modp_rank(rows)
+        for x in basis:
+            assert len(x) == width and all(0 <= v < PRIME for v in x)
+            assert all(sum(v * x[j] for j, v in row.items()) % PRIME == 0 for row in rows)
+        assert modp_rank(basis) == len(basis)
+    assert kinds == {"repeated", "zero", "empty", "rows"}
 
 
 def test_modp_elimination_null_vectors_and_det():

@@ -11,12 +11,11 @@ from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.direction_network import build_P_system
 from perigid import rigidity
 from perigid.errors import DomainError, InternalConsistencyError
-from perigid.linear_rep import Realization, kernel_float
+from perigid.linear_rep import PRIME, Realization, _eliminate, kernel_float
 from perigid.rigidity import (
     STATUS_FLEXIBLE,
     STATUS_MINIMAL,
     STATUS_OVER,
-    certify_circuit,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
@@ -243,6 +242,25 @@ def test_circuit_rows_are_dependent():
     for _ in range(10):
         g = random_circuit_graph(rng)
         assert generic_rigidity_rank(g, seed=rng.randrange(1 << 30)).rank <= g.m - 1
+
+
+def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
+    """Certify over F_p that a sparsity circuit C is edge-minimal; return it.
+
+    At one of three seeded integer points the rows of C must have rank
+    |C| - 1 and a null vector supported on all of C.  Then every C - x is
+    independent there, so generically independent and, by the main theorem,
+    sparse: one elimination per point and no augmenting search.
+    """
+    circuit = report.circuit
+    graph, ids = circuit.graph, circuit.sorted_ids()
+    draws = random.Random(seed)
+    for _ in range(3):
+        rows = dict(zip(graph.edge_ids(), rigidity._sampled_modp_rows(graph, draws)))
+        nulls = _eliminate([rows[x] for x in ids], PRIME, track=True)[2]
+        if len(nulls) == 1 and {ids[i] for i in nulls[0]} == circuit.ids:
+            return report
+    raise InternalConsistencyError("circuit is not edge-minimal")
 
 
 def test_certificate_refuses_a_padded_circuit():

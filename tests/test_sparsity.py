@@ -33,7 +33,7 @@ from perigid.sparsity import (
     union_independent,
 )
 
-from randgen import random_graph
+from randgen import random_11k, random_graph
 
 G = ColoredGraph.build
 
@@ -110,6 +110,45 @@ def test_shape_classification():
     assert classify_11k_shape(full(barbell)).shape == 2
     theta = G(2, [(0, 1, (0, 0)), (0, 1, (1, 0)), (0, 1, (0, 1))])
     assert classify_11k_shape(full(theta)).shape == 3
+
+
+def _passes_core(subset):
+    """The 2-core by repeated passes over every remaining edge in id order."""
+    graph, ids, deg = subset.graph, set(subset.ids), {}
+    for eid in ids:
+        e = graph.edge(eid)
+        deg[e.tail] = deg.get(e.tail, 0) + 1
+        deg[e.head] = deg.get(e.head, 0) + 1
+    changed = True
+    while changed:
+        changed = False
+        for eid in sorted(ids):
+            e = graph.edge(eid)
+            if e.tail != e.head and (deg[e.tail] == 1 or deg[e.head] == 1):
+                ids.discard(eid)
+                deg[e.tail] -= 1
+                deg[e.head] -= 1
+                changed = True
+    return frozenset(ids)
+
+
+def test_shape_leaf_stripping_matches_repeated_passes():
+    rng = random.Random(113)
+    shapes = set()
+    for _ in range(120):
+        g = random_11k(rng, rng.randint(1, 12), 2)
+        rep = classify_11k_shape(full(g))
+        assert rep.core_edges == _passes_core(full(g))
+        shapes.add(rep.shape)
+    assert shapes == {1, 2, 3}
+
+
+def test_shape_of_a_long_pendant_path():
+    # the path's ids rise away from the core, one edge per pass for the passes
+    n = 2000
+    g = G(n, [(0, 0, (1, 0)), (0, 0, (0, 1))] + [(v, v + 1, (0, 0)) for v in range(n - 1)])
+    rep = classify_11k_shape(full(g))
+    assert rep.shape == 1 and rep.core_edges == {0, 1}
 
 
 def test_shape_classification_subdivided():

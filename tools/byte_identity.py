@@ -14,7 +14,9 @@ come from many rejected edges.  Every graph goes through all ten
 subcommands, in text and in JSON where a command has both (and SVG for
 `realize` and `develop`), with the `rank --dump` file read back, and
 `check`, `circuit`, `sparsity --family laman` and `realize` again at
-`--seed 3`.  The numeric and Z-colored families at n = 64, 128 and 256 (the
+`--seed 3`.  Tight graphs at n = 32 and 64 (two each) go through `check`
+and `realize` in JSON, so that faithful realizations are compared beyond
+n = 12.  The numeric and Z-colored families at n = 64, 128 and 256 (the
 benchmark's numeric sizes) go through `rank` for all three matrices with
 `--dump`, and `oned`, `develop` and `cover`.  Triangle strips at n = 16, 32
 and 64, alone and with one random edge more, have path-like spanning forests
@@ -45,6 +47,7 @@ from pathlib import Path
 
 SIZES = range(3, 13)
 LARGE_SIZES = (64, 128, 256)
+TIGHT_SIZES = (32, 64)
 DEEP_SIZES = (16, 32, 64)
 MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
 RANDOM_GRAPHS = 80
@@ -80,6 +83,9 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
             if rng.random() < 0.15:
                 edges.append((t, h, color))  # parallel copy
         graphs.append((f"random #{i}", inst.to_cg(n, edges)))
+    for n in TIGHT_SIZES:
+        for i in range(2):
+            add(f"tight n={n} #{i}", inst.minimal, n)
     for n in LARGE_SIZES:
         add(f"large numeric n={n}", inst.numeric, n)
         add(f"large z-colored n={n}", inst.z_colored, n)
@@ -158,10 +164,12 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     A large graph runs only the numeric commands: rank with every matrix and
     a dump, oned, develop and cover.  A deep one and a multigraph run only
     the sparsity commands: check, circuit, ross and sparsity with every
-    family.
+    family.  A tight one runs check and realize in JSON.
     """
     both = (["--format", "text"], ["--format", "json"])
     out = []
+    if kind == "tight":
+        return [["check", path, "--format", "json"], ["realize", path, "--format", "json"]]
     if kind in ("deep", "multigraph"):
         for fmt in both:
             for cmd in ("check", "circuit", "ross"):
