@@ -21,8 +21,8 @@ Generic rank is decided by sampling: entries are drawn uniformly from the
 prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, so a
 full-rank sample certifies the generic rank while a deficient one is wrong
 with probability at most m/p per trial; back-substitution gives a kernel
-(`modp_kernel`).  Floating-point ranks threshold singular values relative
-to the largest one and decide nothing the exact mode can.
+(`modp_kernel`).  Floating-point ranks, for float matrices, threshold
+singular values relative to the largest one.
 """
 
 from __future__ import annotations
