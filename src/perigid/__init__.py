@@ -51,7 +51,6 @@ from .rigidity import (
     OneDVerdict,
     RigidityVerdict,
     decide_rigidity,
-    find_laman_circuit,
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,

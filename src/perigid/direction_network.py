@@ -266,8 +266,11 @@ def _exact_point(
 
     The kernel of the P-system rows mod p must be 3-dimensional, no doubled
     row (a fresh direction on a copy of e, drawn in edge order) may vanish
-    on it, and its point on p_1 = 0 must collapse no edge.  Nonzero mod p is
-    nonzero over Q, so the rational system meets each condition too.
+    on it, and its point on p_1 = 0 must collapse no edge.  The rows are
+    dyadic, so nonzero mod p is nonzero over Q.  With m = 2n + 1 the first
+    two tests certify a colored-Laman graph: T's rows u_e (x) (a_e, b_e),
+    u_e the M112 row at a = 1, span at most 2f(T) dimensions, so G + e' with
+    independent rows is 2f-sparse, which for all e is colored-Laman sparsity.
     """
     n = graph.n
     kernel = modp_kernel([_modp_row(n, e, directions) for e in graph.edges], 2 * n + 4)
@@ -296,16 +299,19 @@ def faithful_realization(
     """Unique-up-to-normalization faithful realization of a colored-Laman graph.
 
     Seeded uniform angles are decided, and the realization found, over F_p
-    by `_exact_point`.  One SVD draws it: the right singular vectors of the
-    three smallest singular values, the element with p_1 = 0, unit norm and
-    a positive leading coordinate.  A drawing with a residual above
-    tolerance or an edge below COLLAPSE_TOL is resampled.
+    by `_exact_point`, whose acceptance certifies the graph: m != 2n + 1 is
+    refused before any draw, and the counts run only after a rejected first
+    sample, to tell a DomainError from bad luck.  One SVD draws it: the
+    right singular vectors of the three smallest singular values, the
+    element with p_1 = 0, unit norm and a positive leading coordinate.  A
+    drawing with a residual above tolerance or an edge below COLLAPSE_TOL
+    is resampled.
     """
-    if not is_colored_laman(graph):
+    n = graph.n
+    if graph.m != 2 * n + 1:
         raise DomainError("faithful_realization needs a colored-Laman graph")
     if not 0 < tolerance < 1:  # also refuses NaN
         raise DomainError(f"tolerance must lie in (0, 1), got {tolerance}")
-    n = graph.n
     rng = random.Random(seed)
     short = "drawing edge below COLLAPSE_TOL"
     rejected = dict.fromkeys(("rank", "doubled row", "collapsed mod p", "drawing residual", short), 0)
@@ -314,6 +320,8 @@ def faithful_realization(
         directions = DirectionAssignment.sample(graph, rng)
         exact = _exact_point(graph, directions, rng)
         if isinstance(exact, str):
+            if attempt == 1 and not is_colored_laman(graph):
+                raise DomainError("faithful_realization needs a colored-Laman graph")
             rejected[exact] += 1
             continue
         system = build_P_system(graph, directions).to_numpy()

@@ -188,11 +188,6 @@ def decide_rigidity(
     return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, circuit)
 
 
-def find_laman_circuit(graph: ColoredGraph) -> CircuitReport:
-    """The circuit LamanAnalysis.circuit reads off the graph's analysis."""
-    return laman_analysis(graph).circuit()
-
-
 def rigid_realization_certificate(
     graph: ColoredGraph, seed: int = 0
 ) -> tuple[FaithfulRealization, RankReport]:

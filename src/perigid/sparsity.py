@@ -443,9 +443,7 @@ def is_colored_laman_sparse(graph: ColoredGraph) -> bool:
 
 def is_colored_laman(graph: ColoredGraph) -> bool:
     """Colored-Laman graph: m = 2n + 1 and colored-Laman-sparse."""
-    if graph.m != 2 * graph.n + 1:
-        return False
-    return is_colored_laman_sparse(graph)
+    return graph.m == 2 * graph.n + 1 and is_colored_laman_sparse(graph)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
-from perigid.rigidity import find_laman_circuit
+from perigid.rigidity import laman_analysis
 from perigid.sparsity import (
     is_11k,
     is_colored_laman,
@@ -58,7 +58,7 @@ def random_circuit_graph(rng: random.Random, nmax: int = 4) -> ColoredGraph:
     while True:
         g = random_graph(rng, nmax=nmax)
         if g.m and not is_colored_laman_sparse(g):
-            report = find_laman_circuit(g)
+            report = laman_analysis(g).circuit()
             sub, _ = g.induced(report.circuit.ids)
             return ColoredGraph.build(
                 sub.n, [(e.tail, e.head, tuple(e.color)) for e in sub.edges]

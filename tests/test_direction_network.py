@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,6 +33,8 @@ from perigid.linear_rep import (
     kernel_float,
     modp_rank,
 )
+from perigid.rigidity import decide_rigidity
+from perigid.sparsity import is_colored_laman
 from randgen import random_circuit_graph, random_graph, random_laman_graph
 
 G = ColoredGraph.build
@@ -301,6 +304,70 @@ def test_faithful_realization_rejects_non_laman():
     circuit = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0))])
     with pytest.raises(DomainError):
         faithful_realization(circuit)
+
+
+NOT_SPARSE = G(1, [(0, 0, (1, 0)), (0, 0, (1, 0)), (0, 0, (0, 1))])  # m = 2n + 1, parallel loops
+
+
+def test_an_accepted_sample_certifies_the_graph():
+    # m = 2n + 1: _exact_point accepts a sample exactly when the graph is colored-Laman
+    rng = random.Random(18)
+    reasons, graphs = Counter(), 0
+    for n in range(1, 8):
+        for color_range in range(3):
+            for _ in range(100):
+                g = random_graph(rng, n=n, m=2 * n + 1, color_range=color_range)
+                laman, graphs = is_colored_laman(g), graphs + 1
+                draws = random.Random(rng.randrange(1 << 30))
+                for _ in range(2):
+                    verdict = direction_network._exact_point(g, DirectionAssignment.sample(g, draws), draws)
+                    assert isinstance(verdict, list) == laman, (g, verdict)
+                    reasons[verdict if isinstance(verdict, str) else "accepted"] += 1
+    assert graphs >= 2000
+    # both halves of the argument do work: rank alone does not refuse every graph
+    assert reasons["accepted"] and reasons["rank"] and reasons["doubled row"]
+    assert set(reasons) == {"accepted", "rank", "doubled row"}
+
+
+@pytest.fixture()
+def spied(monkeypatch):
+    """Calls of the counts and of the exact test inside direction_network, in order."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(direction_network, name, wrapper)
+
+    spy("is_colored_laman", direction_network.is_colored_laman)
+    spy("_exact_point", direction_network._exact_point)
+    return calls
+
+
+def test_the_counts_run_only_after_a_rejected_first_sample(spied):
+    for g in (LAMAN1, random_laman_graph(random.Random(18), 10)):
+        fr = faithful_realization(g)
+        assert spied.count("_exact_point") == fr.attempts and "is_colored_laman" not in spied
+        spied.clear()
+        assert decide_rigidity(g).witness.exact == fr.exact
+        assert spied.count("_exact_point") == fr.attempts and "is_colored_laman" not in spied
+        spied.clear()
+
+    with pytest.raises(DomainError, match="^faithful_realization needs a colored-Laman graph$"):
+        faithful_realization(NOT_SPARSE)
+    assert spied == ["_exact_point", "is_colored_laman"]
+    spied.clear()
+
+    # the tolerance is checked before any draw, so before the counts too
+    with pytest.raises(DomainError, match="^tolerance must lie in"):
+        faithful_realization(NOT_SPARSE, tolerance=float("nan"))
+    # m != 2n + 1 is refused before any draw, and before the tolerance
+    for g in (G(1, [(0, 0, (1, 0))]), G(2, [(0, 0, (1, 0)), (1, 1, (1, 0))])):
+        with pytest.raises(DomainError, match="^faithful_realization needs a colored-Laman graph$"):
+            faithful_realization(g, tolerance=float("nan"))
+    assert spied == []
 
 
 def test_faithful_uniqueness_up_to_normalization():

@@ -386,6 +386,21 @@ def test_cli_develop_svg_empty_graph(capsys, tmp_path):
     assert code == 0 and "<line" in out and "<circle" not in out
 
 
+def test_cli_realize_checks_the_tolerance_before_the_counts(capsys, tmp_path):
+    # m = 2n + 1 but not sparse: the tolerance is refused before any sample, so before
+    # the counts that only a rejected first sample runs; m != 2n + 1 is refused first
+    not_sparse = tmp_path / "not_sparse.cg"
+    not_sparse.write_text("cg 2 1 3\n0 0 1 0\n0 0 1 0\n0 0 0 1\n")
+    out, code = run_cli(capsys, "realize", str(not_sparse), "--tol", "nan")
+    assert code == 2 and out == "error: tolerance must lie in (0, 1), got nan\n"
+    out, code = run_cli(capsys, "realize", str(not_sparse))
+    assert code == 2 and out == "error: faithful_realization needs a colored-Laman graph\n"
+    one_loop = tmp_path / "one_loop.cg"
+    one_loop.write_text("cg 2 1 1\n0 0 1 0\n")
+    out, code = run_cli(capsys, "realize", str(one_loop), "--tol", "nan")
+    assert code == 2 and out == "error: faithful_realization needs a colored-Laman graph\n"
+
+
 def test_cli_realize_svg(capsys, laman1):
     out, code = run_cli(capsys, "realize", laman1, "--format", "svg")
     assert code == 0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from perigid.colored_graph import ColoredGraph, EdgeSubset, GainScan, image_rank
 from perigid import sparsity
 from perigid.errors import BudgetError, DomainError, InternalConsistencyError
-from perigid.rigidity import decide_rigidity, find_laman_circuit, is_ross, laman_analysis
+from perigid.rigidity import decide_rigidity, is_ross, laman_analysis
 from perigid.sparsity import (
     _VIRTUAL,
     PartitionState,
@@ -695,15 +695,15 @@ def test_basis_exchange_on_small_ground_set():
 
 def test_circuit_examples():
     two = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0))])
-    rep = find_laman_circuit(two)
+    rep = laman_analysis(two).circuit()
     assert sorted(rep.circuit.ids) == [0, 1]
     assert rep.counts.m == rep.counts.bound222 == 2
 
     coll = G(1, [(0, 0, (1, 0)), (0, 0, (2, 0))])
-    assert sorted(find_laman_circuit(coll).circuit.ids) == [0, 1]
+    assert sorted(laman_analysis(coll).circuit().circuit.ids) == [0, 1]
 
     four = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1)), (0, 0, (1, 2))])
-    rep4 = find_laman_circuit(four)
+    rep4 = laman_analysis(four).circuit()
     assert sorted(rep4.circuit.ids) == [0, 1, 2, 3]
     assert rep4.counts.m == 2 * rep4.counts.f
 
@@ -716,11 +716,11 @@ def test_circuit_minimality_random():
         if not g.m or is_colored_laman_sparse(g):
             continue
         found += 1
-        rep = find_laman_circuit(g)
+        analysis = laman_analysis(g)
+        rep = analysis.circuit()
         assert decide_rigidity(g).circuit.circuit == rep.circuit
 
         # oracle: the edges of basis + rejected whose removal restores sparsity
-        analysis = laman_analysis(g)
         pool = analysis.basis | {analysis.rejected}
         assert rep.circuit.ids == {x for x in pool if laman_sparse_subset(g, pool - {x})}
 
@@ -737,13 +737,13 @@ def test_circuit_minimality_random():
 
 def test_zero_loop_is_a_singleton_circuit():
     g = G(2, [(0, 1, (1, 0)), (1, 1, (0, 0))])
-    rep = find_laman_circuit(g)
+    rep = laman_analysis(g).circuit()
     assert sorted(rep.circuit.ids) == [1]
 
 
 def test_circuit_on_sparse_input_rejected():
     with pytest.raises(DomainError):
-        find_laman_circuit(LAMAN1)
+        laman_analysis(LAMAN1).circuit()
 
 
 # -- Ross --------------------------------------------------------------------

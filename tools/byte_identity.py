@@ -16,7 +16,11 @@ subcommands, in text and in JSON where a command has both (and SVG for
 `check`, `circuit`, `sparsity --family laman` and `realize` again at
 `--seed 3`.  Tight graphs at n = 32 and 64 (two each) go through `check`
 and `realize` in JSON, so that faithful realizations are compared beyond
-n = 12.  The numeric and Z-colored families at n = 64, 128 and 256 (the
+n = 12.  Graphs with m = 2n + 1 that are not sparse (a colored-Laman graph
+whose last edge is replaced by a parallel copy of an earlier one) at
+n = 3..12 and 32 go through `realize` in text, JSON and SVG and `check` in
+text and JSON, so that the refusal of a graph that is not colored-Laman is
+compared too.  The numeric and Z-colored families at n = 64, 128 and 256 (the
 benchmark's numeric sizes) go through `rank` for all three matrices with
 `--dump`, and `oned`, `develop` and `cover`.  Triangle strips at n = 16, 32
 and 64, alone and with one random edge more, have path-like spanning forests
@@ -48,6 +52,7 @@ from pathlib import Path
 SIZES = range(3, 13)
 LARGE_SIZES = (64, 128, 256)
 TIGHT_SIZES = (32, 64)
+REFUSED_SIZES = (*range(3, 13), 32)
 DEEP_SIZES = (16, 32, 64)
 MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
 RANDOM_GRAPHS = 80
@@ -105,6 +110,10 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
         graphs.append((f"deep strip+1 n={n}", inst.to_cg(n, edges + [inst.random_edge(rng, n)])))
     for n, m in MULTI_SIZES:
         graphs.append((f"multigraph n={n} m={m}", inst.to_cg(n, multigraph_edges(rng, n, m))))
+    for n in REFUSED_SIZES:
+        edges = inst.minimal(rng, n)[1]
+        edges[-1] = edges[rng.randrange(len(edges) - 1)]
+        graphs.append((f"refused n={n}", inst.to_cg(n, edges)))
     return graphs
 
 
@@ -164,12 +173,16 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     A large graph runs only the numeric commands: rank with every matrix and
     a dump, oned, develop and cover.  A deep one and a multigraph run only
     the sparsity commands: check, circuit, ross and sparsity with every
-    family.  A tight one runs check and realize in JSON.
+    family.  A tight one runs check and realize in JSON, and a refused one
+    (m = 2n + 1, not sparse) realize in every format and check in two.
     """
     both = (["--format", "text"], ["--format", "json"])
     out = []
     if kind == "tight":
         return [["check", path, "--format", "json"], ["realize", path, "--format", "json"]]
+    if kind == "refused":
+        out = [["realize", path, *fmt] for fmt in (*both, ["--format", "svg"])]
+        return out + [["check", path, *fmt] for fmt in both]
     if kind in ("deep", "multigraph"):
         for fmt in both:
             for cmd in ("check", "circuit", "ross"):
