@@ -35,7 +35,7 @@ from .fileio import (
     to_json_bytes,
     verdict_json,
 )
-from .linear_rep import build_natural_matrix, dump_matrix, rank_mod_p, sample_assignment
+from .linear_rep import MAX_TRIALS, build_natural_matrix, dump_matrix, rank_mod_p, sample_assignment
 from .rigidity import (
     STATUS_FLEXIBLE,
     _float_realization,
@@ -250,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("inputs", nargs="+", help="colored-graph (.cg) files")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--tol", type=float, default=1e-9, help="floating solve tolerance")
-        p.add_argument("--trials", type=int, default=3, help="randomized rank trials")
+        p.add_argument("--trials", type=int, default=3,
+                       help=f"most F_p samples per rank (1..{MAX_TRIALS}); a rank stops at the first sample "
+                            "that reaches its ceiling")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--jobs", type=int, default=1, help="accepted for old invocations; inputs run one after another")
 

@@ -408,17 +408,20 @@ def image_rank(images: Iterable[Sequence[int]]) -> int:
 def lattice_index(images: Iterable[Sequence[int]]) -> int | None:
     """Index in Z^2 of the subgroup generated by the images; None if infinite.
 
-    Equals the gcd of all 2x2 minors of the matrix with the images as
-    columns (the product of the Smith normal form diagonal).
+    Keeps a triangular basis (a, b), (0, d) of the subgroup: Euclid's
+    unimodular row steps reduce each image (x, y) against (a, b) to (0, y'),
+    which joins d.  The index |a|*d is the gcd of all 2x2 minors of the
+    images (the product of the Smith normal form diagonal).
     """
-    vecs = [(x, y) for x, y in images if x or y]
-    g = 0
-    for i in range(len(vecs)):
-        xi, yi = vecs[i]
-        for j in range(i + 1, len(vecs)):
-            xj, yj = vecs[j]
-            g = gcd(g, abs(xi * yj - yi * xj))
-    return g if g else None
+    a = b = d = 0
+    for x, y in images:
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        d = gcd(d, y)
+        if d:
+            b %= d
+    return abs(a) * d or None
 
 
 def scan_subset(subset: EdgeSubset, vertices: Iterable[int] = ()) -> GainScan:

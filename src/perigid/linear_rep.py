@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .sparsity import is_11k
 
 PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 3
+MAX_TRIALS = 64  # most samples one rank may draw
 FLOAT_TOL = 1e-9
 
 KINDS = ("M112", "M222", "M232")
@@ -313,11 +314,41 @@ def _modp_rigidity_rows(graph: ColoredGraph, xy: Sequence[tuple[int, int]]) -> l
 
 @dataclass(frozen=True)
 class RankReport:
+    """A sampled generic rank; trials is the most samples drawn, as requested."""
+
     kind: str
     rank: int
     mode: str
     trials: int
     seed: int
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError("trials must be >= 1" if trials < 1 else f"trials must be <= {MAX_TRIALS}, got {trials}")
+
+
+def _best_sampled_rank(draw_rows: Callable[[], Sequence], trials: int, ceiling: int) -> int:
+    """Max F_p rank over at most trials samples, stopping at one that reaches ceiling.
+
+    ceiling is min(m, columns - exact trivial kernel), a rank no sample can
+    exceed, so later samples (whose draws nobody reads) could change nothing:
+    * M112: min(m, n + 1); the all-ones vertex vector is in the kernel of
+      every row, loops included.
+    * M222: min(m, 2n + 2); both translations are in the kernel.
+    * M232, F_p rows at integer points: min(m, 2n + 1); the kernel holds both
+      translations and the rotation (Jp_1, ..., Jp_n; JL), which lies in
+      their span only if L = 0 and all p_i are equal mod p: every row is 0.
+    * 1d rows: min(m, n); the translation is in the kernel and column n + 1
+      is always 0 (g2 = 0).
+    """
+    _check_trials(trials)
+    best = 0
+    for _ in range(trials):
+        best = max(best, modp_rank(draw_rows()))
+        if best == ceiling:
+            break
+    return best
 
 
 def rank_mod_p(
@@ -330,19 +361,19 @@ def rank_mod_p(
 
     A trial underestimates the generic rank with probability at most m/p,
     so the reported maximum is exact except with negligible probability;
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  The first sample that reaches
+    min(m, n + 1) (M112) or min(m, 2n + 2) (M222) ends the trials.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     if kind not in ("M112", "M222"):
         raise DomainError("rank_mod_p samples M112 or M222")
     rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        asn = sample_assignment(graph, pairs=(kind == "M222"), mode="fp", rng=rng)
-        mat = build_natural_matrix(graph, kind, asn)
-        best = max(best, modp_rank(mat.entries))
-    return RankReport(kind, best, "fp", trials, seed)
+    pairs = kind == "M222"
+
+    def draw():
+        return build_natural_matrix(graph, kind, sample_assignment(graph, pairs=pairs, rng=rng)).entries
+
+    ceiling = min(graph.m, 2 * graph.n + 2 if pairs else graph.n + 1)
+    return RankReport(kind, _best_sampled_rank(draw, trials, ceiling), "fp", trials, seed)
 
 
 # ---------------------------------------------------------------------------

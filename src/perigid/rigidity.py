@@ -22,11 +22,12 @@ from .colored_graph import ColoredGraph, EdgeSubset, scan_subset
 from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
 from .linear_rep import (
-    FLOAT_TOL,
     PRIME,
     NaturalMatrix,
     RankReport,
     Realization,
+    _best_sampled_rank,
+    _check_trials,
     _eliminate,
     _m112_row,
     _modp_rigidity_rows,
@@ -75,21 +76,18 @@ def generic_rigidity_rank(
     """Rank of the rigidity matrix maximized over random realizations.
 
     Exact mode samples integer points and lattice entries and eliminates over
-    F_p; float mode samples in [-1, 1] and thresholds singular values.
+    F_p, stopping at the first sample that reaches min(m, 2n + 1); float mode
+    samples in [-1, 1], thresholds singular values and draws all trials.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        if mode == "fp":
-            best = max(best, modp_rank(_sampled_modp_rows(graph, rng)))
-        elif mode == "float":
-            real = _float_realization(graph, rng)
-            rank, _ = kernel_float(rigidity_matrix(graph, real), FLOAT_TOL)
-            best = max(best, rank)
-        else:
-            raise DomainError(f"unknown mode {mode!r}")
+    if mode == "fp":
+        ceiling = min(graph.m, 2 * graph.n + 1)
+        best = _best_sampled_rank(lambda: _sampled_modp_rows(graph, rng), trials, ceiling)
+    elif mode == "float":
+        _check_trials(trials)
+        best = max(kernel_float(rigidity_matrix(graph, _float_realization(graph, rng)))[0] for _ in range(trials))
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
     return RankReport("M232", best, mode, trials, seed)
 
 
@@ -264,11 +262,10 @@ def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerd
     Combinatorial route: a spanning connected subgraph with a cycle of
     nonzero image, i.e. a spanning (1,1,1)-subgraph.  Numeric route: the
     m x (n+1) matrix with entries from eta = x_j + g*L - x_i at random
-    integer (x, L) has rank n > 0.  Both must agree; minimal rigidity also
-    needs m = n.
+    integer (x, L) has rank n > 0; at most trials samples are drawn, and the
+    first that reaches min(m, n), a rank no sample can exceed, ends the loop.
+    Both must agree; minimal rigidity also needs m = n.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     if any(e.color.g2 for e in graph.edges):
         raise DomainError("1d decision needs colors with zero second component")
     scan = scan_subset(EdgeSubset.full(graph))
@@ -278,11 +275,12 @@ def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerd
     combinatorial = connected and has_cycle
 
     rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
+
+    def draw():
         xs = [rng.randint(-COORD_RANGE, COORD_RANGE) for _ in range(graph.n)]
-        lat = rng.randint(-COORD_RANGE, COORD_RANGE)
-        best = max(best, modp_rank(_oned_rows(graph, xs, lat)))
+        return _oned_rows(graph, xs, rng.randint(-COORD_RANGE, COORD_RANGE))
+
+    best = _best_sampled_rank(draw, trials, min(graph.m, graph.n))
     # at n = 0 the one kernel vector is the lattice column, not a translation
     numeric = graph.n > 0 and best == graph.n
     if combinatorial != numeric:

@@ -115,12 +115,51 @@ def test_rank_monotone_and_unit_increments():
             prev = r
 
 
+def lattice_index_by_minors(images):
+    """Reference index: the gcd of all 2x2 minors of the images, None if 0."""
+    vecs = [(x, y) for x, y in images if x or y]
+    g = 0
+    for i in range(len(vecs)):
+        xi, yi = vecs[i]
+        for j in range(i + 1, len(vecs)):
+            xj, yj = vecs[j]
+            g = math.gcd(g, abs(xi * yj - yi * xj))
+    return g if g else None
+
+
 def test_lattice_index():
     assert lattice_index([(1, 0), (0, 2), (1, 2)]) == 2
     assert lattice_index([(2, 0), (3, 0), (0, 1)]) == 1
     assert lattice_index([(2, 0), (0, 2)]) == 4
     assert lattice_index([(1, 0)]) is None
     assert lattice_index([]) is None
+    assert lattice_index([(0, 0), (0, 3), (0, -6)]) is None
+    assert lattice_index([(0, 3), (0, 0), (-2, 5)]) == 6
+
+
+def test_lattice_index_matches_the_minors_on_random_families():
+    rng = random.Random(23)
+    big = 1 << 53  # the color budget
+    seen = {"zero": 0, "collinear": 0, "big": 0, "finite": 0}
+    for trial in range(3000):
+        shape = trial % 4
+        k = rng.randint(0, 7)
+        if shape == 0:  # small entries, zero vectors among them
+            vecs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(k)]
+        elif shape == 1:  # one line through the origin, so the index is infinite
+            x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+            vecs = [(c * x, c * y) for c in (rng.randint(-6, 6) for _ in range(k))]
+        elif shape == 2:  # entries near the color budget
+            vecs = [(rng.choice((-1, 1)) * (big - rng.randint(0, 9)), rng.randint(-big, big)) for _ in range(k)]
+        else:  # one axis only, or mixed with zero vectors
+            vecs = [rng.choice(((0, rng.randint(-9, 9)), (rng.randint(-9, 9), 0), (0, 0))) for _ in range(k)]
+        seen["zero"] += (0, 0) in vecs
+        seen["collinear"] += shape == 1 and k > 1
+        seen["big"] += shape == 2 and k > 1
+        want = lattice_index_by_minors(vecs)
+        seen["finite"] += want is not None
+        assert lattice_index(vecs) == want, vecs
+    assert min(seen.values()) > 100, seen
 
 
 def test_develop_finite_index_fixture():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -434,6 +435,22 @@ def test_cli_oned(capsys, tmp_path):
     assert code == 1 and "generically flexible" in out
     out, code = run_cli(capsys, "check", str(empty))
     assert code == 1 and "generically flexible" in out
+
+
+def test_cli_refuses_a_trial_count_above_the_budget_at_once(capsys, monkeypatch, tmp_path):
+    from perigid import linear_rep
+
+    def refuse(rows):
+        raise AssertionError("no sample is drawn for a refused trial count")
+
+    monkeypatch.setattr(linear_rep, "modp_rank", refuse)
+    flex = tmp_path / "flex.cg"  # rank-deficient: no sample reaches the ceiling
+    flex.write_text("cg 2 2 2\n0 1 0 0\n1 0 0 0\n")
+    start = time.perf_counter()
+    for argv in (["oned"], *(["rank", "--matrix", m] for m in ("M112", "M222", "M232"))):
+        out, code = run_cli(capsys, argv[0], str(flex), *argv[1:], "--trials", "1000000000")
+        assert code == 2 and f"trials must be <= {linear_rep.MAX_TRIALS}, got 1000000000" in out
+    assert time.perf_counter() - start < 5
 
 
 def test_cli_rank_dump(capsys, tmp_path, laman1):

@@ -11,7 +11,9 @@ import pytest
 from perigid.colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
 from perigid.direction_network import DirectionAssignment, build_P_system
 from perigid.errors import DomainError, StructuralError
+from perigid import linear_rep
 from perigid.linear_rep import (
+    MAX_TRIALS,
     PRIME,
     GenericAssignment,
     Realization,
@@ -92,6 +94,79 @@ def test_row_dependency_beyond_f_bound():
         sub = EdgeSubset.full(g)
         if g.m > f_value(sub):
             assert rank_mod_p(g, "M112", trials=2, seed=7).rank < g.m
+
+
+def ceiling_graphs(rng):
+    """Random graphs with loops and parallel edges, n = 1, m = 0 and over-braced ones."""
+    yield G(1, [])
+    yield G(3, [])
+    yield G(1, [(0, 0, (1, 0))] * 6)
+    yield G(2, [(0, 1, (0, 0))] * 7)
+    for _ in range(60):
+        yield random_graph(rng, nmax=5)
+    for _ in range(30):
+        yield random_graph(rng, n=1, mmax=8)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        yield random_graph(rng, n=n, m=rng.randint(2 * n + 3, 4 * n + 4))
+
+
+def test_no_sample_of_m112_or_m222_exceeds_its_ceiling():
+    rng = random.Random(19)
+    reached = {"M112": 0, "M222": 0}
+    for g in ceiling_graphs(rng):
+        ceilings = {"M112": min(g.m, g.n + 1), "M222": min(g.m, 2 * g.n + 2)}
+        for kind, ceiling in ceilings.items():
+            for seed in range(3):
+                rank = rank_mod_p(g, kind, trials=1, seed=seed).rank  # one sample
+                assert rank <= ceiling, (kind, g.n, g.m, rank)
+                reached[kind] += rank == ceiling
+    assert min(reached.values()) > 200, reached
+
+
+def spy_on_eliminations(monkeypatch, first_ranks=()):
+    """Record the rank of every sample; the first samples report first_ranks instead."""
+    ranks, queued = [], list(first_ranks)
+    rank = linear_rep.modp_rank
+
+    def spy(rows):
+        ranks.append(queued.pop(0) if queued else rank(rows))
+        return ranks[-1]
+
+    monkeypatch.setattr(linear_rep, "modp_rank", spy)
+    return ranks
+
+
+def test_a_sample_at_the_ceiling_ends_the_trials(monkeypatch):
+    four = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 0)), (0, 0, (0, 1))])
+    coll = G(1, [(0, 0, (1, 0)), (0, 0, (2, 0)), (0, 0, (3, 0))])
+    ranks = spy_on_eliminations(monkeypatch)
+    assert rank_mod_p(LAMAN1, "M112", trials=3).rank == 2 and ranks == [2]
+    ranks.clear()
+    assert rank_mod_p(four, "M222", trials=3).rank == 4 and ranks == [4]
+    ranks.clear()
+    # rank below min(m, columns - trivial kernel): every trial is drawn
+    assert rank_mod_p(coll, "M112", trials=3).rank == 1 and ranks == [1, 1, 1]
+    ranks.clear()
+    assert rank_mod_p(coll, "M222", trials=3).rank == 2 and ranks == [2, 2, 2]
+
+
+def test_a_deficient_sample_never_ends_the_trials(monkeypatch):
+    ranks = spy_on_eliminations(monkeypatch, first_ranks=[0])
+    report = rank_mod_p(LAMAN1, "M222", trials=3)
+    assert (report.rank, report.trials) == (3, 3) and ranks == [0, 3]
+    ranks = spy_on_eliminations(monkeypatch, first_ranks=[1, 2, 1])
+    assert rank_mod_p(LAMAN1, "M222", trials=3).rank == 2 and ranks == [1, 2, 1]
+
+
+def test_trials_outside_the_budget_are_refused_before_any_sample(monkeypatch):
+    ranks = spy_on_eliminations(monkeypatch)
+    for trials in (0, -1, MAX_TRIALS + 1, 10**9):
+        for kind in ("M112", "M222"):
+            with pytest.raises(DomainError, match="trials must be"):
+                rank_mod_p(LAMAN1, kind, trials=trials)
+    assert ranks == []
+    assert rank_mod_p(LAMAN1, "M222", trials=MAX_TRIALS).trials == MAX_TRIALS
 
 
 def modp_null_vectors(rows):

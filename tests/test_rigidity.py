@@ -9,7 +9,7 @@ import pytest
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.direction_network import build_P_system
-from perigid import rigidity
+from perigid import linear_rep, rigidity
 from perigid.errors import DomainError, InternalConsistencyError
 from perigid.linear_rep import PRIME, Realization, _eliminate, kernel_float
 from perigid.rigidity import (
@@ -27,6 +27,7 @@ from perigid.rigidity import (
 from perigid.sparsity import CircuitReport, is_colored_laman, max_laman_sparse_subset
 
 from randgen import random_graph, random_laman_graph
+from test_linear_rep import ceiling_graphs, spy_on_eliminations
 
 G = ColoredGraph.build
 LAMAN1 = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
@@ -424,6 +425,49 @@ def test_1d_routes_agree_randomly():
             ],
         )
         is_1d_rigid(g, seed=rng.randrange(1 << 30))  # raises if routes disagree
+
+
+def test_no_sample_of_m232_or_1d_exceeds_its_ceiling():
+    reached = {"M232": 0, "1d": 0}
+    for g in ceiling_graphs(random.Random(53)):
+        flat = G(g.n, [(e.tail, e.head, (e.color.g1, 0)) for e in g.edges])
+        for seed in range(3):  # trials=1: one sample each
+            rank = generic_rigidity_rank(g, trials=1, seed=seed).rank
+            assert rank <= min(g.m, 2 * g.n + 1), (g.n, g.m, rank)
+            reached["M232"] += rank == min(g.m, 2 * g.n + 1)
+            rank = is_1d_rigid(flat, trials=1, seed=seed).rank
+            assert rank <= min(g.m, g.n), (g.n, g.m, rank)
+            reached["1d"] += rank == min(g.m, g.n)
+    assert min(reached.values()) > 200, reached
+
+
+def test_a_sample_at_the_ceiling_ends_the_trials(monkeypatch):
+    ranks = spy_on_eliminations(monkeypatch)
+    tight = random_laman_graph(random.Random(8), 6)
+    assert generic_rigidity_rank(tight, trials=3).rank == 13 and ranks == [13]
+    ranks.clear()
+    two = G(2, [(0, 0, (1, 0)), (1, 1, (1, 0))])
+    assert generic_rigidity_rank(two, trials=3).rank == 1 and ranks == [1, 1, 1]
+    ranks.clear()
+    assert is_1d_rigid(G(1, [(0, 0, (1, 0))]), trials=3).status == STATUS_MINIMAL and ranks == [1]
+    ranks.clear()
+    dependent = G(2, [(0, 1, (0, 0)), (1, 0, (0, 0)), (0, 1, (0, 0))])  # rank 1 < min(m, n) = 2
+    assert is_1d_rigid(dependent, trials=3).status == STATUS_FLEXIBLE and ranks == [1, 1, 1]
+    ranks.clear()
+    # float mode keeps drawing every trial and never eliminates over F_p
+    assert generic_rigidity_rank(tight, trials=3, mode="float").rank == 13 and ranks == []
+
+
+def test_trials_outside_the_budget_are_refused(monkeypatch):
+    ranks = spy_on_eliminations(monkeypatch)
+    flat = G(1, [(0, 0, (1, 0))])
+    for trials in (0, linear_rep.MAX_TRIALS + 1):
+        for mode in ("fp", "float"):
+            with pytest.raises(DomainError, match="trials must be"):
+                generic_rigidity_rank(LAMAN1, trials=trials, mode=mode)
+        with pytest.raises(DomainError, match="trials must be"):
+            is_1d_rigid(flat, trials=trials)
+    assert ranks == []
 
 
 def test_exact_rank_paths_build_no_dense_row(monkeypatch):

@@ -22,7 +22,11 @@ n = 3..12 and 32 go through `realize` in text, JSON and SVG and `check` in
 text and JSON, so that the refusal of a graph that is not colored-Laman is
 compared too.  The numeric and Z-colored families at n = 64, 128 and 256 (the
 benchmark's numeric sizes) go through `rank` for all three matrices with
-`--dump`, and `oned`, `develop` and `cover`.  Triangle strips at n = 16, 32
+`--dump`, and `oned`, `develop` and `cover`; so do flexible ones at n = 64
+and 128 (two disjoint copies of a tight graph, appended last), whose every
+rank stays below its ceiling.  Every graph that runs `rank` and `oned` runs
+them again at `--trials 1` and `--trials 5`, so that both a rank that stops
+at its first sample and one that draws every sample are compared.  Triangle strips at n = 16, 32
 and 64, alone and with one random edge more, have path-like spanning forests
 about n / 2 deep; they go through `check`, `circuit`, `ross` and `sparsity`
 with all three families, and so do multigraphs on n = 2 and 3 vertices with
@@ -56,6 +60,8 @@ REFUSED_SIZES = (*range(3, 13), 32)
 DEEP_SIZES = (16, 32, 64)
 MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
 RANDOM_GRAPHS = 80
+FLEXIBLE_SIZES = (64, 128)
+TRIALS = ("1", "5")
 
 
 def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
@@ -114,7 +120,17 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
         edges = inst.minimal(rng, n)[1]
         edges[-1] = edges[rng.randrange(len(edges) - 1)]
         graphs.append((f"refused n={n}", inst.to_cg(n, edges)))
+    for n in FLEXIBLE_SIZES:
+        for family in (inst.numeric, inst.z_colored):
+            graphs.append((f"large flexible {family.__name__} n={n}", inst.to_cg(n, two_copies(rng, family, n))))
     return graphs
+
+
+def two_copies(rng: random.Random, family, n: int) -> list[tuple[int, int, tuple[int, int]]]:
+    """Two disjoint tight graphs on n / 2 vertices each: every rank this
+    graph has lies below its ceiling, so each rank draws all its samples."""
+    first, second = family(rng, n // 2)[1], family(rng, n - n // 2)[1]
+    return first + [(t + n // 2, h + n // 2, color) for t, h, color in second]
 
 
 def multigraph_edges(rng: random.Random, n: int, m: int) -> list[tuple[int, int, tuple[int, int]]]:
@@ -171,7 +187,7 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     """Every subcommand on one graph file; the dump path is filled in per side.
 
     A large graph runs only the numeric commands: rank with every matrix and
-    a dump, oned, develop and cover.  A deep one and a multigraph run only
+    a dump, oned, develop and cover, and rank and oned at each trial count.  A deep one and a multigraph run only
     the sparsity commands: check, circuit, ross and sparsity with every
     family.  A tight one runs check and realize in JSON, and a refused one
     (m = 2n + 1, not sparse) realize in every format and check in two.
@@ -197,7 +213,7 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
             out.append(["oned", path, *fmt])
             out.append(["develop", path, *fmt])
         out.append(["cover", path, "--basis", "2,1,0,2"])
-        return out
+        return out + trial_counts(path)
     for fmt in both:
         out.append(["check", path, *fmt])
         for family in ("laman", "222", "ross"):
@@ -213,7 +229,13 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     for argv in (["check"], ["circuit"], ["sparsity", "--family", "laman"], ["realize"]):
         out.append([argv[0], path, *argv[1:], "--seed", "3", "--format", "json"])
     out.append(["cover", path, "--basis", "2,1,0,2"])
-    return out
+    return out + trial_counts(path)
+
+
+def trial_counts(path: str) -> list[list[str]]:
+    """rank with every matrix and oned, at each of TRIALS samples at most."""
+    argvs = [["rank", path, "--matrix", matrix] for matrix in ("M112", "M222", "M232")] + [["oned", path]]
+    return [[*argv, "--trials", trials] for trials in TRIALS for argv in argvs]
 
 
 def run_side(src: str, jobs_file: str, out_file: str) -> None:
