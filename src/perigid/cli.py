@@ -35,16 +35,15 @@ from .fileio import (
     to_json_bytes,
     verdict_json,
 )
-from .linear_rep import MAX_TRIALS, build_natural_matrix, dump_matrix, rank_mod_p, sample_assignment
+from .linear_rep import MAX_TRIALS, NaturalMatrix, build_natural_matrix, dump_matrix, rank_mod_p, sample_assignment
 from .rigidity import (
     STATUS_FLEXIBLE,
-    _float_realization,
+    _sampled_modp_rows,
     decide_rigidity,
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
     laman_analysis,
-    rigidity_matrix,
 )
 from .svg import development_svg, realization_svg
 
@@ -210,9 +209,10 @@ def cmd_rank(path, args):
         report = generic_rigidity_rank(graph, trials=args.trials, seed=args.seed)
     else:
         report = rank_mod_p(graph, args.matrix, trials=args.trials, seed=args.seed)
-    if args.dump:
+    if args.dump:  # the first F_p sample of the rank
         if args.matrix == "M232":
-            mat = rigidity_matrix(graph, _float_realization(graph, random.Random(args.seed)))
+            rows = _sampled_modp_rows(graph, random.Random(args.seed))
+            mat = NaturalMatrix("M232", "fp", graph.n, tuple(rows))
         else:
             asn = sample_assignment(
                 graph, pairs=(args.matrix != "M112"), mode="fp", seed=args.seed

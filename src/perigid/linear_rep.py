@@ -18,17 +18,20 @@ sparse {column: value} entries, at most eight per row; rows are densified
 only for numpy and for dumps (`NaturalMatrix.rows`).
 
 Generic rank is decided by sampling: entries are drawn uniformly from the
-prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, so a
-full-rank sample certifies the generic rank while a deficient one is wrong
-with probability at most m/p per trial; back-substitution gives a kernel
-(`modp_kernel`).  Floating-point ranks, for float matrices, threshold
-singular values relative to the largest one.
+prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, rows
+in input order and columns sparsest first (`_eliminate`), so a full-rank
+sample certifies the generic rank while a deficient one is wrong with
+probability at most m/p per trial; back-substitution in reverse elimination
+order gives a kernel (`modp_kernel`).  Floating-point ranks, for float
+matrices, threshold singular values relative to the largest one.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -233,20 +236,29 @@ def _subtract(row: dict, f: int, prow: dict, p: int) -> None:
 
 
 def _eliminate(rows, p: int, track: bool = False):
-    """Insert rows in order into a sparse echelon form over F_p.
+    """Insert rows in order into a sparse echelon form over F_p, sparsest column first.
 
-    A row ({column: value} entries or a dense sequence) is reduced by the
-    pivot row stored at its lowest nonzero column until it vanishes or leads
-    at a new column, where it is stored scaled to a leading 1.  Returns the
-    pivot rows by leading column, in insertion order, the product of the
-    leading values (the determinant up to the sign of that column order:
-    only earlier rows are subtracted) and, with track, the input-row
-    combination (as entries) behind each row that vanished.
+    Before the first row, every column is placed by how many rows name it
+    (nonzero mod p), ties by index: a static minimum-degree order, so the
+    lattice columns that almost every row names come last and dense rows,
+    where every count is equal, keep the index order.  A row ({column:
+    value} entries or a dense sequence) is reduced by the pivot row stored
+    at its first nonzero place until it vanishes or leads at a new place,
+    where it is stored scaled to a leading 1.  Returns the pivot rows by
+    leading place, in insertion order, with entries keyed by place; the
+    product of the leading values (the determinant up to the sign of the
+    leading columns in row order: only earlier rows are subtracted, and the
+    echelon form is triangular in the placed columns); with track, the
+    input-row combination (as entries) behind each row that vanished; and
+    the column at each place.
     """
+    rows = [{j: x % p for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x % p} for r in rows]
+    count = Counter(chain.from_iterable(rows))
+    order = sorted(sorted(count), key=count.__getitem__)
+    place = {j: k for k, j in enumerate(order)}
     pivots, combos, lead_prod, nulls = {}, {}, 1, []
     for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {j: x % p for j, x in items if x % p}
+        row = {place[j]: x for j, x in row.items()}
         combo = {i: 1}
         while row:
             col = min(row)
@@ -264,7 +276,7 @@ def _eliminate(rows, p: int, track: bool = False):
                 combos[col] = {j: x * inv % p for j, x in combo.items()}
         elif track:
             nulls.append(combo)
-    return pivots, lead_prod, nulls
+    return pivots, lead_prod, nulls, order
 
 
 def modp_rank(rows: Sequence, p: int = PRIME) -> int:
@@ -276,8 +288,8 @@ def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     """Determinant of a square matrix of dense rows over F_p."""
     if any(len(r) != len(rows) for r in rows):
         raise StructuralError("determinant needs a square matrix")
-    pivots, det, _ = _eliminate(rows, p)
-    leads = list(pivots)
+    pivots, det, _, order = _eliminate(rows, p)
+    leads = [order[k] for k in pivots]
     if len(leads) < len(rows):
         return 0
     if sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :]) % 2:
@@ -287,15 +299,18 @@ def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
 
 def modp_kernel(rows: Sequence, width: int, p: int = PRIME) -> list[list[int]]:
     """A basis of the x of length width with row . x = 0 mod p for every row:
-    one per column no pivot row leads, by back-substitution from the last pivot.
+    one per column no pivot row leads, by back-substitution from the last
+    place to the first, each pivot row mapped back to its columns.
     """
-    pivots = _eliminate(rows, p)[0]
+    pivots, _, _, order = _eliminate(rows, p)
+    back = [(order[k], [(order[j], v) for j, v in pivots[k].items()]) for k in sorted(pivots, reverse=True)]
+    leads = {col for col, _ in back}
     basis = []
-    for free in (j for j in range(width) if j not in pivots):
+    for free in (j for j in range(width) if j not in leads):
         x = [0] * width
         x[free] = 1
-        for col in sorted(pivots, reverse=True):  # x[col] is still 0: its leading 1 adds nothing
-            x[col] = -sum(v * x[j] for j, v in pivots[col].items()) % p
+        for col, row in back:  # x[col] is still 0: its leading 1 adds nothing
+            x[col] = -sum(v * x[j] for j, v in row) % p
         basis.append(x)
     return basis
 

@@ -15,8 +15,8 @@ from perigid.colored_graph import ColoredGraph
 from perigid.errors import BudgetError, MultiplicityWarning, ParseError
 from perigid import colored_graph, sparsity
 from perigid.fileio import MAX_COLOR, MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
-from perigid.linear_rep import RankReport
-from perigid.rigidity import _float_realization, rigidity_matrix
+from perigid.linear_rep import RankReport, modp_rank
+from perigid.rigidity import _sampled_modp_rows
 
 from randgen import random_graph, random_laman_graph
 
@@ -462,11 +462,18 @@ def test_cli_rank_dump(capsys, tmp_path, laman1):
 
     run_cli(capsys, "rank", laman1, "--matrix", "M232", "--seed", "5", "--dump", str(dump))
     header, *rows = dump.read_text().splitlines()
-    assert header == "mat 3 6 float"
-    # the dumped sample is the first float-mode draw of generic_rigidity_rank
+    assert header == "mat 3 6 fp"
+    # the dumped sample is the first F_p draw of generic_rigidity_rank
     graph = parse_colored_graph(LAMAN1_TEXT)
-    want = rigidity_matrix(graph, _float_realization(graph, random.Random(5))).rows
-    assert [tuple(float(x) for x in row.split()) for row in rows] == list(want)
+    want = [tuple(row.get(j, 0) for j in range(6)) for row in _sampled_modp_rows(graph, random.Random(5))]
+    assert [tuple(int(x) for x in row.split()) for row in rows] == want
+
+    # every matrix dumps a sample whose F_p rank is the printed one
+    for matrix, width in (("M112", 3), ("M222", 6), ("M232", 6)):
+        out, _ = run_cli(capsys, "rank", laman1, "--matrix", matrix, "--seed", "5", "--dump", str(dump))
+        header, *rows = dump.read_text().splitlines()
+        assert header == f"mat 3 {width} fp"
+        assert f"generic rank: {modp_rank([[int(x) for x in row.split()] for row in rows])} " in out
 
 
 def test_cli_determinism(capsys, laman1):

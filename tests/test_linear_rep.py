@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
 from perigid.direction_network import DirectionAssignment, build_P_system
@@ -31,7 +33,7 @@ from perigid.linear_rep import (
 from perigid.rigidity import rigidity_matrix
 from perigid.sparsity import decompose_two_11k, f_value, is_222_graph, is_222_sparse
 
-from randgen import random_11k, random_graph, random_non_11k
+from randgen import random_11k, random_graph, random_laman_graph, random_non_11k
 
 G = ColoredGraph.build
 LAMAN1 = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
@@ -523,3 +525,116 @@ def test_dense_rows_match_the_dense_builders():
         dirs = DirectionAssignment.sample(g, rng)
         want = tuple(_dense_m222_row(n, e, *dirs.perp(e.id), "float") for e in g.edges)
         _same_rows(build_P_system(g, dirs).rows, want)
+
+
+# ---------------------------------------------------------------------------
+# The sparsest-first column order against the index order it replaced.
+# ---------------------------------------------------------------------------
+
+
+def index_order_eliminate(rows, p=PRIME, track=False):
+    """The elimination with every row led at its lowest nonzero column:
+    (pivot rows by leading column, in insertion order, product of the
+    leading values, tracked nulls)."""
+    pivots, combos, lead_prod, nulls = {}, {}, 1, []
+    for i, row in enumerate(rows):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {j: x % p for j, x in items if x % p}
+        combo = {i: 1}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                break
+            f = row[col]
+            linear_rep._subtract(row, f, pivots[col], p)
+            if track:
+                linear_rep._subtract(combo, f, combos[col], p)
+        if row:
+            inv = pow(row[col], -1, p)
+            lead_prod = lead_prod * row[col] % p
+            pivots[col] = {j: x * inv % p for j, x in row.items()}
+            if track:
+                combos[col] = {j: x * inv % p for j, x in combo.items()}
+        elif track:
+            nulls.append(combo)
+    return pivots, lead_prod, nulls
+
+
+def index_order_det(rows, p=PRIME):
+    pivots, det, _ = index_order_eliminate(rows, p)
+    leads = list(pivots)
+    if len(leads) < len(rows):
+        return 0
+    return -det % p if sum(a > b for a, b in itertools.combinations(leads, 2)) % 2 else det
+
+
+def index_order_kernel(rows, width, p=PRIME):
+    pivots = index_order_eliminate(rows, p)[0]
+    basis = []
+    for free in (j for j in range(width) if j not in pivots):
+        x = [0] * width
+        x[free] = 1
+        for col in sorted(pivots, reverse=True):
+            x[col] = -sum(v * x[j] for j, v in pivots[col].items()) % p
+        basis.append(x)
+    return basis
+
+
+@st.composite
+def _permuted_row_sets(draw):
+    """Sparse rows with zero, repeated and empty rows, or a square matrix with
+    a nonzero diagonal (mostly of full rank, for the determinant), under a
+    column permutation."""
+    width = draw(st.integers(0, 9))
+    value = st.one_of(st.integers(-3, 3), st.integers(0, PRIME - 1), st.sampled_from((PRIME, -PRIME, 2 * PRIME)))
+    cols = st.lists(st.integers(0, max(width - 1, 0)), max_size=min(width, 4), unique=True)
+    rows = []
+    if draw(st.booleans()):
+        for i in range(width):
+            rows.append({i: draw(st.integers(1, PRIME - 1)), **{j: draw(value) for j in draw(cols)}})
+    for _ in range(0 if rows else draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("sparse", "sparse", "sparse", "repeated", "zero", "empty")))
+        if kind == "repeated" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "zero" and width:
+            rows.append({draw(st.integers(0, width - 1)): draw(st.sampled_from((0, PRIME)))})
+        elif kind == "sparse" and width:
+            rows.append({j: draw(value) for j in draw(cols)})
+        else:
+            rows.append({})
+    perm = draw(st.permutations(range(width)))
+    return width, [{perm[j]: x for j, x in row.items()} for row in rows]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_permuted_row_sets())
+def test_sparsest_first_matches_the_index_order(case):
+    width, rows = case
+    want_pivots, _, want_nulls = index_order_eliminate(rows, track=True)
+    pivots, _, nulls, _ = _eliminate(rows, PRIME, track=True)
+    assert modp_rank(rows) == len(pivots) == len(want_pivots)
+    assert nulls == want_nulls  # the combination behind a vanishing row is unique
+    kernel, want_kernel = modp_kernel(rows, width), index_order_kernel(rows, width)
+    assert len(kernel) == len(want_kernel) == modp_rank(kernel) == modp_rank(kernel + want_kernel)
+    if len(rows) == width:
+        dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+        assert modp_det(dense) == index_order_det(dense)
+
+
+def test_sparsest_first_halves_the_fill(monkeypatch):
+    graph = random_laman_graph(random.Random(3), 128)
+    rows = build_natural_matrix(graph, "M222", sample_assignment(graph, pairs=True, seed=0)).entries
+    touched = []
+    subtract = linear_rep._subtract
+
+    def spy(row, f, prow, p):
+        touched[-1] += len(prow)
+        subtract(row, f, prow, p)
+
+    monkeypatch.setattr(linear_rep, "_subtract", spy)
+    touched.append(0)
+    rank = modp_rank(rows)
+    touched.append(0)
+    want_rank = len(index_order_eliminate(rows)[0])
+    assert rank == want_rank == 2 * graph.n + 1
+    assert touched[0] <= touched[1] // 2

@@ -23,8 +23,11 @@ text and JSON, so that the refusal of a graph that is not colored-Laman is
 compared too.  The numeric and Z-colored families at n = 64, 128 and 256 (the
 benchmark's numeric sizes) go through `rank` for all three matrices with
 `--dump`, and `oned`, `develop` and `cover`; so do flexible ones at n = 64
-and 128 (two disjoint copies of a tight graph, appended last), whose every
-rank stays below its ceiling.  Every graph that runs `rank` and `oned` runs
+and 128 (two disjoint copies of a tight graph, appended after the families
+above), whose every rank stays below its ceiling.  Two tight graphs at
+n = 128, appended after every other family, go through `check` and
+`realize` in JSON as well: the F_p kernel behind a faithful realization
+departs most from the index order of its columns at large n.  Every graph that runs `rank` and `oned` runs
 them again at `--trials 1` and `--trials 5`, so that both a rank that stops
 at its first sample and one that draws every sample are compared.  Triangle strips at n = 16, 32
 and 64, alone and with one random edge more, have path-like spanning forests
@@ -56,6 +59,7 @@ from pathlib import Path
 SIZES = range(3, 13)
 LARGE_SIZES = (64, 128, 256)
 TIGHT_SIZES = (32, 64)
+LATE_TIGHT_SIZES = (128,)
 REFUSED_SIZES = (*range(3, 13), 32)
 DEEP_SIZES = (16, 32, 64)
 MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
@@ -123,6 +127,9 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
     for n in FLEXIBLE_SIZES:
         for family in (inst.numeric, inst.z_colored):
             graphs.append((f"large flexible {family.__name__} n={n}", inst.to_cg(n, two_copies(rng, family, n))))
+    for n in LATE_TIGHT_SIZES:
+        for i in range(2):
+            add(f"tight n={n} #{i}", inst.minimal, n)
     return graphs
 
 
