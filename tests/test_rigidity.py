@@ -6,10 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
-from perigid.direction_network import build_P_system
-from perigid import linear_rep, rigidity
+from perigid.direction_network import DirectionAssignment, build_P_system
+from perigid import direction_network, linear_rep, rigidity
 from perigid.errors import DomainError, InternalConsistencyError
 from perigid.linear_rep import PRIME, Realization, _eliminate, kernel_float
 from perigid.rigidity import (
@@ -24,8 +26,9 @@ from perigid.rigidity import (
     rigid_realization_certificate,
     rigidity_matrix,
 )
-from perigid.sparsity import CircuitReport, is_colored_laman, max_laman_sparse_subset
+from perigid.sparsity import CircuitReport, brute_force_sparsity, is_colored_laman, max_laman_sparse_subset
 
+from float_reference import float_rigidity_rank
 from randgen import random_graph, random_laman_graph
 from test_linear_rep import ceiling_graphs, spy_on_eliminations
 
@@ -122,6 +125,31 @@ def test_main_theorem_equivalence_small():
         g = random_graph(rng, n=n, m=2 * n + 1, color_range=1)
         rank = generic_rigidity_rank(g, seed=5).rank
         assert (rank == 2 * n + 1) == is_colored_laman(g)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most five vertices, often with m = 2n + 1, and a seed."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.one_of(st.just(2 * n + 1), st.integers(0, 2 * n + 3)))
+    vertex, entry = st.integers(0, n - 1), st.integers(-2, 2)
+    edges = [(draw(vertex), draw(vertex), (draw(entry), draw(entry))) for _ in range(m)]
+    return G(n, edges), draw(st.integers(0, 1 << 30))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_graphs())
+def test_every_route_agrees_on_colored_laman_membership(case):
+    g, seed = case
+    sparse = brute_force_sparsity(g, "laman").sparse
+    laman = sparse and g.m == 2 * g.n + 1
+    assert laman_analysis(g, seed % 5).sparse == sparse
+    assert is_colored_laman(g) == laman
+    if g.m == 2 * g.n + 1:  # one direction sample is accepted exactly on colored-Laman graphs
+        draws = random.Random(seed)
+        verdict = direction_network._exact_point(g, DirectionAssignment.sample(g, draws), draws)
+        assert isinstance(verdict, list) == laman
+    assert float_rigidity_rank(g, seed=seed) == generic_rigidity_rank(g, seed=seed).rank
 
 
 def test_certificate_fixture():
