@@ -18,11 +18,8 @@ from .direction_network import (
     DirectionAssignment,
     EdgeStatus,
     FaithfulRealization,
-    build_P_system,
     collapsed_realization,
-    edge_status,
     faithful_realization,
-    realization_kernel,
 )
 from .errors import (
     BudgetError,
@@ -41,7 +38,6 @@ from .linear_rep import (
     RankReport,
     Realization,
     build_natural_matrix,
-    kernel_float,
     rank_mod_p,
     sample_assignment,
     verify_determinant_formulas,
@@ -56,7 +52,6 @@ from .rigidity import (
     is_ross,
     laman_analysis,
     rigid_realization_certificate,
-    rigidity_matrix,
 )
 from .sparsity import (
     BruteForceReport,

@@ -146,7 +146,11 @@ def cmd_circuit(path, args):
 
 def cmd_realize(path, args):
     graph = _load(path)
-    result = faithful_realization(graph, seed=args.seed, tolerance=args.tol)
+    # --tol no longer tunes anything; an out-of-range value is still refused, after
+    # faithful_realization's own m != 2n + 1 refusal and before its counts
+    if graph.m == 2 * graph.n + 1 and not 0 < args.tol < 1:  # also refuses NaN
+        raise DomainError(f"tolerance must lie in (0, 1), got {args.tol}")
+    result = faithful_realization(graph, seed=args.seed)
     if args.format == "svg":
         return realization_svg(graph, result), OK
     if args.format == "json":
@@ -212,11 +216,9 @@ def cmd_rank(path, args):
     if args.dump:  # the first F_p sample of the rank
         if args.matrix == "M232":
             rows = _sampled_modp_rows(graph, random.Random(args.seed))
-            mat = NaturalMatrix("M232", "fp", graph.n, tuple(rows))
+            mat = NaturalMatrix("M232", graph.n, tuple(rows))
         else:
-            asn = sample_assignment(
-                graph, pairs=(args.matrix != "M112"), mode="fp", seed=args.seed
-            )
+            asn = sample_assignment(graph, pairs=(args.matrix != "M112"), seed=args.seed)
             mat = build_natural_matrix(graph, args.matrix, asn)
         Path(args.dump).write_text(dump_matrix(mat))
     if args.format == "json":
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json")):
         p.add_argument("inputs", nargs="+", help="colored-graph (.cg) files")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--tol", type=float, default=1e-9, help="floating solve tolerance")
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="accepted for old invocations; tunes nothing, and realize refuses it outside (0, 1)")
         p.add_argument("--trials", type=int, default=3,
                        help=f"most F_p samples per rank (1..{MAX_TRIALS}); a rank stops at the first sample "
                             "that reaches its ceiling")

@@ -9,8 +9,10 @@ M222 pattern with (a, b) = perp(d); its kernel is the realization space.
 Edges with eta = 0 are collapsed.  For a colored-Laman graph and generic
 directions the kernel is 3-dimensional (translations plus one scaling class)
 and contains, up to translation and scale, a unique realization with no
-collapsed edge; this module samples directions, decides them over F_p, and
-draws that realization in floating point, in a normalized form.
+collapsed edge.  This module decides sampled directions over F_p, and
+draws the faithful realization from an integer point whose rigidity rows
+have full rank: the directions of its own edges are generic in that sense,
+so the point is, up to translation and scale, their unique realization.
 """
 
 from __future__ import annotations
@@ -29,12 +31,18 @@ from .errors import (
     InternalConsistencyError,
     StructuralError,
 )
-from .linear_rep import PRIME, NaturalMatrix, Realization, _m222_row, _modp_rigidity_rows
-from .linear_rep import kernel_float, modp_kernel
+from .linear_rep import (
+    PRIME,
+    Realization,
+    _integer_eta,
+    _integer_point,
+    _m222_row,
+    _modp_rigidity_rows,
+    modp_kernel,
+    modp_rank,
+)
 from .sparsity import is_colored_laman
 
-COLLAPSE_TOL = 1e-6  # relative; deliberately looser than the solve tolerance
-SOLVE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 16
 
 
@@ -72,65 +80,12 @@ class DirectionAssignment:
         )
 
 
-def build_P_system(graph: ColoredGraph, directions: DirectionAssignment) -> NaturalMatrix:
-    """Constraint matrix of the realization system, one row per edge.
-
-    Exactly the M222 filling pattern evaluated at (a, b) = perp(d); the
-    unknown vector is the flattened realization (points, then L columns).
-    """
-    rows = []
-    for e in graph.edges:
-        if e.id not in directions.d:
-            raise StructuralError(f"direction missing for edge {e.id}")
-        rows.append(_m222_row(graph.n, e, *directions.perp(e.id), "float"))
-    return NaturalMatrix("M222", "float", graph.n, tuple(rows))
-
-
-def realization_kernel(
-    graph: ColoredGraph, directions: DirectionAssignment
-) -> tuple[int, list[Realization]]:
-    """Dimension and orthonormal basis of the realization space."""
-    rank, basis = kernel_float(build_P_system(graph, directions), SOLVE_TOL)
-    dim = 2 * graph.n + 4 - rank
-    assert basis.shape[1] == dim
-    return dim, [Realization.from_flat(basis[:, j], graph.n) for j in range(dim)]
-
-
 @dataclass(frozen=True)
 class EdgeStatus:
     edge_id: int
     eta: tuple[float, float]
     alpha: float
     collapsed: bool
-
-
-def edge_status(
-    graph: ColoredGraph,
-    directions: DirectionAssignment,
-    realization: Realization,
-    tolerance: float = COLLAPSE_TOL,
-) -> list[EdgeStatus]:
-    """Per-edge displacement, stretch along the direction, and collapse flag.
-
-    An edge is collapsed when its displacement is below tolerance relative to
-    the realization's size.  The size reference is the point spread plus
-    lattice norm, floored at a small fraction of the flat vector's norm so
-    that numerically-pure translations (whose spread is roundoff) are still
-    read as fully collapsed.
-    """
-    flat_norm = float(np.linalg.norm(realization.to_flat()))
-    threshold = tolerance * max(realization.scale(), 1e-8 * flat_norm)
-    out = []
-    for e in graph.edges:
-        eta = realization.eta(e.tail, e.head, tuple(e.color))
-        norm = float(np.linalg.norm(eta))
-        collapsed = norm <= threshold
-        alpha = 0.0
-        if not collapsed:
-            dx, dy = directions.direction(e.id)
-            alpha = float(eta[0] * dx + eta[1] * dy)
-        out.append(EdgeStatus(e.id, (float(eta[0]), float(eta[1])), alpha, collapsed))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,103 +205,93 @@ class FaithfulRealization:
     statuses: tuple[EdgeStatus, ...]
     seed: int
     attempts: int
-    exact: tuple[tuple[int, int], ...]  # the realization mod p: n points, then the rows of L
+    exact: tuple[tuple[int, int], ...]  # the integer point drawn: n points, then the rows of L
 
 
 def _modp_row(n: int, e, directions: DirectionAssignment) -> dict[int, int]:
     """The P-system row of e mod p, its float perpendicular read as the rational it is."""
     ratios = (x.as_integer_ratio() for x in directions.perp(e.id))
-    return _m222_row(n, e, *(num * pow(den, -1, PRIME) for num, den in ratios), "fp")
+    return _m222_row(n, e, *(num * pow(den, -1, PRIME) for num, den in ratios))
 
 
-def _exact_point(
-    graph: ColoredGraph, directions: DirectionAssignment, rng: random.Random
-) -> str | list[tuple[int, int]]:
-    """The sample's realization over F_p, or the reason the sample is rejected.
+def _exact_point(graph: ColoredGraph, directions: DirectionAssignment) -> str | None:
+    """The reason the sampled directions are rejected over F_p, or None.
 
-    The kernel of the P-system rows mod p must be 3-dimensional, no doubled
-    row (a fresh direction on a copy of e, drawn in edge order) may vanish
-    on it, and its point on p_1 = 0 must collapse no edge.  The rows are
-    dyadic, so nonzero mod p is nonzero over Q.  With m = 2n + 1 the first
-    two tests certify a colored-Laman graph: T's rows u_e (x) (a_e, b_e),
-    u_e the M112 row at a = 1, span at most 2f(T) dimensions, so G + e' with
-    independent rows is 2f-sparse, which for all e is colored-Laman sparsity.
+    The kernel of the P-system rows mod p must be 3-dimensional, and its
+    point R on p_1 = 0 must collapse no edge.  The rows are dyadic, so
+    nonzero mod p is nonzero over Q.  With m = 2n + 1 the two tests certify
+    a colored-Laman graph.  The kernel is spanned by the two translations
+    and R, so a row vanishes on it iff it vanishes on R.  Double any edge e
+    into e' with a direction d': the row of e' on R is <eta_e(R), perp(d')>,
+    nonzero for some d' since eta_e(R) != 0 mod p.  So G + e' has rows of
+    rank 2n + 2 mod p, hence generically independent.  T's rows
+    u_e (x) (a_e, b_e), u_e the M112 row at a = 1, span at most 2f(T)
+    dimensions, so G + e' is 2f-sparse, which for every e is colored-Laman
+    sparsity.
     """
     n = graph.n
     kernel = modp_kernel([_modp_row(n, e, directions) for e in graph.edges], 2 * n + 4)
     if len(kernel) != 3:
         return "rank"
-    for e in graph.edges:
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        row = _modp_row(n, e, DirectionAssignment({e.id: (math.cos(t), math.sin(t))}))
-        if not any(sum(v * k[j] for j, v in row.items()) % PRIME for k in kernel):
-            return "doubled row"
     # p_1 = 0: the cross product of the kernel's first two coordinates (nonzero by the translations)
     (x0, x1, x2), (y0, y1, y2) = ([k[i] for k in kernel] for i in (0, 1))
     line = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
     flat = [sum(c * k[j] for c, k in zip(line, kernel)) % PRIME for j in range(2 * n + 4)]
     xy = [(flat[2 * i], flat[2 * i + 1]) for i in range(n)]
     xy += [(flat[2 * n], flat[2 * n + 2]), (flat[2 * n + 1], flat[2 * n + 3])]  # rows of L
-    # a rigidity row is eta_e placed by the pattern; a colored-Laman graph has no (0, 0) loop
-    if not all(any(row.values()) for row in _modp_rigidity_rows(graph, xy)):
+    if not all(any(x % PRIME for x in _integer_eta(xy, e)) for e in graph.edges):
         return "collapsed mod p"
-    return xy
+    return None
 
 
-def faithful_realization(
-    graph: ColoredGraph, seed: int = 0, tolerance: float = SOLVE_TOL
-) -> FaithfulRealization:
+def _drawn_from(graph: ColoredGraph, xy: list[tuple[int, int]], seed: int, attempts: int) -> FaithfulRealization:
+    """The realization of the directions of xy's own edges, normalized.
+
+    p_1 is moved to 0, the point scaled to unit norm and its leading nonzero
+    coordinate made positive.  Every eta_e is nonzero: the rigidity rows at
+    xy have full rank.
+    """
+    n = graph.n
+    (x0, y0), (a, b), (c, d) = xy[0], *xy[n:]
+    flat = [v for x, y in xy[:n] for v in (x - x0, y - y0)] + [a, c, b, d]
+    sign = 1 if next(v for v in flat if v) > 0 else -1
+    flat = [sign * v for v in flat]
+    norm = math.sqrt(sum(v * v for v in flat))
+    etas = {e.id: tuple(sign * v / norm for v in _integer_eta(xy, e)) for e in graph.edges}
+    statuses = tuple(EdgeStatus(eid, eta, math.hypot(*eta), False) for eid, eta in etas.items())
+    real = Realization.from_flat([v / norm for v in flat], n)
+    return FaithfulRealization(real, DirectionAssignment(etas), statuses, seed, attempts, tuple(xy))
+
+
+def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealization:
     """Unique-up-to-normalization faithful realization of a colored-Laman graph.
 
-    Seeded uniform angles are decided, and the realization found, over F_p
-    by `_exact_point`, whose acceptance certifies the graph: m != 2n + 1 is
-    refused before any draw, and the counts run only after a rejected first
-    sample, to tell a DomainError from bad luck.  One SVD draws it: the
-    right singular vectors of the three smallest singular values, the
-    element with p_1 = 0, unit norm and a positive leading coordinate.  A
-    drawing with a residual above tolerance or an edge below COLLAPSE_TOL
-    is resampled.
+    Each attempt draws an integer point (`_integer_point`, so attempt 1's
+    is `laman_analysis`'s first point) and then uniform angles, one per edge.
+    `_exact_point` decides the angles over F_p, and its acceptance
+    certifies the graph: m != 2n + 1 is refused before any draw, and the
+    counts run only after a rejected first attempt, to tell a DomainError
+    from bad luck.  The attempt is accepted when the rigidity rows at the
+    point have rank 2n + 1 mod p.  The witness is that point: with
+    directions eta_e / |eta_e| its P-system is the rigidity matrix with each
+    column pair turned by 90 degrees and each row scaled, of the same rank,
+    so the point is their realization, unique up to translation and scale.
     """
     n = graph.n
     if graph.m != 2 * n + 1:
         raise DomainError("faithful_realization needs a colored-Laman graph")
-    if not 0 < tolerance < 1:  # also refuses NaN
-        raise DomainError(f"tolerance must lie in (0, 1), got {tolerance}")
     rng = random.Random(seed)
-    short = "drawing edge below COLLAPSE_TOL"
-    rejected = dict.fromkeys(("rank", "doubled row", "collapsed mod p", "drawing residual", short), 0)
-    smallest = math.inf
+    rejected = dict.fromkeys(("rank", "collapsed mod p", "point rank"), 0)
     for attempt in range(1, DEFAULT_RETRY_CAP + 1):
-        directions = DirectionAssignment.sample(graph, rng)
-        exact = _exact_point(graph, directions, rng)
-        if isinstance(exact, str):
-            if attempt == 1 and not is_colored_laman(graph):
-                raise DomainError("faithful_realization needs a colored-Laman graph")
-            rejected[exact] += 1
-            continue
-        system = build_P_system(graph, directions).to_numpy()
-        kernel = np.linalg.svd(system)[2][-3:].T
-        vec = kernel @ np.linalg.svd(kernel[0:2, :])[2][-1]
-        vec /= np.linalg.norm(vec)
-        lead = np.flatnonzero(np.abs(vec) > 1e-9)
-        if lead.size and vec[lead[0]] < 0:
-            vec = -vec
-        real = Realization.from_flat(vec, n)
-        residual = float(np.max(np.abs(system @ vec)))
-        if residual > tolerance * max(1.0, float(np.abs(system).max())):
-            rejected["drawing residual"] += 1
-            continue
-        statuses = edge_status(graph, directions, real)
-        if any(s.collapsed for s in statuses):
-            # in practice the only check that rejects a generic sample; it stays because drawings
-            # reach |eta|/scale ~ 5e-7 and perfbench's checks refuse an edge below 1e-6 x size
-            rejected[short] += 1
-            size = max(real.scale(), 1e-8)  # edge_status's reference at unit norm
-            smallest = min(smallest, min(math.hypot(*s.eta) for s in statuses) / size)
-            continue
-        return FaithfulRealization(real, directions, tuple(statuses), seed, attempt, tuple(exact))
+        xy = _integer_point(n, rng)
+        reason = _exact_point(graph, DirectionAssignment.sample(graph, rng))
+        if reason is None and modp_rank(_modp_rigidity_rows(graph, xy)) != 2 * n + 1:
+            reason = "point rank"
+        if reason is None:
+            return _drawn_from(graph, xy, seed, attempt)
+        if attempt == 1 and not is_colored_laman(graph):
+            raise DomainError("faithful_realization needs a colored-Laman graph")
+        rejected[reason] += 1
     reasons = ", ".join(f"{why} {count}" for why, count in rejected.items())
-    if smallest < math.inf:
-        reasons += f" (smallest |eta|/scale {smallest:.2g})"
-    message = f"no direction sample produced a faithful realization; rejections: {reasons}"
+    message = f"no sample produced a faithful realization; rejections: {reasons}"
     raise GenericitySamplingError(message, seed, DEFAULT_RETRY_CAP)

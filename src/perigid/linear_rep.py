@@ -10,20 +10,21 @@ Two matrix families realize the sparsity matroids linearly:
   2f-sparse edge sets.
 
 The rigidity matrix (kind M232) shares the M222 filling pattern with
-(a, b) replaced by the edge displacement of a concrete realization.  Every
-row of these patterns, including the F_p rigidity rows and the 1d rows of
-:mod:`perigid.rigidity` and the realization system of
-:mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row` as
-sparse {column: value} entries, at most eight per row; rows are densified
-only for numpy and for dumps (`NaturalMatrix.rows`).
+(a, b) replaced by the edge displacement of a concrete realization: an
+integer point, n points and then the two rows of L, drawn by
+`_integer_point`.  Every row of these patterns, including the F_p rigidity
+rows and the 1d rows of :mod:`perigid.rigidity` and the realization system
+of :mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row`
+as sparse {column: value} entries mod p, at most eight per row; rows are
+densified only for dumps and determinant minors (`NaturalMatrix.rows`).
 
 Generic rank is decided by sampling: entries are drawn uniformly from the
 prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, rows
 in input order and columns sparsest first (`_eliminate`), so a full-rank
 sample certifies the generic rank while a deficient one is wrong with
 probability at most m/p per trial; back-substitution in reverse elimination
-order gives a kernel (`modp_kernel`).  Floating-point ranks, for float
-matrices, threshold singular values relative to the largest one.
+order gives a kernel (`modp_kernel`).  Every rank, kernel and determinant
+here is exact over F_p; no floating-point linear algebra is left.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ from .sparsity import is_11k
 PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 3
 MAX_TRIALS = 64  # most samples one rank may draw
-FLOAT_TOL = 1e-9
-
-KINDS = ("M112", "M222", "M232")
+COORD_RANGE = 1 << 20  # integer sampling window for exact realizations
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,10 @@ class Realization:
 
 @dataclass(frozen=True)
 class GenericAssignment:
-    """Independent scalar(s) per edge id, in F_p or as floats."""
+    """Independent scalar(s) of F_p per edge id."""
 
-    a: dict[int, int | float]
-    b: dict[int, int | float] | None
-    mode: str  # "fp" | "float"
+    a: dict[int, int]
+    b: dict[int, int] | None
     seed: int | None = None
 
     def require_b(self):
@@ -108,22 +106,15 @@ def sample_assignment(
     graph: ColoredGraph,
     *,
     pairs: bool,
-    mode: str = "fp",
     rng: random.Random | None = None,
     seed: int | None = None,
 ) -> GenericAssignment:
-    """Draw one (or a pair of) nonzero generic value(s) per edge."""
+    """Draw one (or a pair of) nonzero generic value(s) of F_p per edge."""
     if rng is None:
         rng = random.Random(seed)
-
-    def draw():
-        if mode == "fp":
-            return rng.randrange(1, PRIME)
-        return rng.choice((-1, 1)) * rng.uniform(0.25, 1.25)
-
-    a = {e.id: draw() for e in graph.edges}
-    b = {e.id: draw() for e in graph.edges} if pairs else None
-    return GenericAssignment(a, b, mode, seed)
+    a = {e.id: rng.randrange(1, PRIME) for e in graph.edges}
+    b = {e.id: rng.randrange(1, PRIME) for e in graph.edges} if pairs else None
+    return GenericAssignment(a, b, seed)
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,6 @@ class NaturalMatrix:
     """Row-per-edge matrix in one of the three filling patterns, kept sparse."""
 
     kind: str
-    mode: str
     n: int
     entries: tuple[dict, ...]
 
@@ -148,9 +138,6 @@ class NaturalMatrix:
         """Dense rows; a column no entry names holds the int 0."""
         return tuple(_dense(row, self.ncols) for row in self.entries)
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float).reshape(self.nrows, self.ncols)
-
 
 def _dense(entries: dict, width: int) -> tuple:
     row = [0] * width
@@ -159,65 +146,45 @@ def _dense(entries: dict, width: int) -> tuple:
     return tuple(row)
 
 
-def _pattern_row(terms, mode):
-    """Sum (column, term) pairs in order onto entries that start at the int 0,
-    as on a dense row of zeros: a cancelled loop entry stays, -0.0 becomes 0.0."""
+def _pattern_row(terms):
+    """Sum (column, term) pairs in order, mod p: a cancelled loop entry stays as 0."""
     row = {}
     for j, x in terms:
         row[j] = row.get(j, 0) + x
-    return {j: x % PRIME for j, x in row.items()} if mode == "fp" else row
+    return {j: x % PRIME for j, x in row.items()}
 
 
-def _m112_row(n, e, a, mode):
-    return _pattern_row(((e.tail, -a), (e.head, a), (n, e.color.g1 * a), (n + 1, e.color.g2 * a)), mode)
+def _m112_row(n, e, a):
+    return _pattern_row(((e.tail, -a), (e.head, a), (n, e.color.g1 * a), (n + 1, e.color.g2 * a)))
 
 
-def _m222_row(n, e, a, b, mode):
+def _m222_row(n, e, a, b):
     t, h, (g1, g2) = 2 * e.tail, 2 * e.head, e.color
     lattice = ((2 * n, g1 * a), (2 * n + 1, g1 * b), (2 * n + 2, g2 * a), (2 * n + 3, g2 * b))
-    return _pattern_row(((t, -a), (t + 1, -b), (h, a), (h + 1, b)) + lattice, mode)
+    return _pattern_row(((t, -a), (t + 1, -b), (h, a), (h + 1, b)) + lattice)
 
 
 def build_natural_matrix(
-    graph: ColoredGraph,
-    kind: str,
-    assignment: GenericAssignment | None = None,
-    realization: Realization | None = None,
+    graph: ColoredGraph, kind: str, assignment: GenericAssignment | None = None
 ) -> NaturalMatrix:
-    """Assemble the matrix of the requested kind.
+    """Assemble the M112 or M222 matrix of a generic assignment.
 
-    M112/M222 need a generic assignment; M232 substitutes the displacements
-    of a realization for the (a, b) pairs.  Loop rows cancel in the vertex
-    block and keep only lattice entries.
+    Loop rows cancel in the vertex block and keep only lattice entries.  The
+    rigidity rows (M232) come from `_modp_rigidity_rows` at an integer point.
     """
-    if kind not in KINDS:
+    if kind not in ("M112", "M222"):
         raise DomainError(f"unknown matrix kind {kind!r}")
     n = graph.n
-    if kind == "M232":
-        if realization is None:
-            raise StructuralError("M232 needs a realization")
-        rows = []
-        for e in graph.edges:
-            ax, bx = realization.eta(e.tail, e.head, tuple(e.color))
-            rows.append(_m222_row(n, e, float(ax), float(bx), "float"))
-        return NaturalMatrix("M232", "float", n, tuple(rows))
-
     if assignment is None:
         raise StructuralError(f"{kind} needs a generic assignment")
     missing = [e.id for e in graph.edges if e.id not in assignment.a]
     if missing:
         raise StructuralError(f"assignment misses edges {missing}")
     if kind == "M112":
-        rows = tuple(
-            _m112_row(n, e, assignment.a[e.id], assignment.mode) for e in graph.edges
-        )
-        return NaturalMatrix("M112", assignment.mode, n, rows)
+        return NaturalMatrix("M112", n, tuple(_m112_row(n, e, assignment.a[e.id]) for e in graph.edges))
     assignment.require_b()
-    rows = tuple(
-        _m222_row(n, e, assignment.a[e.id], assignment.b[e.id], assignment.mode)
-        for e in graph.edges
-    )
-    return NaturalMatrix("M222", assignment.mode, n, rows)
+    rows = tuple(_m222_row(n, e, assignment.a[e.id], assignment.b[e.id]) for e in graph.edges)
+    return NaturalMatrix("M222", n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +282,23 @@ def modp_kernel(rows: Sequence, width: int, p: int = PRIME) -> list[list[int]]:
     return basis
 
 
+def _integer_point(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """n points, then the two rows of L: integer pairs drawn uniformly from
+    [-COORD_RANGE, COORD_RANGE]."""
+    r = COORD_RANGE
+    return [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(n + 2)]
+
+
+def _integer_eta(xy: Sequence[tuple[int, int]], e) -> tuple[int, int]:
+    """The displacement p_head + L*color - p_tail at the point xy, exactly."""
+    (a, b), (c, d) = xy[-2:]
+    g1, g2 = e.color.g1, e.color.g2
+    return (xy[e.head][0] + a * g1 + b * g2 - xy[e.tail][0], xy[e.head][1] + c * g1 + d * g2 - xy[e.tail][1])
+
+
 def _modp_rigidity_rows(graph: ColoredGraph, xy: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
     """Entry rows mod p at the integer points xy[:n], with lattice rows xy[n], xy[n + 1]."""
-    (a, b), (c, d) = xy[-2:]
-    rows = []
-    for e in graph.edges:
-        g1, g2 = e.color.g1, e.color.g2
-        ex = xy[e.head][0] + a * g1 + b * g2 - xy[e.tail][0]
-        ey = xy[e.head][1] + c * g1 + d * g2 - xy[e.tail][1]
-        rows.append(_m222_row(graph.n, e, ex, ey, "fp"))
-    return rows
+    return [_m222_row(graph.n, e, *_integer_eta(xy, e)) for e in graph.edges]
 
 
 @dataclass(frozen=True)
@@ -392,33 +366,6 @@ def rank_mod_p(
 
 
 # ---------------------------------------------------------------------------
-# Floating-point rank / kernel.
-# ---------------------------------------------------------------------------
-
-
-def kernel_float(
-    matrix: NaturalMatrix | np.ndarray, tolerance: float = FLOAT_TOL
-) -> tuple[int, np.ndarray]:
-    """Numerical rank and orthonormal kernel basis (columns) of a real matrix.
-
-    Orthogonal elimination via SVD; singular values below
-    tolerance * (largest singular value) count as zero.
-    """
-    if not 0 < tolerance < 1:  # also refuses NaN
-        raise DomainError(f"tolerance must lie in (0, 1), got {tolerance}")
-    a = matrix.to_numpy() if isinstance(matrix, NaturalMatrix) else np.asarray(matrix, float)
-    if a.ndim != 2:
-        raise StructuralError("kernel_float needs a 2d matrix")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return 0, np.eye(cols)
-    _, svals, vt = np.linalg.svd(a)
-    cutoff = tolerance * svals[0]
-    rank = int(np.sum(svals > cutoff))
-    return rank, vt[rank:].T
-
-
-# ---------------------------------------------------------------------------
 # Determinant formulas for the M112 minors.
 # ---------------------------------------------------------------------------
 
@@ -426,8 +373,8 @@ def kernel_float(
 @dataclass(frozen=True)
 class MinorCheck:
     label: str
-    determinant: int | float
-    formula: int | float
+    determinant: int
+    formula: int
     ok: bool
 
 
@@ -442,22 +389,10 @@ class DetFormulaReport:
         return all(c.ok for c in self.checks)
 
 
-def _det(rows, mode):
-    if mode == "fp":
-        return modp_det(rows)
-    return float(np.linalg.det(np.array(rows, dtype=float)))
-
-
-def _matches(det, formula, mode, scale):
-    if mode == "fp":
-        return det == formula % PRIME or det == -formula % PRIME
-    return min(abs(det - formula), abs(det + formula)) <= 1e-10 * max(scale, 1e-30)
-
-
 def verify_determinant_formulas(
     graph: ColoredGraph, kind: str = "M112", assignment: GenericAssignment | None = None
 ) -> DetFormulaReport:
-    """Compare designated square M112 minors against their closed forms.
+    """Compare designated square M112 minors over F_p against their closed forms.
 
     With m = n - 1 + k and k the cycle-image rank, the minor dropping one
     vertex column and 2 - k lattice columns has determinant
@@ -474,55 +409,34 @@ def verify_determinant_formulas(
     if m != n - 1 + k:
         raise DomainError(f"need m = n - 1 + k, got n={n} m={m} k={k}")
     if assignment is None:
-        assignment = sample_assignment(graph, pairs=False, mode="fp", seed=0)
-    mat = build_natural_matrix(graph, "M112", assignment)
-    mode = assignment.mode
-
+        assignment = sample_assignment(graph, pairs=False, seed=0)
+    rows = build_natural_matrix(graph, "M112", assignment).rows
     prod_a = 1
     for e in graph.edges:
-        prod_a = prod_a * assignment.a[e.id] % PRIME if mode == "fp" else prod_a * assignment.a[e.id]
-    scale = abs(prod_a) if mode == "float" else 0
-
+        prod_a = prod_a * assignment.a[e.id] % PRIME
     images = [rho_of_walk(w) for _, w in fundamental_cycles(subset)]
-    cols_all = list(range(n + 2))
-    drop_vertex = 0  # any vertex column works; fixed for determinism
 
-    checks = []
+    def check(label, dropped, factor):
+        # vertex column 0 is dropped: any vertex column works; fixed for determinism
+        cols = [c for c in range(n + 2) if c not in (0, *dropped)]
+        det = modp_det([tuple(r[c] for c in cols) for r in rows])
+        formula = factor * prod_a
+        return MinorCheck(label, det, formula, det in (formula % PRIME, -formula % PRIME))
+
     if k == 0:
-        cols = [c for c in cols_all if c not in (drop_vertex, n, n + 1)]
-        det = _det([tuple(r[c] for c in cols) for r in mat.rows], mode)
-        formula = prod_a if ok else 0
-        checks.append(MinorCheck("drop L1 L2", det, formula, _matches(det, formula, mode, scale)))
+        checks = [check("drop L1 L2", (n, n + 1), 1 if ok else 0)]
     elif k == 1:
         t = images[0] if ok else None
-        for q, dropped in ((1, n + 1), (2, n)):
-            cols = [c for c in cols_all if c not in (drop_vertex, dropped)]
-            det = _det([tuple(r[c] for c in cols) for r in mat.rows], mode)
-            tq = (t.g1 if q == 1 else t.g2) if ok else 0
-            formula = tq * prod_a
-            qscale = scale * max(1, abs(tq)) if mode == "float" else 0
-            checks.append(
-                MinorCheck(f"keep L{q}", det, formula, _matches(det, formula, mode, qscale))
-            )
+        checks = [check("keep L1", (n + 1,), t.g1 if ok else 0), check("keep L2", (n,), t.g2 if ok else 0)]
     else:
-        cols = [c for c in cols_all if c != drop_vertex]
-        det = _det([tuple(r[c] for c in cols) for r in mat.rows], mode)
-        if ok:
-            t1, t2 = images
-            cross = t1.g1 * t2.g2 - t1.g2 * t2.g1
-        else:
-            cross = 0
-        formula = cross * prod_a
-        fscale = scale * max(1, abs(cross)) if mode == "float" else 0
-        checks.append(
-            MinorCheck("full L block", det, formula, _matches(det, formula, mode, fscale))
-        )
+        cross = images[0].g1 * images[1].g2 - images[0].g2 * images[1].g1 if ok else 0
+        checks = [check("full L block", (), cross)]
     return DetFormulaReport(ok, k, tuple(checks))
 
 
 def dump_matrix(matrix: NaturalMatrix) -> str:
     """Plain text dump: header line then one space-separated row per line."""
-    out = [f"mat {matrix.nrows} {matrix.ncols} {matrix.mode}"]
+    out = [f"mat {matrix.nrows} {matrix.ncols} fp"]
     for row in matrix.rows:
-        out.append(" ".join(repr(x) if matrix.mode == "float" else str(x) for x in row))
+        out.append(" ".join(map(str, row)))
     return "\n".join(out) + "\n"

@@ -16,79 +16,47 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .colored_graph import ColoredGraph, EdgeSubset, scan_subset
 from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
 from .linear_rep import (
+    COORD_RANGE,
     PRIME,
-    NaturalMatrix,
     RankReport,
-    Realization,
     _best_sampled_rank,
-    _check_trials,
     _eliminate,
+    _integer_point,
     _m112_row,
     _modp_rigidity_rows,
-    build_natural_matrix,
-    kernel_float,
-    modp_rank,
 )
 from .sparsity import CircuitReport, count_report, laman_sparse_subset
 from .sparsity import max_laman_sparse_subset  # noqa: F401  perfbench/tests read it from here
-
-COORD_RANGE = 1 << 20  # integer sampling window for exact-mode realizations
 
 STATUS_MINIMAL = "generically_minimally_rigid"
 STATUS_OVER = "generically_rigid_overconstrained"
 STATUS_FLEXIBLE = "generically_flexible"
 
 
-def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> NaturalMatrix:
-    """m x (2n+4) rigidity matrix at a concrete realization.
+def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[dict[int, int]]:
+    """Rigidity rows mod p at the integer point `_integer_point` draws from rng.
 
     Row for edge ij: -eta at the tail columns, +eta at the head columns
     (cancelling for loops), and g1*eta, g2*eta in the two lattice blocks;
     this is the M222 filling pattern with eta substituted for (a, b).
     """
-    return build_natural_matrix(graph, "M232", realization=realization)
+    return _modp_rigidity_rows(graph, _integer_point(graph.n, rng))
 
 
-def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[dict[int, int]]:
-    """Rigidity rows mod p at n integer points and lattice rows drawn from rng."""
-    r = COORD_RANGE
-    xy = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(graph.n + 2)]
-    return _modp_rigidity_rows(graph, xy)
+def generic_rigidity_rank(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> RankReport:
+    """Rank of the rigidity matrix maximized over random integer points.
 
-
-def _float_realization(graph: ColoredGraph, rng: random.Random) -> Realization:
-    """Points, then lattice rows, drawn uniformly from [-1, 1]."""
-    return Realization(
-        np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(graph.n)]),
-        np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]),
-    )
-
-
-def generic_rigidity_rank(
-    graph: ColoredGraph, trials: int = 3, seed: int = 0, mode: str = "fp"
-) -> RankReport:
-    """Rank of the rigidity matrix maximized over random realizations.
-
-    Exact mode samples integer points and lattice entries and eliminates over
-    F_p, stopping at the first sample that reaches min(m, 2n + 1); float mode
-    samples in [-1, 1], thresholds singular values and draws all trials.
+    Each sample is eliminated over F_p, and the first that reaches
+    min(m, 2n + 1) ends the trials.
     """
     rng = random.Random(seed)
-    if mode == "fp":
-        ceiling = min(graph.m, 2 * graph.n + 1)
-        best = _best_sampled_rank(lambda: _sampled_modp_rows(graph, rng), trials, ceiling)
-    elif mode == "float":
-        _check_trials(trials)
-        best = max(kernel_float(rigidity_matrix(graph, _float_realization(graph, rng)))[0] for _ in range(trials))
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return RankReport("M232", best, mode, trials, seed)
+    ceiling = min(graph.m, 2 * graph.n + 1)
+    best = _best_sampled_rank(lambda: _sampled_modp_rows(graph, rng), trials, ceiling)
+    return RankReport("M232", best, "fp", trials, seed)
 
 
 @dataclass(frozen=True)
@@ -191,21 +159,15 @@ def rigid_realization_certificate(
 ) -> tuple[FaithfulRealization, RankReport]:
     """Faithful realization whose rigidity matrix certifies minimal rigidity.
 
-    Verifies rank 2n + 1 over F_p at the exact point `faithful_realization`
-    decided, to which the rational faithful realization reduces.  A faithful
-    realization exists only for colored-Laman graphs (anything else raises
-    DomainError), so the matrix has exactly 2n + 1 rows; full row rank then
-    means that deleting any single row drops the rank to 2n, which is what
-    makes the rigidity minimal.
+    `faithful_realization` accepts an integer point only where the rigidity
+    rows have rank 2n + 1 mod p, and its witness is that point scaled: the
+    report reads that elimination.  A faithful realization exists only for
+    colored-Laman graphs (anything else raises DomainError), so the matrix
+    has exactly 2n + 1 rows; full row rank then means that deleting any
+    single row drops the rank to 2n, which is what makes the rigidity
+    minimal.
     """
-    n = graph.n
-    fr = faithful_realization(graph, seed=seed)
-    rank = modp_rank(_modp_rigidity_rows(graph, fr.exact))
-    if rank != 2 * n + 1:
-        raise InternalConsistencyError(
-            f"rigidity matrix rank {rank} mod p at a faithful realization, expected {2 * n + 1}"
-        )
-    return fr, RankReport("M232", rank, "fp", 1, seed)
+    return faithful_realization(graph, seed=seed), RankReport("M232", 2 * graph.n + 1, "fp", 1, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +213,7 @@ class OneDVerdict:
 def _oned_rows(graph: ColoredGraph, xs: list[int], lat: int) -> list[dict[int, int]]:
     """M112 entry rows at a = eta; the second lattice column is zero (g2 = 0)."""
     return [
-        _m112_row(graph.n, e, xs[e.head] + e.color.g1 * lat - xs[e.tail], "fp")
+        _m112_row(graph.n, e, xs[e.head] + e.color.g1 * lat - xs[e.tail])
         for e in graph.edges
     ]
 

@@ -10,7 +10,9 @@ float determinant check of the M112 minors.
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +27,17 @@ SOLVE_TOL = 1e-9
 COLLAPSE_TOL = 1e-6  # relative; deliberately looser than the solve tolerance
 
 
+@dataclass(frozen=True)
+class FloatMatrix:
+    """Dense float rows, one per edge, in one of the filling patterns."""
+
+    rows: tuple[tuple, ...]
+    ncols: int
+
+    def to_numpy(self) -> np.ndarray:
+        return np.array(self.rows, dtype=float).reshape(len(self.rows), self.ncols)
+
+
 def kernel_float(matrix, tolerance: float = FLOAT_TOL) -> tuple[int, np.ndarray]:
     """Numerical rank and orthonormal kernel basis (columns) of a real matrix.
 
@@ -32,7 +45,7 @@ def kernel_float(matrix, tolerance: float = FLOAT_TOL) -> tuple[int, np.ndarray]
     """
     if not 0 < tolerance < 1:  # also refuses NaN
         raise DomainError(f"tolerance must lie in (0, 1), got {tolerance}")
-    a = np.asarray(matrix, dtype=float)
+    a = matrix.to_numpy() if isinstance(matrix, FloatMatrix) else np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise StructuralError("kernel_float needs a 2d matrix")
     rows, cols = a.shape
@@ -76,31 +89,24 @@ def m222_row(n: int, e, a: float, b: float) -> tuple:
     return tuple(row)
 
 
-def _matrix(rows, width: int) -> np.ndarray:
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+def m112_matrix(graph: ColoredGraph, a) -> FloatMatrix:
+    return FloatMatrix(tuple(m112_row(graph.n, e, a[e.id]) for e in graph.edges), graph.n + 2)
 
 
-def m112_matrix(graph: ColoredGraph, a) -> np.ndarray:
-    return _matrix([m112_row(graph.n, e, a[e.id]) for e in graph.edges], graph.n + 2)
+def m222_matrix(graph: ColoredGraph, a, b) -> FloatMatrix:
+    return FloatMatrix(tuple(m222_row(graph.n, e, a[e.id], b[e.id]) for e in graph.edges), 2 * graph.n + 4)
 
 
-def m222_matrix(graph: ColoredGraph, a, b) -> np.ndarray:
-    return _matrix([m222_row(graph.n, e, a[e.id], b[e.id]) for e in graph.edges], 2 * graph.n + 4)
-
-
-def build_P_system(graph: ColoredGraph, directions: DirectionAssignment) -> np.ndarray:
+def build_P_system(graph: ColoredGraph, directions: DirectionAssignment) -> FloatMatrix:
     """The realization system: the M222 pattern at (a, b) = perp(d), one row per edge."""
-    rows = [m222_row(graph.n, e, *directions.perp(e.id)) for e in graph.edges]
-    return _matrix(rows, 2 * graph.n + 4)
+    perp = {e.id: directions.perp(e.id) for e in graph.edges}
+    return m222_matrix(graph, {x: a for x, (a, _) in perp.items()}, {x: b for x, (_, b) in perp.items()})
 
 
-def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> np.ndarray:
+def rigidity_matrix(graph: ColoredGraph, realization: Realization) -> FloatMatrix:
     """The M222 pattern with each edge's displacement eta substituted for (a, b)."""
-    rows = []
-    for e in graph.edges:
-        ax, bx = realization.eta(e.tail, e.head, tuple(e.color))
-        rows.append(m222_row(graph.n, e, float(ax), float(bx)))
-    return _matrix(rows, 2 * graph.n + 4)
+    etas = {e.id: realization.eta(e.tail, e.head, tuple(e.color)) for e in graph.edges}
+    return m222_matrix(graph, {x: float(v[0]) for x, v in etas.items()}, {x: float(v[1]) for x, v in etas.items()})
 
 
 def float_realization(graph: ColoredGraph, rng: random.Random) -> Realization:
@@ -163,8 +169,8 @@ def float_determinant_checks(graph: ColoredGraph, a) -> bool:
     ok, k = is_11k(subset)
     n = graph.n
     assert graph.m == n - 1 + k
-    mat = m112_matrix(graph, a)
-    prod_a = float(np.prod([a[e.id] for e in graph.edges]))
+    mat = m112_matrix(graph, a).to_numpy()
+    prod_a = math.prod(a[e.id] for e in graph.edges)
     images = [rho_of_walk(w) for _, w in fundamental_cycles(subset)]
     if k == 0:
         minors = [((n, n + 1), 1 if ok else 0)]

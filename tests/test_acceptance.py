@@ -23,15 +23,9 @@ from perigid.colored_graph import (
     sublattice_cover,
     z2_rank,
 )
-from perigid.direction_network import (
-    DirectionAssignment,
-    edge_status,
-    faithful_realization,
-    realization_kernel,
-)
+from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid.linear_rep import (
     _modp_rigidity_rows,
-    kernel_float,
     modp_rank,
     rank_mod_p,
     sample_assignment,
@@ -43,7 +37,6 @@ from perigid.rigidity import (
     generic_rigidity_rank,
     is_1d_rigid,
     is_ross,
-    rigidity_matrix,
 )
 from perigid.sparsity import (
     brute_force_sparsity,
@@ -57,6 +50,14 @@ from perigid.sparsity import (
     max_laman_sparse_subset,
 )
 
+from float_reference import (
+    edge_status,
+    float_assignment,
+    float_determinant_checks,
+    kernel_float,
+    realization_kernel,
+    rigidity_matrix,
+)
 from randgen import (
     random_11k,
     random_circuit_graph,
@@ -241,10 +242,11 @@ def test_criterion_08_determinant_formulas():
         n = rng.randint(2, 8)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        for mode in ("fp", "float"):
-            asn = sample_assignment(g, pairs=False, mode=mode, seed=rng.randrange(1 << 30))
-            rep = verify_determinant_formulas(g, assignment=asn)
-            assert rep.instance and rep.all_ok, (g, mode)
+        asn = sample_assignment(g, pairs=False, seed=rng.randrange(1 << 30))
+        rep = verify_determinant_formulas(g, assignment=asn)
+        assert rep.instance and rep.all_ok, g
+        a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
+        assert float_determinant_checks(g, a), g  # within 1e-10 of the closed form
         instances += 1
     non_instances = 0
     for _ in range(150):
@@ -252,7 +254,7 @@ def test_criterion_08_determinant_formulas():
         k = rng.randint(0, 2)
         bad = random_non_11k(rng, n, k)
         for trial in range(3):
-            asn = sample_assignment(bad, pairs=False, mode="fp", seed=trial)
+            asn = sample_assignment(bad, pairs=False, seed=trial)
             rep = verify_determinant_formulas(bad, assignment=asn)
             assert not rep.instance
             assert all(c.determinant == 0 for c in rep.checks), bad

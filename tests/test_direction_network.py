@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,24 +15,22 @@ from perigid import direction_network
 from perigid.colored_graph import ColoredGraph, EdgeSubset, scan_subset, image_rank
 from perigid.direction_network import (
     DirectionAssignment,
-    build_P_system,
     collapsed_realization,
     collapsed_space_basis,
-    edge_status,
     faithful_realization,
-    realization_kernel,
 )
 from perigid.errors import DomainError, GenericitySamplingError
 from perigid.linear_rep import (
     PRIME,
     GenericAssignment,
+    NaturalMatrix,
     Realization,
     build_natural_matrix,
-    kernel_float,
     modp_rank,
 )
 from perigid.rigidity import decide_rigidity
 from perigid.sparsity import is_colored_laman
+from float_reference import build_P_system, edge_status, kernel_float, realization_kernel
 from randgen import random_circuit_graph, random_graph, random_laman_graph
 
 G = ColoredGraph.build
@@ -56,18 +52,24 @@ def test_p_system_tree_edge_row():
     assert np.allclose(row, [1, 0, -1, 0, 0, 0, 0, 0])
 
 
+def _modp(x):
+    """A float read as the exact rational it is, mod p."""
+    q = Fraction(x)
+    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+
 def test_p_system_matches_natural_matrix():
+    # the exact P-system rows are the M222 rows at perp(d) mod p, and the float rows read mod p
     rng = random.Random(14)
     for _ in range(30):
         g = random_graph(rng, nmax=4)
         if not g.m:
             continue
         d = DirectionAssignment.sample(g, rng)
-        a = {e.id: d.perp(e.id)[0] for e in g.edges}
-        b = {e.id: d.perp(e.id)[1] for e in g.edges}
-        direct = build_P_system(g, d).to_numpy()
-        via = build_natural_matrix(g, "M222", GenericAssignment(a, b, "float")).to_numpy()
-        assert np.allclose(direct, via)
+        exact = tuple(direction_network._modp_row(g.n, e, d) for e in g.edges)
+        assert exact == _modp_p_system(g, d)
+        dense = NaturalMatrix("M222", g.n, exact).rows
+        assert dense == tuple(tuple(map(_modp, row)) for row in build_P_system(g, d).rows)
 
 
 def test_p_system_zero_direction_rejected():
@@ -174,14 +176,9 @@ def test_doubling_a_collapsed_edge_keeps_the_kernel():
 
 def _modp_p_system(graph, directions):
     """P-system rows mod p, each float perpendicular read as the exact rational it is."""
-
-    def modp(x):
-        q = Fraction(x)
-        return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
-
-    a = {e.id: modp(directions.perp(e.id)[0]) for e in graph.edges}
-    b = {e.id: modp(directions.perp(e.id)[1]) for e in graph.edges}
-    return build_natural_matrix(graph, "M222", GenericAssignment(a, b, "fp")).entries
+    a = {e.id: _modp(directions.perp(e.id)[0]) for e in graph.edges}
+    b = {e.id: _modp(directions.perp(e.id)[1]) for e in graph.edges}
+    return build_natural_matrix(graph, "M222", GenericAssignment(a, b)).entries
 
 
 def _rebuilt_doubled_rows(graph, directions, eid, extra):
@@ -193,41 +190,28 @@ def _rebuilt_doubled_rows(graph, directions, eid, extra):
     return _modp_p_system(doubled, DirectionAssignment(dmap))
 
 
-def test_doubled_systems_match_the_rebuilt_doubled_graphs(monkeypatch):
-    exact_point = direction_network._exact_point
+def test_doubled_systems_match_the_rebuilt_doubled_graphs():
+    # with a 3-dimensional kernel, the collapse test is the doubled-row test: an edge
+    # collapses on the kernel's point iff a parallel copy with a fresh direction
+    # leaves the rebuilt doubled graph's P-system short of rank 2n + 2
     rng = random.Random(29)
-    for _ in range(40):
-        g = random_laman_graph(rng, rng.randint(1, 6))
-        n, seed = g.n, rng.randrange(1 << 20)
-        verdicts = []
-
-        def spy(graph, directions, draws):
-            verdicts.append(exact_point(graph, directions, draws))
-            return verdicts[-1]
-
-        monkeypatch.setattr(direction_network, "_exact_point", spy)
-        fr = faithful_realization(g, seed=seed)
-        monkeypatch.undo()
-        assert len(verdicts) == fr.attempts
-        assert fr.exact == tuple(verdicts[-1])
-        # replay the seeded draws: the F_p verdict on each doubled row is the
-        # F_p rank of the rebuilt doubled graph's P-system
-        replay, doubled = random.Random(seed), 0
-        for verdict in verdicts:
-            d = DirectionAssignment.sample(g, replay)
-            if modp_rank(_modp_p_system(g, d)) != 2 * n + 1:
-                assert verdict == "rank"
-                continue
-            full = True
-            for e in g.edges:
-                t = replay.uniform(0.0, 2.0 * math.pi)
-                doubled += 1
-                rows = _rebuilt_doubled_rows(g, d, e.id, (math.cos(t), math.sin(t)))
-                full = modp_rank(rows) == 2 * n + 2
-                if not full:
-                    break
-            assert (verdict == "doubled row") == (not full)
-        assert doubled >= g.m
+    verdicts = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        g = random_graph(rng, n=n, m=2 * n + 1, color_range=rng.randint(0, 2))
+        d = DirectionAssignment.sample(g, rng)
+        verdict = direction_network._exact_point(g, d)
+        verdicts[verdict] += 1
+        if modp_rank(_modp_p_system(g, d)) != 2 * n + 1:
+            assert verdict == "rank"
+            continue
+        short = False
+        for e in g.edges:
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            rows = _rebuilt_doubled_rows(g, d, e.id, (math.cos(t), math.sin(t)))
+            short = short or modp_rank(rows) != 2 * n + 2
+        assert (verdict == "collapsed mod p") == short, g
+    assert verdicts[None] and verdicts["rank"] and verdicts["collapsed mod p"]
 
 
 def test_a_non_generic_sample_is_rejected_mod_p_before_any_svd(monkeypatch):
@@ -239,37 +223,26 @@ def test_a_non_generic_sample_is_rejected_mod_p_before_any_svd(monkeypatch):
         raise AssertionError("an SVD was taken")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    with pytest.raises(GenericitySamplingError, match="rejections: rank 16, doubled row 0,"):
+    with pytest.raises(GenericitySamplingError, match="rejections: rank 16, collapsed mod p 0, point rank 0 "):
         faithful_realization(LAMAN1)
     monkeypatch.undo()
 
-    # distinct directions, but the copy of edge 0 drawn with edge 0's own angle
-    class Repeating:
-        def __init__(self, seed):
-            self.angles = itertools.cycle((0.3, 1.4, 2.9, 0.3))
-
-        def uniform(self, low, high):
-            return next(self.angles)
-
-    monkeypatch.setattr(direction_network, "random", SimpleNamespace(Random=Repeating))
+    # generic directions, but a point whose every displacement is zero
+    monkeypatch.setattr(direction_network, "_integer_point", lambda n, rng: [(0, 0)] * (n + 2))
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    with pytest.raises(GenericitySamplingError, match="rejections: rank 0, doubled row 16,"):
+    with pytest.raises(GenericitySamplingError, match="rejections: rank 0, collapsed mod p 0, point rank 16 "):
         faithful_realization(LAMAN1)
 
 
 def test_sampling_error_counts_the_rejections_by_reason(monkeypatch):
-    statuses = direction_network.edge_status
-
-    def one_collapsed(graph, directions, realization):
-        first, *rest = statuses(graph, directions, realization)
-        return [dataclasses.replace(first, collapsed=True), *rest]
-
-    monkeypatch.setattr(direction_network, "edge_status", one_collapsed)
+    # the exact test rejects two attempts in three, and the point rank the third
+    verdicts = itertools.cycle(("rank", "collapsed mod p", None))
+    monkeypatch.setattr(direction_network, "_exact_point", lambda graph, directions: next(verdicts))
+    monkeypatch.setattr(direction_network, "_integer_point", lambda n, rng: [(1, 2)] * (n + 2))
     with pytest.raises(GenericitySamplingError) as err:
         faithful_realization(LAMAN1, seed=5)
     assert err.value.attempts == 16
-    reasons = "rank 0, doubled row 0, collapsed mod p 0, drawing residual 0, drawing edge below COLLAPSE_TOL 16"
-    assert f"rejections: {reasons} (smallest |eta|/scale " in str(err.value)
+    assert "rejections: rank 6, collapsed mod p 5, point rank 5 " in str(err.value)
 
 
 def test_translation_and_scaling_invariance():
@@ -320,13 +293,13 @@ def test_an_accepted_sample_certifies_the_graph():
                 laman, graphs = is_colored_laman(g), graphs + 1
                 draws = random.Random(rng.randrange(1 << 30))
                 for _ in range(2):
-                    verdict = direction_network._exact_point(g, DirectionAssignment.sample(g, draws), draws)
-                    assert isinstance(verdict, list) == laman, (g, verdict)
-                    reasons[verdict if isinstance(verdict, str) else "accepted"] += 1
+                    verdict = direction_network._exact_point(g, DirectionAssignment.sample(g, draws))
+                    assert (verdict is None) == laman, (g, verdict)
+                    reasons[verdict or "accepted"] += 1
     assert graphs >= 2000
     # both halves of the argument do work: rank alone does not refuse every graph
-    assert reasons["accepted"] and reasons["rank"] and reasons["doubled row"]
-    assert set(reasons) == {"accepted", "rank", "doubled row"}
+    assert reasons["accepted"] and reasons["rank"] and reasons["collapsed mod p"]
+    assert set(reasons) == {"accepted", "rank", "collapsed mod p"}
 
 
 @pytest.fixture()
@@ -360,13 +333,11 @@ def test_the_counts_run_only_after_a_rejected_first_sample(spied):
     assert spied == ["_exact_point", "is_colored_laman"]
     spied.clear()
 
-    # the tolerance is checked before any draw, so before the counts too
-    with pytest.raises(DomainError, match="^tolerance must lie in"):
-        faithful_realization(NOT_SPARSE, tolerance=float("nan"))
-    # m != 2n + 1 is refused before any draw, and before the tolerance
+    # m != 2n + 1 is refused before any draw; that realize --tol is checked after this
+    # refusal and before the counts is pinned by the CLI tests in test_fileio_cli.py
     for g in (G(1, [(0, 0, (1, 0))]), G(2, [(0, 0, (1, 0)), (1, 1, (1, 0))])):
         with pytest.raises(DomainError, match="^faithful_realization needs a colored-Laman graph$"):
-            faithful_realization(g, tolerance=float("nan"))
+            faithful_realization(g)
     assert spied == []
 
 

@@ -11,18 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
-from perigid.direction_network import DirectionAssignment, build_P_system
+from perigid.direction_network import DirectionAssignment, _modp_row
 from perigid.errors import DomainError, StructuralError
 from perigid import linear_rep
 from perigid.linear_rep import (
     MAX_TRIALS,
     PRIME,
     GenericAssignment,
-    Realization,
+    NaturalMatrix,
     build_natural_matrix,
     dump_matrix,
     _eliminate,
-    kernel_float,
+    _integer_eta,
+    _modp_rigidity_rows,
     modp_det,
     modp_kernel,
     modp_rank,
@@ -30,9 +31,17 @@ from perigid.linear_rep import (
     sample_assignment,
     verify_determinant_formulas,
 )
-from perigid.rigidity import rigidity_matrix
 from perigid.sparsity import decompose_two_11k, f_value, is_222_graph, is_222_sparse
 
+from float_reference import (
+    float_assignment,
+    float_determinant_checks,
+    kernel_float,
+    m112_matrix,
+    m112_row,
+    m222_matrix,
+    m222_row,
+)
 from randgen import random_11k, random_graph, random_laman_graph, random_non_11k
 
 G = ColoredGraph.build
@@ -41,16 +50,16 @@ LAMAN1 = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
 
 def test_m112_rows():
     loop = G(1, [(0, 0, (1, 0))])
-    asn = GenericAssignment({0: 9}, None, "fp")
+    asn = GenericAssignment({0: 9}, None)
     assert build_natural_matrix(loop, "M112", asn).rows[0] == (0, 9, 0)
     tree = G(2, [(0, 1, (0, 0))])
-    row = build_natural_matrix(tree, "M112", GenericAssignment({0: 4}, None, "fp")).rows[0]
+    row = build_natural_matrix(tree, "M112", GenericAssignment({0: 4}, None)).rows[0]
     assert row == ((-4) % PRIME, 4, 0, 0)
 
 
 def test_m222_row():
     g = G(2, [(0, 1, (2, 3))])
-    asn = GenericAssignment({0: 5}, {0: 7}, "fp")
+    asn = GenericAssignment({0: 5}, {0: 7})
     row = build_natural_matrix(g, "M222", asn).rows[0]
     assert row == ((-5) % PRIME, (-7) % PRIME, 5, 7, 10, 14, 15, 21)
 
@@ -58,9 +67,9 @@ def test_m222_row():
 def test_build_matrix_missing_assignment():
     g = G(1, [(0, 0, (1, 0))])
     with pytest.raises(StructuralError):
-        build_natural_matrix(g, "M112", GenericAssignment({}, None, "fp"))
+        build_natural_matrix(g, "M112", GenericAssignment({}, None))
     with pytest.raises(StructuralError):
-        build_natural_matrix(g, "M222", GenericAssignment({0: 1}, None, "fp"))
+        build_natural_matrix(g, "M222", GenericAssignment({0: 1}, None))
 
 
 def test_rank_mod_p_examples():
@@ -236,8 +245,8 @@ def test_kernel_float_examples():
     assert rank == 0 and kernel.shape == (3, 3)
     rank, kernel = kernel_float(np.eye(4))
     assert rank == 4 and kernel.shape == (4, 0)
-    asn = sample_assignment(LAMAN1, pairs=True, mode="float", seed=8)
-    rank, kernel = kernel_float(build_natural_matrix(LAMAN1, "M222", asn))
+    a, b = float_assignment(LAMAN1, True, random.Random(8))
+    rank, kernel = kernel_float(m222_matrix(LAMAN1, a, b))
     assert rank == 3 and kernel.shape == (6, 3)
 
 
@@ -258,19 +267,14 @@ def test_fp_rank_at_least_float_rank_same_assignment():
     rng = random.Random(10)
     for _ in range(40):
         g = random_graph(rng, nmax=3)
-        ints = sample_assignment(g, pairs=True, mode="fp", seed=rng.randrange(1 << 30))
+        ints = sample_assignment(g, pairs=True, seed=rng.randrange(1 << 30))
         small = GenericAssignment(
             {k: (v % 1000) + 1 for k, v in ints.a.items()},
             {k: (v % 1000) + 1 for k, v in ints.b.items()},
-            "fp",
         )
-        floats = GenericAssignment(
-            {k: float(v) for k, v in small.a.items()},
-            {k: float(v) for k, v in small.b.items()},
-            "float",
-        )
+        floats = ({k: float(v) for k, v in small.a.items()}, {k: float(v) for k, v in small.b.items()})
         exact = modp_rank(build_natural_matrix(g, "M222", small).rows)
-        approx, _ = kernel_float(build_natural_matrix(g, "M222", floats))
+        approx, _ = kernel_float(m222_matrix(g, *floats))
         assert exact >= approx
         assert exact == approx  # equality on these well-conditioned samples
 
@@ -297,10 +301,11 @@ def test_det_formula_random_instances_and_non_instances():
         n = rng.randint(2, 6)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        for mode in ("fp", "float"):
-            asn = sample_assignment(g, pairs=False, mode=mode, seed=rng.randrange(1 << 30))
-            rep = verify_determinant_formulas(g, assignment=asn)
-            assert rep.instance and rep.all_ok, (g, mode)
+        asn = sample_assignment(g, pairs=False, seed=rng.randrange(1 << 30))
+        rep = verify_determinant_formulas(g, assignment=asn)
+        assert rep.instance and rep.all_ok, g
+        a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
+        assert float_determinant_checks(g, a), g
         bad = random_non_11k(rng, n, k)
         rep = verify_determinant_formulas(bad)
         assert not rep.instance and rep.all_ok
@@ -316,9 +321,9 @@ def test_cycle_elimination():
     # scaling rows by 1/a and summing signed rows around a cycle leaves
     # (0 .. 0 | rho) in the chosen cycle edge's row
     g = G(3, [(0, 1, (1, 0)), (1, 2, (0, 1)), (2, 0, (3, 4))])
-    asn = sample_assignment(g, pairs=False, mode="float", seed=5)
-    mat = build_natural_matrix(g, "M112", asn).to_numpy()
-    scaled = mat / np.array([[asn.a[e.id]] for e in g.edges])
+    a, _ = float_assignment(g, False, random.Random(5))
+    mat = m112_matrix(g, a).to_numpy()
+    scaled = mat / np.array([[a[e.id]] for e in g.edges])
     (eid, walk) = fundamental_cycles(EdgeSubset.full(g))[0]
     rho = rho_of_walk(walk)
     combo = np.zeros(g.n + 2)
@@ -338,7 +343,7 @@ def test_laplace_block_structure():
     rng = random.Random(3)
     a = {e.id: rng.randrange(1, 997) for e in g.edges}
     b = {e.id: rng.randrange(1, 997) for e in g.edges}
-    mat = build_natural_matrix(g, "M222", GenericAssignment(a, b, "fp")).rows
+    mat = build_natural_matrix(g, "M222", GenericAssignment(a, b)).rows
     n = g.n
     acols = [2 * n, 2 * n + 2]  # a-side: even vertex cols dropped (n=1)
     bcols = [2 * n + 1, 2 * n + 3]
@@ -364,7 +369,7 @@ def test_laplace_block_structure():
 
 
 def test_dump_matrix_format():
-    asn = GenericAssignment({0: 3}, None, "fp")
+    asn = GenericAssignment({0: 3}, None)
     text = dump_matrix(build_natural_matrix(G(1, [(0, 0, (1, 2))]), "M112", asn))
     assert text == "mat 1 3 fp\n0 3 6\n"
 
@@ -456,30 +461,12 @@ def test_sparse_elimination_matches_dense_reduction():
     assert shapes == {"tall", "wide", "square"}
 
 
-def _dense_m112_row(n, e, a, mode):
-    row = [0] * (n + 2)
-    row[e.tail] -= a
-    row[e.head] += a
-    row[n] += e.color.g1 * a
-    row[n + 1] += e.color.g2 * a
-    if mode == "fp":
-        row = [x % PRIME for x in row]
-    return tuple(row)
+def _dense_m112_row(n, e, a):
+    return tuple(x % PRIME for x in m112_row(n, e, a))
 
 
-def _dense_m222_row(n, e, a, b, mode):
-    row = [0] * (2 * n + 4)
-    row[2 * e.tail] -= a
-    row[2 * e.tail + 1] -= b
-    row[2 * e.head] += a
-    row[2 * e.head + 1] += b
-    row[2 * n] += e.color.g1 * a
-    row[2 * n + 1] += e.color.g1 * b
-    row[2 * n + 2] += e.color.g2 * a
-    row[2 * n + 3] += e.color.g2 * b
-    if mode == "fp":
-        row = [x % PRIME for x in row]
-    return tuple(row)
+def _dense_m222_row(n, e, a, b):
+    return tuple(x % PRIME for x in m222_row(n, e, a, b))
 
 
 def _looped_graph(rng):
@@ -503,28 +490,25 @@ def test_dense_rows_match_the_dense_builders():
     for _ in range(300):
         g = _looped_graph(rng)
         n = g.n
-        for mode in ("fp", "float"):
-            asn = sample_assignment(g, pairs=True, mode=mode, rng=rng)
-            _same_rows(
-                build_natural_matrix(g, "M112", asn).rows,
-                tuple(_dense_m112_row(n, e, asn.a[e.id], mode) for e in g.edges),
-            )
-            _same_rows(
-                build_natural_matrix(g, "M222", asn).rows,
-                tuple(_dense_m222_row(n, e, asn.a[e.id], asn.b[e.id], mode) for e in g.edges),
-            )
-        # repeated points collapse edges to zero displacements, and -0.0 terms
-        pts = [[rng.choice((0.0, -0.5, 0.5)), rng.uniform(-1, 1)] for _ in range(n)]
-        lattice = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
-        real = Realization(np.array(pts), np.array(lattice))
-        want = []
-        for e in g.edges:
-            ax, bx = real.eta(e.tail, e.head, tuple(e.color))
-            want.append(_dense_m222_row(n, e, float(ax), float(bx), "float"))
-        _same_rows(rigidity_matrix(g, real).rows, tuple(want))
+        asn = sample_assignment(g, pairs=True, rng=rng)
+        _same_rows(
+            build_natural_matrix(g, "M112", asn).rows,
+            tuple(_dense_m112_row(n, e, asn.a[e.id]) for e in g.edges),
+        )
+        _same_rows(
+            build_natural_matrix(g, "M222", asn).rows,
+            tuple(_dense_m222_row(n, e, asn.a[e.id], asn.b[e.id]) for e in g.edges),
+        )
+        # repeated points collapse edges to zero displacements
+        xy = [(rng.choice((0, -5, 5)), rng.randint(-9, 9)) for _ in range(n + 2)]
+        want = tuple(_dense_m222_row(n, e, *_integer_eta(xy, e)) for e in g.edges)
+        _same_rows(NaturalMatrix("M232", n, tuple(_modp_rigidity_rows(g, xy))).rows, want)
+        # the P-system mod p, each float perpendicular read as the rational it is
         dirs = DirectionAssignment.sample(g, rng)
-        want = tuple(_dense_m222_row(n, e, *dirs.perp(e.id), "float") for e in g.edges)
-        _same_rows(build_P_system(g, dirs).rows, want)
+        ratios = {e.id: [x.as_integer_ratio() for x in dirs.perp(e.id)] for e in g.edges}
+        modp = {x: [a * pow(b, -1, PRIME) for a, b in r] for x, r in ratios.items()}
+        want = tuple(_dense_m222_row(n, e, *modp[e.id]) for e in g.edges)
+        _same_rows(NaturalMatrix("M222", n, tuple(_modp_row(n, e, dirs) for e in g.edges)).rows, want)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
-from perigid.direction_network import DirectionAssignment, build_P_system
+from perigid.direction_network import DirectionAssignment
 from perigid import direction_network, linear_rep, rigidity
 from perigid.errors import DomainError, InternalConsistencyError
-from perigid.linear_rep import PRIME, Realization, _eliminate, kernel_float
+from perigid.linear_rep import PRIME, Realization, _eliminate
 from perigid.rigidity import (
     STATUS_FLEXIBLE,
     STATUS_MINIMAL,
@@ -24,11 +24,10 @@ from perigid.rigidity import (
     is_ross,
     laman_analysis,
     rigid_realization_certificate,
-    rigidity_matrix,
 )
 from perigid.sparsity import CircuitReport, brute_force_sparsity, is_colored_laman, max_laman_sparse_subset
 
-from float_reference import float_rigidity_rank
+from float_reference import build_P_system, float_rigidity_rank, kernel_float, rigidity_matrix
 from randgen import random_graph, random_laman_graph
 from test_linear_rep import ceiling_graphs, spy_on_eliminations
 
@@ -84,10 +83,7 @@ def test_generic_rank_float_matches_fp():
     for _ in range(25):
         g = random_graph(rng, nmax=3)
         seed = rng.randrange(1 << 30)
-        assert (
-            generic_rigidity_rank(g, seed=seed, mode="fp").rank
-            == generic_rigidity_rank(g, seed=seed, mode="float").rank
-        )
+        assert generic_rigidity_rank(g, seed=seed).rank == float_rigidity_rank(g, seed=seed)
 
 
 def test_decide_rigidity_examples():
@@ -147,8 +143,7 @@ def test_every_route_agrees_on_colored_laman_membership(case):
     assert is_colored_laman(g) == laman
     if g.m == 2 * g.n + 1:  # one direction sample is accepted exactly on colored-Laman graphs
         draws = random.Random(seed)
-        verdict = direction_network._exact_point(g, DirectionAssignment.sample(g, draws), draws)
-        assert isinstance(verdict, list) == laman
+        assert (direction_network._exact_point(g, DirectionAssignment.sample(g, draws)) is None) == laman
     assert float_rigidity_rank(g, seed=seed) == generic_rigidity_rank(g, seed=seed).rank
 
 
@@ -481,18 +476,14 @@ def test_a_sample_at_the_ceiling_ends_the_trials(monkeypatch):
     ranks.clear()
     dependent = G(2, [(0, 1, (0, 0)), (1, 0, (0, 0)), (0, 1, (0, 0))])  # rank 1 < min(m, n) = 2
     assert is_1d_rigid(dependent, trials=3).status == STATUS_FLEXIBLE and ranks == [1, 1, 1]
-    ranks.clear()
-    # float mode keeps drawing every trial and never eliminates over F_p
-    assert generic_rigidity_rank(tight, trials=3, mode="float").rank == 13 and ranks == []
 
 
 def test_trials_outside_the_budget_are_refused(monkeypatch):
     ranks = spy_on_eliminations(monkeypatch)
     flat = G(1, [(0, 0, (1, 0))])
     for trials in (0, linear_rep.MAX_TRIALS + 1):
-        for mode in ("fp", "float"):
-            with pytest.raises(DomainError, match="trials must be"):
-                generic_rigidity_rank(LAMAN1, trials=trials, mode=mode)
+        with pytest.raises(DomainError, match="trials must be"):
+            generic_rigidity_rank(LAMAN1, trials=trials)
         with pytest.raises(DomainError, match="trials must be"):
             is_1d_rigid(flat, trials=trials)
     assert ranks == []
@@ -517,6 +508,6 @@ def test_exact_rank_paths_build_no_dense_row(monkeypatch):
         flat = G(g.n, [(e.tail, e.head, (e.color.g1, 0)) for e in g.edges])
         is_1d_rigid(flat)
     assert calls == [] and circuits
-    # the spy sees the one path that densifies: rows for numpy and dumps
-    rigidity_matrix(LAMAN1, Realization(np.zeros((1, 2)), np.eye(2))).to_numpy()
+    # the spy sees the one path that densifies: rows for dumps and determinant minors
+    linear_rep.dump_matrix(linear_rep.NaturalMatrix("M232", 1, tuple(rigidity._sampled_modp_rows(LAMAN1, rng))))
     assert len(calls) == LAMAN1.m
