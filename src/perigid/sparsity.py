@@ -410,7 +410,7 @@ def decompose_two_11k(graph: ColoredGraph) -> Decomposition:
 _VIRTUAL = -1  # id reserved for the doubled copy in oracle queries
 
 
-def _grow(state: PartitionState, graph: ColoredGraph, eid: int) -> bool:
+def _grow(state: PartitionState, eid: int) -> bool:
     """Add eid to the live partition if it and then a parallel copy of it fit.
 
     The copy is taken out again once it lands; when either insertion fails,
@@ -419,8 +419,7 @@ def _grow(state: PartitionState, graph: ColoredGraph, eid: int) -> bool:
     """
     if not state.try_insert(eid):
         return False
-    e = graph.edge(eid)
-    state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
+    state.register_edge(_VIRTUAL, *state.edata[eid])
     landed = state.try_insert(_VIRTUAL)
     state.discard(_VIRTUAL if landed else eid)
     return landed
@@ -434,7 +433,7 @@ def laman_sparse_subset(graph: ColoredGraph, ids: Iterable[int]) -> bool:
     a violating T in S contains e, so |T + e'| = |T| + 1 > 2f(T) = 2f(T + e').
     """
     state = PartitionState(graph)
-    return all(_grow(state, graph, eid) for eid in sorted(ids))
+    return all(_grow(state, eid) for eid in sorted(ids))
 
 
 def is_colored_laman_sparse(graph: ColoredGraph) -> bool:
@@ -464,7 +463,7 @@ def max_laman_sparse_subset(graph: ColoredGraph) -> frozenset[int]:
     order.
     """
     state = PartitionState(graph)
-    return frozenset(eid for eid in sorted(graph.edge_ids()) if _grow(state, graph, eid))
+    return frozenset(eid for eid in sorted(graph.edge_ids()) if _grow(state, eid))
 
 
 # ---------------------------------------------------------------------------

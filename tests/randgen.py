@@ -6,12 +6,7 @@ import random
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.rigidity import laman_analysis
-from perigid.sparsity import (
-    is_11k,
-    is_colored_laman,
-    is_colored_laman_sparse,
-    laman_sparse_subset,
-)
+from perigid.sparsity import PartitionState, _grow, is_11k, is_colored_laman, is_colored_laman_sparse
 
 
 def random_graph(
@@ -34,17 +29,23 @@ def random_graph(
 
 
 def random_laman_graph(rng: random.Random, n: int) -> ColoredGraph:
-    """Grow a random colored-Laman graph greedily edge by edge."""
+    """Grow a random colored-Laman graph greedily edge by edge.
+
+    The edges taken so far are sparse and live in one partition; a candidate
+    joins when it and a parallel copy of it fit (`sparsity._grow`), which is
+    when the edges plus it are colored-Laman-sparse.
+    """
     target = 2 * n + 1
     for _ in range(40):  # independent restarts
         edges: list[tuple[int, int, tuple[int, int]]] = []
+        state = PartitionState(ColoredGraph.build(n, []))
         for _ in range(300 + 200 * n):
             u, v = rng.randrange(n), rng.randrange(n)
             c = (rng.randint(-2, 2), rng.randint(-2, 2))
             if u == v and c == (0, 0):
                 continue
-            candidate = ColoredGraph.build(n, edges + [(u, v, c)])
-            if laman_sparse_subset(candidate, candidate.edge_ids()):
+            state.register_edge(len(edges), u, v, c)
+            if _grow(state, len(edges)):
                 edges.append((u, v, c))
                 if len(edges) == target:
                     graph = ColoredGraph.build(n, edges)

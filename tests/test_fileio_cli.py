@@ -402,6 +402,22 @@ def test_cli_realize_checks_the_tolerance_before_the_counts(capsys, tmp_path):
     assert code == 2 and out == "error: faithful_realization needs a colored-Laman graph\n"
 
 
+@pytest.mark.parametrize("g", [1 << 40, 1 << 53])
+def test_cli_realizes_a_one_vertex_graph_with_a_huge_color(capsys, tmp_path, g):
+    # a loop of color (g, 1) is some g times longer than the other two, which a float
+    # drawing measured against its size as collapsed, resampled and gave up on (exit 3)
+    path = tmp_path / "huge.cg"
+    path.write_text(f"cg 2 1 3\n0 0 1 0\n0 0 0 1\n0 0 {g} 1\n")
+    out, code = run_cli(capsys, "check", str(path))
+    assert code == 0 and out.startswith("generically minimally rigid\n")
+    out, code = run_cli(capsys, "check", str(path), "--format", "json")
+    assert code == 0 and not any(e["collapsed"] for e in json.loads(out)["witness"]["edges"])
+    out, code = run_cli(capsys, "realize", str(path))
+    assert code == 0 and out.count("collapsed=False") == 3 and "collapsed=True" not in out
+    out, code = run_cli(capsys, "realize", str(path), "--format", "json")
+    assert code == 0 and not any(e["collapsed"] for e in json.loads(out)["edges"])
+
+
 def test_cli_realize_svg(capsys, laman1):
     out, code = run_cli(capsys, "realize", laman1, "--format", "svg")
     assert code == 0

@@ -33,7 +33,7 @@ from perigid.sparsity import (
     union_independent,
 )
 
-from randgen import random_11k, random_graph
+from randgen import random_11k, random_graph, random_laman_graph
 
 G = ColoredGraph.build
 
@@ -398,7 +398,7 @@ def test_forests_through_random_insertions_probes_and_exchanges(monkeypatch):
         while pending:
             step = rng.random()
             if step < 0.4:  # a grow step: an insertion, then its doubling probe
-                landed = sparsity._grow(state, g, pending.pop(0))
+                landed = sparsity._grow(state, pending.pop(0))
                 seen["grown" if landed else "failed"] += 1
             elif step < 0.6:  # a bare insertion
                 state.try_insert(pending.pop(0))
@@ -431,7 +431,7 @@ def test_deep_forests_read_off_like_probes():
     g = triangle_strip(random.Random(5), n)
     state = PartitionState(g)
     ids = sorted(g.edge_ids())
-    assert all(sparsity._grow(state, g, eid) for eid in ids)
+    assert all(sparsity._grow(state, eid) for eid in ids)
     rng = random.Random(6)
     sizes = []
     for r in (0, 1):
@@ -782,3 +782,30 @@ def test_brute_force_budget():
 def test_brute_force_unknown_family():
     with pytest.raises(DomainError):
         brute_force_sparsity(LAMAN1, "nope")
+
+
+def _reference_random_laman_graph(rng: random.Random, n: int) -> ColoredGraph:
+    """The generator `randgen.random_laman_graph` replaced: a fresh sparsity check per candidate."""
+    target = 2 * n + 1
+    for _ in range(40):
+        edges = []
+        for _ in range(300 + 200 * n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            c = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if u == v and c == (0, 0):
+                continue
+            candidate = G(n, edges + [(u, v, c)])
+            if laman_sparse_subset(candidate, candidate.edge_ids()):
+                edges.append((u, v, c))
+                if len(edges) == target:
+                    return G(n, edges)
+    raise RuntimeError(f"could not grow a colored-Laman graph on {n} vertices")
+
+
+def test_random_laman_graph_grows_the_reference_graphs():
+    for seed in range(12):
+        for n in (1, 2, 3, 5, 8, 13, 21):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got, want = random_laman_graph(rng, n), _reference_random_laman_graph(ref, n)
+            assert got.edges == want.edges, (seed, n)
+            assert rng.getstate() == ref.getstate()

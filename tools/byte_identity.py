@@ -35,7 +35,9 @@ about n / 2 deep; they go through `check`, `circuit`, `ross` and `sparsity`
 with all three families, and so do multigraphs on n = 2 and 3 vertices with
 m = 500 and 2,000 random edges (loops, parallel edges and (0, 0) loops among
 them), whose greedy basis rejects hundreds of edges, each with its own
-circuit.  Each checkout runs the whole
+circuit.  Two one-vertex colored-Laman graphs with loops (1, 0), (0, 1) and
+(g, 1) for g = 2^40 and 2^53, at the color budget, run the full list of
+subcommands.  Each checkout runs the whole
 list in its own subprocess, calling `perigid.cli.main` in-process on its own
 `src/`.  The tool prints the invocation count and the first differences in
 stdout, exit code or dump bytes, and exits 1 if there is any.
@@ -65,6 +67,7 @@ DEEP_SIZES = (16, 32, 64)
 MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
 RANDOM_GRAPHS = 80
 FLEXIBLE_SIZES = (64, 128)
+HUGE_COLORS = (1 << 40, 1 << 53)
 TRIALS = ("1", "5")
 
 
@@ -130,6 +133,8 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
     for n in LATE_TIGHT_SIZES:
         for i in range(2):
             add(f"tight n={n} #{i}", inst.minimal, n)
+    for g in HUGE_COLORS:
+        graphs.append((f"huge-color g={g}", inst.to_cg(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (g, 1))])))
     return graphs
 
 
