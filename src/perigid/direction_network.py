@@ -11,8 +11,8 @@ directions the kernel is 3-dimensional (translations plus one scaling class)
 and contains, up to translation and scale, a unique realization with no
 collapsed edge.  This module decides sampled directions over F_p, and
 draws the faithful realization from an integer point whose rigidity rows
-have full rank: the directions of its own edges are generic in that sense,
-so the point is, up to translation and scale, their unique realization.
+have full rank: such a point is, up to translation and scale, the unique
+realization of the directions of its own edges.
 """
 
 from __future__ import annotations
