@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from perigid import direction_network
+from perigid import direction_network, rigidity
 from perigid.colored_graph import ColoredGraph, EdgeSubset, scan_subset, image_rank
 from perigid.direction_network import (
     DirectionAssignment,
@@ -25,6 +25,7 @@ from perigid.linear_rep import (
     GenericAssignment,
     NaturalMatrix,
     Realization,
+    _modp_rigidity_rows,
     build_natural_matrix,
     modp_rank,
 )
@@ -269,6 +270,15 @@ def test_faithful_realization_fixture():
         perp = np.array(fr.directions.perp(e.id))
         assert abs(eta @ perp) <= 1e-9 * scale
         assert np.linalg.norm(eta) > 1e-6 * scale
+
+
+def test_the_first_attempt_draws_the_analysis_point():
+    # the witness is drawn from the integer point laman_analysis eliminates first
+    g = random_laman_graph(random.Random(18), 10)
+    for seed in range(5):
+        fr = faithful_realization(g, seed=seed)
+        assert fr.attempts == 1
+        assert _modp_rigidity_rows(g, fr.exact) == rigidity._sampled_modp_rows(g, random.Random(seed))
 
 
 def test_faithful_realization_rejects_non_laman():
