@@ -43,11 +43,10 @@ def _doc(width: float, height: float, body: list[str]) -> bytes:
     return (head + "\n".join(body) + "\n</svg>\n").encode("utf-8")
 
 
-def _line(x1, y1, x2, y2, color, width=1.5, dash=None) -> str:
-    d = f' stroke-dasharray="{dash}"' if dash else ""
+def _line(x1, y1, x2, y2, color, width=1.5) -> str:
     return (
         f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-        f'stroke="{color}" stroke-width="{_fmt(width)}"{d}/>'
+        f'stroke="{color}" stroke-width="{_fmt(width)}"/>'
     )
 
 
@@ -133,13 +132,11 @@ def realization_svg(graph: ColoredGraph, result: FaithfulRealization) -> bytes:
         tip = place(*vec)
         body.append(_line(o[0], o[1], tip[0], tip[1], "#888888", 2.0))
         body.append(_circle(tip[0], tip[1], 3.0, "#888888"))
-    # edges: segment from tail point along eta
+    # edges: segment from tail point along eta (a faithful realization collapses none)
     for e, s in zip(graph.edges, result.statuses):
         x1, y1 = place(*pts[e.tail])
         x2, y2 = place(pts[e.tail][0] + s.eta[0], pts[e.tail][1] + s.eta[1])
-        color = "#d62728" if s.collapsed else "#1f77b4"
-        dash = "4 3" if s.collapsed else None
-        body.append(_line(x1, y1, x2, y2, color, 2.0, dash))
+        body.append(_line(x1, y1, x2, y2, "#1f77b4", 2.0))
     for x, y in pts:
         px, py = place(x, y)
         body.append(_circle(px, py, 5.0, "#000000"))
