@@ -22,25 +22,10 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .colored_graph import ColoredGraph, EdgeSubset, GainScan, image_rank, scan_subset
-from .errors import (
-    DomainError,
-    GenericitySamplingError,
-    InternalConsistencyError,
-    StructuralError,
-)
-from .linear_rep import (
-    PRIME,
-    Realization,
-    _integer_eta,
-    _integer_point,
-    _m222_row,
-    _modp_rigidity_rows,
-    modp_kernel,
-    modp_rank,
-)
+from .errors import DomainError, GenericitySamplingError, InternalConsistencyError, StructuralError
+from .linear_rep import PRIME, Realization, _integer_eta, _integer_point, _m222_row
+from .linear_rep import _modp_rigidity_rows, modp_kernel, modp_rank
 from .sparsity import is_colored_laman
 
 DEFAULT_RETRY_CAP = 16
@@ -93,7 +78,10 @@ class EdgeStatus:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_kernel_basis(images: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+Matrix = tuple[tuple[float, float], tuple[float, float]]  # 2x2, by rows
+
+
+def _lattice_kernel_basis(images: Sequence[tuple[int, int]]) -> list[Matrix]:
     """Basis of the 2x2 matrices annihilating every cycle image.
 
     Rows of such a matrix are orthogonal to the image span, so the space has
@@ -101,48 +89,46 @@ def _lattice_kernel_basis(images: Sequence[tuple[int, int]]) -> list[np.ndarray]
     perpendicular direction per row for k = 1, only the zero matrix for k = 2.
     """
     k = image_rank(images)
+    zero = (0.0, 0.0)
     if k == 0:
-        return [
-            np.array([[1.0, 0.0], [0.0, 0.0]]),
-            np.array([[0.0, 1.0], [0.0, 0.0]]),
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-            np.array([[0.0, 0.0], [0.0, 1.0]]),
-        ]
+        return [((1.0, 0.0), zero), ((0.0, 1.0), zero), (zero, (1.0, 0.0)), (zero, (0.0, 1.0))]
     if k == 1:
         g1, g2 = next(v for v in images if any(v))
-        perp = np.array([-g2, g1], dtype=float)
-        return [np.vstack([perp, [0.0, 0.0]]), np.vstack([[0.0, 0.0], perp])]
+        perp = (float(-g2), float(g1))
+        return [(perp, zero), (zero, perp)]
     return []
 
 
-def _canonical_collapsed_lattice(images: Sequence[tuple[int, int]]) -> np.ndarray:
+def _canonical_collapsed_lattice(images: Sequence[tuple[int, int]]) -> Matrix:
     k = image_rank(images)
     if k == 0:
-        return np.eye(2)
+        return ((1.0, 0.0), (0.0, 1.0))
     if k == 2:
-        return np.zeros((2, 2))
+        return ((0.0, 0.0), (0.0, 0.0))
     g1, g2 = next(v for v in images if any(v))
-    return np.vstack([[-float(g2), float(g1)], [0.0, 0.0]])
+    return ((-float(g2), float(g1)), (0.0, 0.0))
 
 
 def _collapsed_points(
     graph: ColoredGraph,
     scan: GainScan,
-    lattice: np.ndarray,
+    lattice: Matrix,
     anchors: Mapping[int, Sequence[float]],
-) -> np.ndarray:
+) -> list[tuple[float, float]]:
     cmap = scan.component_map()
-    p = np.zeros((graph.n, 2))
+    (a, b), (c, d) = lattice
+    points = []
     for v in range(graph.n):
-        anchor = np.asarray(anchors.get(cmap[v], (0.0, 0.0)), dtype=float)
-        p[v] = anchor - lattice @ np.array(scan.root[v][1:], dtype=float)
-    return p
+        x, y = anchors.get(cmap[v], (0.0, 0.0))
+        _, s1, s2 = scan.root[v]
+        points.append((x - (a * s1 + b * s2), y - (c * s1 + d * s2)))
+    return points
 
 
 def collapsed_realization(
     graph: ColoredGraph,
     anchors: Sequence[Sequence[float]] | None = None,
-    lattice: np.ndarray | None = None,
+    lattice: Matrix | None = None,
 ) -> Realization:
     """A realization in which every edge displacement vanishes.
 
@@ -155,7 +141,6 @@ def collapsed_realization(
     ncomp = len(scan.trees)
     if lattice is None:
         lattice = _canonical_collapsed_lattice(scan.images)
-    lattice = np.asarray(lattice, dtype=float).reshape(2, 2)
     anchor_map: dict[int, Sequence[float]] = {}
     if anchors is not None:
         if len(anchors) != ncomp:
@@ -164,7 +149,7 @@ def collapsed_realization(
     real = Realization(_collapsed_points(graph, scan, lattice, anchor_map), lattice)
     tol = 1e-9 * max(real.scale(), 1.0)
     for e in graph.edges:
-        if np.linalg.norm(real.eta(e.tail, e.head, tuple(e.color))) > tol:
+        if math.hypot(*real.eta(e.tail, e.head, tuple(e.color))) > tol:
             raise InternalConsistencyError(
                 f"collapsed construction left edge {e.id} with nonzero displacement"
             )
@@ -185,11 +170,8 @@ def collapsed_space_basis(graph: ColoredGraph) -> list[Realization]:
         out.append(Realization(_collapsed_points(graph, scan, w, {}), w))
     for comp in range(ncomp):
         for unit in ((1.0, 0.0), (0.0, 1.0)):
-            p = np.zeros((graph.n, 2))
-            for v in range(graph.n):
-                if cmap[v] == comp:
-                    p[v] = unit
-            out.append(Realization(p, np.zeros((2, 2))))
+            p = [unit if cmap[v] == comp else (0.0, 0.0) for v in range(graph.n)]
+            out.append(Realization(p, ((0.0, 0.0), (0.0, 0.0))))
     return out
 
 

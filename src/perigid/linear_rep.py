@@ -29,13 +29,12 @@ here is exact over F_p; no floating-point linear algebra is left.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
 from .errors import DomainError, StructuralError
@@ -49,44 +48,48 @@ COORD_RANGE = 1 << 20  # integer sampling window for exact realizations
 
 @dataclass(frozen=True)
 class Realization:
-    """Points p_i in the plane plus a 2x2 lattice matrix L.
+    """Points p_i in the plane plus a 2x2 lattice matrix L, as tuples of floats.
 
     Flattened layout (length 2n + 4): x_1, y_1, ..., x_n, y_n followed by
     the first lattice column then the second.
     """
 
-    p: np.ndarray  # (n, 2)
-    L: np.ndarray  # (2, 2)
+    p: tuple[tuple[float, float], ...]  # n rows (x, y)
+    L: tuple[tuple[float, float], tuple[float, float]]  # the rows of L
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(-1, 2))
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=float).reshape(2, 2))
+        (a, b), (c, d) = self.L
+        object.__setattr__(self, "p", tuple((float(x), float(y)) for x, y in self.p))
+        object.__setattr__(self, "L", ((float(a), float(b)), (float(c), float(d))))
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return len(self.p)
 
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([self.p.reshape(-1), self.L.T.reshape(-1)])
+    def to_flat(self) -> tuple[float, ...]:
+        (a, b), (c, d) = self.L
+        return (*chain.from_iterable(self.p), a, c, b, d)
 
     @classmethod
     def from_flat(cls, vec: Sequence[float], n: int) -> "Realization":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (2 * n + 4,):
+        vec = [float(v) for v in vec]
+        if len(vec) != 2 * n + 4:
             raise StructuralError(f"flat realization must have length {2 * n + 4}")
-        return cls(vec[: 2 * n].reshape(n, 2), vec[2 * n :].reshape(2, 2).T)
+        a, c, b, d = vec[2 * n :]
+        return cls(tuple(zip(vec[0 : 2 * n : 2], vec[1 : 2 * n : 2])), ((a, b), (c, d)))
 
-    def eta(self, tail: int, head: int, color: Sequence[int]) -> np.ndarray:
+    def eta(self, tail: int, head: int, color: Sequence[int]) -> tuple[float, float]:
         """Displacement p_head + L*color - p_tail."""
-        g = np.asarray(color, dtype=float)
-        return self.p[head] + self.L @ g - self.p[tail]
+        (a, b), (c, d) = self.L
+        g1, g2 = color
+        (xh, yh), (xt, yt) = self.p[head], self.p[tail]
+        return xh + (a * g1 + b * g2) - xt, yh + (c * g1 + d * g2) - yt
 
     def scale(self) -> float:
         """Size reference for relative thresholds: point spread and lattice norm."""
-        spread = 0.0
-        if self.n:
-            spread = float(np.max(np.linalg.norm(self.p - self.p[0], axis=1)))
-        return max(spread, float(np.linalg.norm(self.L)))
+        x0, y0 = self.p[0] if self.p else (0.0, 0.0)
+        spread = max((math.hypot(x - x0, y - y0) for x, y in self.p), default=0.0)
+        return max(spread, math.hypot(*self.L[0], *self.L[1]))
 
 
 @dataclass(frozen=True)

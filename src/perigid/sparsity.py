@@ -12,8 +12,8 @@ the edges of a colored graph.  Everything in this module is built from it:
   characterizing generic minimal rigidity), decided through edge doubling
   (Streinu-Theran): a set grown one edge at a time stays colored-Laman-sparse
   iff doubling the edge just added leaves it (2,2,2)-sparse.  Each doubling
-  probe inserts the copy into the one live partition and takes it out again,
-  since a part minus an element stays f-independent,
+  probe searches the one live partition for a place for the copy and
+  applies nothing,
 * the id-order greedy basis of that colored-Laman matroid, and a certified
   exhaustive checker.  The checker is exponential, so no library or CLI path
   calls it: it is the reference the tests compare against.
@@ -206,19 +206,15 @@ class PartitionState:
     """Working partition of an independent set of the doubled matroid.
 
     Elements live in two parts, each independent under f.  Insertion follows
-    Edmonds' matroid-partition scheme: try both parts directly, otherwise
-    search breadth-first through single-element exchanges until some part can
-    absorb a displaced element.  Every step reads the fundamental circuit of
-    part + x off the part's spanning forest (:meth:`_circuit`); its elements
-    other than x are exactly the y for which part + x - y is independent, the
-    exchanges the search follows.  Each part keeps its gain forest in
-    `kept`: a direct insertion grows it by the new edge, while
-    :meth:`discard` and an exchange chain drop it, and the next read builds
-    it again from `parts`; code that assigns or edits `parts` itself must
-    reset `kept`.  Doubling probes run on the live partition: a
-    virtual copy registered via :meth:`register_edge` is inserted and, if it
-    lands, taken out of its part again (:meth:`discard`), which leaves both
-    parts independent.
+    Edmonds' matroid-partition scheme (:meth:`_chain`) through single-element
+    exchanges: the elements of the fundamental circuit of part + x other than
+    x (:meth:`_circuit`) are exactly the y for which part + x - y is
+    independent.  Each part keeps its gain forest in `kept`: a direct
+    insertion grows it, :meth:`discard` and an exchange chain drop it, and the
+    next read builds it again from `parts`; code that assigns or edits `parts`
+    itself must reset `kept`.  A doubling probe of a virtual copy registered
+    via :meth:`register_edge` is a search only (:meth:`admits`): it applies
+    no chain and rebuilds no forest.
     """
 
     __slots__ = ("edata", "parts", "part_of", "kept")
@@ -239,39 +235,46 @@ class PartitionState:
             forest = self.kept[r] = GainScan((y, *edata[y]) for y in sorted(self.parts[r]))
         return forest
 
-    def _circuit(self, r: int, x: int) -> set[int] | None:
-        """The unique circuit of part r + x, or None when part r + x is independent.
+    def _closing_image(self, r: int, x: int) -> tuple[int, int] | None:
+        """x's cycle image if part r + x is dependent, else None: the fit test.
 
         f is the rank of the vectors (e_head - e_tail, g_e) over Q, and the
-        part is independent: a forest plus k <= 2 non-tree edges with
-        independent cycle images.  x is dependent iff its ends share a root
-        and its image lies in their span.  The dependency puts a coefficient
-        mu_z on x and each non-tree edge z (a zero image, a parallel pair or
-        Cramer's rule on three images); on the forest it is the flow that
-        cancels the vertex part of those edges.  Each z adds +mu_z to every
-        tree edge on head(z)'s root path and -mu_z on tail(z)'s; a tree edge
-        is in the circuit, the dependency's support, iff its sum is nonzero.
-        A vertex the part does not touch is a root of its own.
+        part is a forest plus k <= 2 non-tree edges with independent images,
+        so x is dependent iff its ends share a root (an untouched vertex is
+        its own) and its image lies in the span of the part's images.
         """
-        edata = self.edata
         forest = self._forest(r)
-        t, h, (c1, c2) = edata[x]
+        t, h, (c1, c2) = self.edata[x]
         rt, t1, t2 = forest.root.get(t, (t, 0, 0))
         rh, h1, h2 = forest.root.get(h, (h, 0, 0))
         if rt != rh:
             return None  # x joins two trees or reaches a new vertex
         x1, x2 = c1 + t1 - h1, c2 + t2 - h2
-        imgs, extras = forest.images, forest.extras
-        if len(extras) > 2 or image_rank(imgs) != len(extras):
+        imgs = forest.images
+        if len(imgs) > 2 or image_rank(imgs) != len(imgs):
             raise InternalConsistencyError("a matroid-union part is not f-independent")
+        if not imgs and (x1 or x2) or len(imgs) == 1 and imgs[0][0] * x2 - imgs[0][1] * x1:
+            return None
+        return x1, x2
+
+    def _circuit(self, r: int, x: int) -> set[int] | None:
+        """The unique circuit of part r + x, or None when part r + x is independent.
+
+        The dependency puts a coefficient mu_z on x and each non-tree edge z
+        (a zero image, a parallel pair or Cramer's rule on three images).
+        Each z adds +mu_z to every tree edge on head(z)'s root path and -mu_z
+        on tail(z)'s, the flow that cancels the vertex part; a tree edge is in
+        the circuit, the dependency's support, iff its sum is nonzero.
+        """
+        image = self._closing_image(r, x)
+        if image is None:
+            return None
+        (x1, x2), forest = image, self.kept[r]
+        imgs, extras = forest.images, forest.extras
         if not extras:
-            if x1 or x2:
-                return None
             mu = {x: 1}
         elif len(extras) == 1:
             (a1, a2), (z,) = imgs[0], extras
-            if a1 * x2 - a2 * x1:
-                return None
             i = 0 if a1 else 1
             mu = {x: (a1, a2)[i], z: -(x1, x2)[i]}
         else:
@@ -285,7 +288,7 @@ class PartitionState:
         flow: dict[int, int] = {}
         for z, c in mu.items():
             if c:
-                t, h, _ = edata[z]
+                t, h, _ = self.edata[z]
                 for v, s in ((h, c), (t, -c)):
                     while v in up:
                         v, y, _, _ = up[v]
@@ -294,43 +297,51 @@ class PartitionState:
         circuit.update(y for y, s in flow.items() if s)
         return circuit
 
-    def try_insert(self, eid: int) -> bool:
-        """Insert eid if the parts can absorb it, possibly after exchanges.
-
-        A node (x, r) of the search is a request to put x into part r.  If
-        part r + x has a circuit C, each y of C - x not yet visited becomes the
-        node (y, 1 - r), in id order; otherwise the chain of requests that led
-        to (x, r) is applied.  Returns False, leaving the parts as they were,
-        when no chain exists.
-        """
-        queue: deque[tuple[int, int, set[int] | None]] = deque()
+    def _chain(self, eid: int) -> tuple[int, int, dict[int, tuple[int, int]]] | None:
+        """Search for a place for eid, changing nothing: after both direct
+        fits, each node (x, r), a request to put x into part r, is taken
+        breadth-first, and if part r + x has a circuit C each unvisited y of
+        C - x becomes the node (y, 1 - r), in id order.  Returns the request
+        that lands and its chain's parent map (empty for a fit), or None."""
         for r in (0, 1):
-            circuit = self._circuit(r, eid)
-            if circuit is None:
-                self.kept[r].add(eid, *self.edata[eid])
-                self.parts[r].add(eid)
-                self.part_of[eid] = r
-                return True
-            queue.append((eid, r, circuit))
-        # breadth-first search for an augmenting exchange chain
+            if self._closing_image(r, eid) is None:
+                return eid, r, {}
+        queue = deque(((eid, 0), (eid, 1)))
         parent: dict[int, tuple[int, int]] = {}
         visited = {eid}
         while queue:
-            x, r, circuit = queue.popleft()
+            x, r = queue.popleft()
+            circuit = self._circuit(r, x)
             if circuit is None:
-                circuit = self._circuit(r, x)
-                if circuit is None:
-                    self._apply(x, r, parent)
-                    return True
+                return x, r, parent
             for y in sorted(circuit - visited):
                 visited.add(y)
                 parent[y] = (x, r)
-                queue.append((y, 1 - r, None))
-        return False
+                queue.append((y, 1 - r))
+        return None
+
+    def try_insert(self, eid: int) -> bool:
+        """Insert eid if the parts can absorb it, possibly after exchanges;
+        False, leaving the parts as they were, when no chain exists."""
+        found = self._chain(eid)
+        if found is None:
+            return False
+        x, r, parent = found
+        if parent:
+            self._apply(x, r, parent)
+        else:  # a direct fit grows the part's forest
+            self._forest(r).add(eid, *self.edata[eid])
+            self.parts[r].add(eid)
+            self.part_of[eid] = r
+        return True
+
+    def admits(self, eid: int) -> bool:
+        """Could eid be inserted?  By Edmonds' matroid partition a chain exists
+        exactly when the parts plus eid are 2f-independent; none is applied."""
+        return self._chain(eid) is not None
 
     def discard(self, eid: int):
-        """Take eid out of its part and drop the part's forest: it is rebuilt
-        when next read."""
+        """Take eid out of its part and drop the part's forest, rebuilt when next read."""
         r = self.part_of.pop(eid)
         self.parts[r].discard(eid)
         self.kept[r] = None
@@ -413,16 +424,19 @@ _VIRTUAL = -1  # id reserved for the doubled copy in oracle queries
 def _grow(state: PartitionState, eid: int) -> bool:
     """Add eid to the live partition if it and then a parallel copy of it fit.
 
-    The copy is taken out again once it lands; when either insertion fails,
-    the parts are left as they were (a failed `try_insert` touches nothing,
-    and a part minus an element stays f-independent).
+    The copy is only searched for (:meth:`PartitionState.admits`): a chain
+    exists exactly when the parts plus the copy are 2f-independent (Edmonds'
+    matroid partition), and the parts holding eid stay a valid partition.
+    When either test fails the parts stay independent: a failed `try_insert`
+    touches nothing, and a part minus an element stays f-independent.
     """
     if not state.try_insert(eid):
         return False
     state.register_edge(_VIRTUAL, *state.edata[eid])
-    landed = state.try_insert(_VIRTUAL)
-    state.discard(_VIRTUAL if landed else eid)
-    return landed
+    if state.admits(_VIRTUAL):
+        return True
+    state.discard(eid)
+    return False
 
 
 def laman_sparse_subset(graph: ColoredGraph, ids: Iterable[int]) -> bool:
@@ -431,6 +445,7 @@ def laman_sparse_subset(graph: ColoredGraph, ids: Iterable[int]) -> bool:
     Grown in id order with one doubling probe per edge.  When S - e is
     sparse, S is sparse iff S plus a parallel copy e' of e is 2f-independent:
     a violating T in S contains e, so |T + e'| = |T| + 1 > 2f(T) = 2f(T + e').
+    A probe applies no chain: only S's own edges change the partition.
     """
     state = PartitionState(graph)
     return all(_grow(state, eid) for eid in sorted(ids))

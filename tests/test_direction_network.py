@@ -251,7 +251,7 @@ def test_translation_and_scaling_invariance():
     g = random_laman_graph(rng, 3)
     fr = faithful_realization(g, seed=4)
     system = build_P_system(g, fr.directions).to_numpy()
-    vec = fr.realization.to_flat()
+    vec = np.asarray(fr.realization.to_flat())
     # translation: shift every point, keep L
     shift = np.tile([0.37, -1.2], g.n).tolist() + [0.0] * 4
     assert np.max(np.abs(system @ (vec + np.array(shift)))) < 1e-8

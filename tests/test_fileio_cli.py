@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from perigid.cli import build_parser, main
 from perigid.colored_graph import ColoredGraph
 from perigid.errors import BudgetError, MultiplicityWarning, ParseError
+import perigid
 from perigid import colored_graph, sparsity
 from perigid.fileio import MAX_COLOR, MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
 from perigid.linear_rep import RankReport, modp_rank
@@ -42,6 +47,24 @@ def two_loops(tmp_path):
     path = tmp_path / "two.cg"
     path.write_text("# circuit\ncg 2 2 2\n0 0 1 0\n1 1 1 0\n")
     return str(path)
+
+
+def test_the_library_and_the_cli_load_no_numpy(laman1):
+    # numpy is a test dependency only: a fresh process that imports the
+    # package and runs a check must never load it
+    src = Path(perigid.__file__).resolve().parents[1]
+    assert not [f.name for f in src.glob("perigid/*.py") if "numpy" in f.read_text()]
+    script = (
+        "import sys, perigid, perigid.cli\n"
+        f"code = perigid.cli.main(['check', {laman1!r}])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "generically minimally rigid\nn=1 m=3 rank=3 dof=0\n"
 
 
 def test_parse_fixture():

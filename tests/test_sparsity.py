@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from collections import deque
@@ -247,14 +248,13 @@ def indep(state, ids):
 
 class ProbingState(PartitionState):
     """The exchange search with |part| independence probes per step: the
-    reference for the circuit read-off and for the search order."""
+    reference for the circuit read-off and for the search order.  It
+    replaces the search only; `try_insert` and `admits` act on what it finds."""
 
-    def try_insert(self, eid):
+    def _chain(self, eid):
         for r in (0, 1):
             if indep(self, self.parts[r] | {eid}):
-                self.parts[r].add(eid)
-                self.part_of[eid] = r
-                return True
+                return eid, r, {}
         parent = {}
         visited = {eid}
         queue = deque([(eid, 0), (eid, 1)])
@@ -263,14 +263,13 @@ class ProbingState(PartitionState):
             part = self.parts[r]
             with_x = part | {x}
             if indep(self, with_x):
-                self._apply(x, r, parent)
-                return True
+                return x, r, parent
             for y in sorted(part):
                 if y not in visited and indep(self, with_x - {y}):
                     visited.add(y)
                     parent[y] = (x, r)
                     queue.append((y, 1 - r))
-        return False
+        return None
 
 
 def circuit_by_probes(state, part, x):
@@ -376,18 +375,52 @@ def assert_forests_hold(state):
                 assert state._circuit(r, x) == circuit_by_probes(state, state.parts[r], x)
 
 
+def forest_snapshot(state):
+    """Everything a probe must leave alone: the parts, the placement, and
+    each kept forest by identity and by content."""
+    forests = [
+        None if f is None else (f, dict(f.up), dict(f.root), list(f.extras), list(f.images))
+        for f in state.kept
+    ]
+    return [set(p) for p in state.parts], dict(state.part_of), forests
+
+
 def test_forests_through_random_insertions_probes_and_exchanges(monkeypatch):
-    seen = {"chains": 0, "failed": 0, "grown": 0}
-    apply = PartitionState._apply
+    seen = {"chains": 0, "found": 0, "failed": 0, "grown": 0, "admitted": 0, "refused": 0}
+    apply, chain, admits = PartitionState._apply, PartitionState._chain, PartitionState.admits
 
     def counted_apply(state, x, r, parent):
         seen["chains"] += 1
         return apply(state, x, r, parent)
 
+    def counted_chain(state, eid):
+        found = chain(state, eid)
+        seen["found"] += bool(found and found[2])
+        return found
+
+    def checked_admits(state, eid):
+        # a probe applies no chain, leaves every part and kept forest as it
+        # was, and answers as an insertion into a deep copy
+        twin = copy.deepcopy(state)
+        before, chains = forest_snapshot(state), seen["chains"]
+        answer = admits(state, eid)
+        after = forest_snapshot(state)
+        assert seen["chains"] == chains and after[:2] == before[:2]
+        for was, now in zip(before[2], after[2]):
+            if was is not None:  # a forest the probe builds is a read, not a change
+                assert now[0] is was[0] and now[1:] == was[1:]
+        counts = dict(seen)
+        assert twin.try_insert(eid) == answer
+        seen.update(counts)  # the copy's search and chain are not checked below
+        seen["admitted" if answer else "refused"] += 1
+        return answer
+
     monkeypatch.setattr(PartitionState, "_apply", counted_apply)
+    monkeypatch.setattr(PartitionState, "_chain", counted_chain)
+    monkeypatch.setattr(PartitionState, "admits", checked_admits)
     rng = random.Random(83)
     zero_loops = parallels = loops = 0
-    for _ in range(200):
+    for _ in range(600):
         g = random_graph(rng, nmax=4, mmax=10, color_range=1)
         ends = [(min(e.tail, e.head), max(e.tail, e.head)) for e in g.edges]
         parallels += len(set(ends)) < len(ends)
@@ -405,7 +438,9 @@ def test_forests_through_random_insertions_probes_and_exchanges(monkeypatch):
             elif step < 0.85 and state.part_of:  # a doubling probe of a placed edge
                 e = g.edge(rng.choice(sorted(state.part_of)))
                 state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
-                if state.try_insert(_VIRTUAL):
+                if step < 0.7:  # searched for only
+                    state.admits(_VIRTUAL)
+                elif state.try_insert(_VIRTUAL):  # inserted and taken out again
                     state.discard(_VIRTUAL)
             elif state.part_of:  # a removal after read-offs: the forest is rebuilt
                 state.discard(rng.choice(sorted(state.part_of)))
@@ -422,6 +457,27 @@ def triangle_strip(rng, n):
         for u in (v - 1, v - 2):
             edges.append((v, u, (rng.randint(-2, 2), rng.randint(-2, 2))))
     return G(n, edges)
+
+
+def test_doubling_probes_rebuild_no_forest(monkeypatch):
+    # a new state builds two empty forests, an applied chain rebuilds both
+    # (its self-check) and a discard drops one; a doubling probe adds none
+    seen = {"builds": 0, "chains": 0, "discards": 0}
+
+    def counted(key, fn):
+        def spy(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(GainScan, "__init__", counted("builds", GainScan.__init__))
+    monkeypatch.setattr(PartitionState, "_apply", counted("chains", PartitionState._apply))
+    monkeypatch.setattr(PartitionState, "discard", counted("discards", PartitionState.discard))
+    g = triangle_strip(random.Random(5), 200)
+    assert laman_sparse_subset(g, g.edge_ids())
+    assert seen["discards"] == 0  # every probe lands, and none is taken out again
+    assert seen["builds"] <= 2 + 2 * seen["chains"] + seen["discards"], seen
 
 
 def test_deep_forests_read_off_like_probes():
