@@ -51,7 +51,6 @@ from .rigidity import (
     is_1d_rigid,
     is_ross,
     laman_analysis,
-    rigid_realization_certificate,
 )
 from .sparsity import (
     BruteForceReport,

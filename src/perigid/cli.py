@@ -35,16 +35,8 @@ from .fileio import (
     to_json_bytes,
     verdict_json,
 )
-from .linear_rep import MAX_TRIALS, NaturalMatrix, build_natural_matrix, dump_matrix, rank_mod_p, sample_assignment
-from .rigidity import (
-    STATUS_FLEXIBLE,
-    _sampled_modp_rows,
-    decide_rigidity,
-    generic_rigidity_rank,
-    is_1d_rigid,
-    is_ross,
-    laman_analysis,
-)
+from .linear_rep import MAX_TRIALS, NaturalMatrix, dump_matrix, rank_mod_p, sample_rows
+from .rigidity import STATUS_FLEXIBLE, decide_rigidity, is_1d_rigid, is_ross, laman_analysis
 from .svg import development_svg, realization_svg
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
@@ -209,21 +201,14 @@ def cmd_oned(path, args):
 
 def cmd_rank(path, args):
     graph = _load(path)
-    if args.matrix == "M232":
-        report = generic_rigidity_rank(graph, trials=args.trials, seed=args.seed)
-    else:
-        report = rank_mod_p(graph, args.matrix, trials=args.trials, seed=args.seed)
+    report = rank_mod_p(graph, args.matrix, trials=args.trials, seed=args.seed)
     if args.dump:  # the first F_p sample of the rank
-        if args.matrix == "M232":
-            rows = _sampled_modp_rows(graph, random.Random(args.seed))
-            mat = NaturalMatrix("M232", graph.n, tuple(rows))
-        else:
-            asn = sample_assignment(graph, pairs=(args.matrix != "M112"), seed=args.seed)
-            mat = build_natural_matrix(graph, args.matrix, asn)
-        Path(args.dump).write_text(dump_matrix(mat))
+        rows = sample_rows(graph, args.matrix, random.Random(args.seed))
+        Path(args.dump).write_text(dump_matrix(NaturalMatrix(args.matrix, graph.n, tuple(rows))))
     if args.format == "json":
         return to_json_bytes(rank_json(report)), OK
-    return _text([f"{report.kind} generic rank: {report.rank} (mode={report.mode}, trials={report.trials}, seed={report.seed})"]), OK
+    line = f"{report.kind} generic rank: {report.rank} (mode=fp, trials={report.trials}, seed={report.seed})"
+    return _text([line]), OK
 
 
 COMMANDS = {
@@ -311,6 +296,10 @@ def main(argv=None) -> int:
     inputs = args.inputs
     code = OK
     out = sys.stdout.buffer
+    if args.command == "rank" and args.dump and len(inputs) > 1:  # each input would overwrite the dump
+        out.write(f"error: --dump takes one input, got {len(inputs)}\n".encode())
+        out.flush()
+        return INPUT_ERROR
     for path in inputs:
         payload, rc = _run_one(path, args)
         if len(inputs) > 1:

@@ -173,14 +173,11 @@ class ColoredGraph:
             ),
         )
 
-    def with_doubled(self, eid: int, copy_id: int | None = None) -> "ColoredGraph":
-        """Append a parallel copy of edge `eid` with the same color."""
+    def with_doubled(self, eid: int) -> "ColoredGraph":
+        """Append a parallel copy of edge `eid` with the same color, under the next free id."""
         e = self.edge(eid)
-        if copy_id is None:
-            copy_id = max((x.id for x in self.edges), default=-1) + 1
-        return ColoredGraph(
-            self.n, self.edges + (ColoredEdge(copy_id, e.tail, e.head, e.color),)
-        )
+        copy_id = max((x.id for x in self.edges), default=-1) + 1
+        return ColoredGraph(self.n, self.edges + (ColoredEdge(copy_id, e.tail, e.head, e.color),))
 
     def with_extra_loops(
         self, vertex: int, colors: Iterable[Sequence[int]]

@@ -125,11 +125,7 @@ def _collapsed_points(
     return points
 
 
-def collapsed_realization(
-    graph: ColoredGraph,
-    anchors: Sequence[Sequence[float]] | None = None,
-    lattice: Matrix | None = None,
-) -> Realization:
+def collapsed_realization(graph: ColoredGraph, anchors: Sequence[Sequence[float]] | None = None) -> Realization:
     """A realization in which every edge displacement vanishes.
 
     Chooses a lattice matrix annihilating all cycle images (identity when the
@@ -139,8 +135,7 @@ def collapsed_realization(
     """
     scan = scan_subset(EdgeSubset.full(graph), range(graph.n))
     ncomp = len(scan.trees)
-    if lattice is None:
-        lattice = _canonical_collapsed_lattice(scan.images)
+    lattice = _canonical_collapsed_lattice(scan.images)
     anchor_map: dict[int, Sequence[float]] = {}
     if anchors is not None:
         if len(anchors) != ncomp:

@@ -22,7 +22,7 @@ from typing import Any
 from .colored_graph import MAX_COLOR, MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
 from .direction_network import FaithfulRealization
 from .errors import BudgetError, ParseError
-from .linear_rep import RankReport, Realization
+from .linear_rep import RankReport
 from .rigidity import OneDVerdict, RigidityVerdict
 from .sparsity import CircuitReport
 
@@ -101,25 +101,18 @@ def serialize_colored_graph(graph: ColoredGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def realization_json(
-    realization: Realization,
-    statuses,
-    seed: int,
-) -> dict[str, Any]:
+def faithful_json(result: FaithfulRealization) -> dict[str, Any]:
+    real = result.realization
     return {
-        "n": realization.n,
-        "p": [[float(x), float(y)] for x, y in realization.p],
-        "L": [[float(v) for v in row] for row in realization.L],
+        "n": real.n,
+        "p": [[float(x), float(y)] for x, y in real.p],
+        "L": [[float(v) for v in row] for row in real.L],
         "edges": [
             {"id": s.edge_id, "alpha": float(s.alpha), "collapsed": s.collapsed}
-            for s in statuses
+            for s in result.statuses
         ],
-        "seed": seed,
+        "seed": result.seed,
     }
-
-
-def faithful_json(result: FaithfulRealization) -> dict[str, Any]:
-    return realization_json(result.realization, result.statuses, result.seed)
 
 
 def circuit_json(report: CircuitReport) -> dict[str, Any]:
@@ -155,7 +148,7 @@ def rank_json(report: RankReport) -> dict[str, Any]:
     return {
         "kind": report.kind,
         "rank": report.rank,
-        "mode": report.mode,
+        "mode": "fp",
         "trials": report.trials,
         "seed": report.seed,
     }

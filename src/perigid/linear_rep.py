@@ -18,13 +18,16 @@ of :mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row`
 as sparse {column: value} entries mod p, at most eight per row; rows are
 densified only for dumps and determinant minors (`NaturalMatrix.rows`).
 
-Generic rank is decided by sampling: entries are drawn uniformly from the
-prime field F_p with p = 2^61 - 1 and eliminated exactly and sparsely, rows
-in input order and columns sparsest first (`_eliminate`), so a full-rank
-sample certifies the generic rank while a deficient one is wrong with
-probability at most m/p per trial; back-substitution in reverse elimination
-order gives a kernel (`modp_kernel`).  Every rank, kernel and determinant
-here is exact over F_p; no floating-point linear algebra is left.
+Generic rank is decided by sampling.  `sample_rows` draws one sample of
+any of the three kinds, with entries uniform in the prime field F_p,
+p = 2^61 - 1 (M112, M222), or at a uniform integer point (M232), and
+`rank_mod_p` is the one sampled rank of all three.  A sample is eliminated
+exactly and sparsely, rows in input order and columns sparsest first
+(`_eliminate`), so a full-rank sample certifies the generic rank while a
+deficient one is wrong with probability at most m/p per trial;
+back-substitution in reverse elimination order gives a kernel
+(`modp_kernel`).  Every rank, kernel and determinant here is exact over
+F_p; no floating-point linear algebra is left.
 """
 
 from __future__ import annotations
@@ -98,26 +101,17 @@ class GenericAssignment:
 
     a: dict[int, int]
     b: dict[int, int] | None
-    seed: int | None = None
 
     def require_b(self):
         if self.b is None:
             raise StructuralError("this matrix kind needs (a, b) pairs per edge")
 
 
-def sample_assignment(
-    graph: ColoredGraph,
-    *,
-    pairs: bool,
-    rng: random.Random | None = None,
-    seed: int | None = None,
-) -> GenericAssignment:
-    """Draw one (or a pair of) nonzero generic value(s) of F_p per edge."""
-    if rng is None:
-        rng = random.Random(seed)
+def sample_assignment(graph: ColoredGraph, *, pairs: bool, rng: random.Random) -> GenericAssignment:
+    """Draw one (or a pair of) nonzero generic value(s) of F_p per edge: all a's, then all b's."""
     a = {e.id: rng.randrange(1, PRIME) for e in graph.edges}
     b = {e.id: rng.randrange(1, PRIME) for e in graph.edges} if pairs else None
-    return GenericAssignment(a, b, seed)
+    return GenericAssignment(a, b)
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,7 @@ def _subtract(row: dict, f: int, prow: dict, p: int) -> None:
             del row[j]
 
 
-def _eliminate(rows, p: int, track: bool = False):
+def _eliminate(rows, track: bool = False):
     """Insert rows in order into a sparse echelon form over F_p, sparsest column first.
 
     Before the first row, every column is placed by how many rows name it
@@ -222,6 +216,7 @@ def _eliminate(rows, p: int, track: bool = False):
     input-row combination (as entries) behind each row that vanished; and
     the column at each place.
     """
+    p = PRIME
     rows = [{j: x % p for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x % p} for r in rows]
     count = Counter(chain.from_iterable(rows))
     order = sorted(sorted(count), key=count.__getitem__)
@@ -249,30 +244,30 @@ def _eliminate(rows, p: int, track: bool = False):
     return pivots, lead_prod, nulls, order
 
 
-def modp_rank(rows: Sequence, p: int = PRIME) -> int:
+def modp_rank(rows: Sequence) -> int:
     """Row rank over F_p of entry-dict or dense rows."""
-    return len(_eliminate(rows, p)[0])
+    return len(_eliminate(rows)[0])
 
 
-def modp_det(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
+def modp_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square matrix of dense rows over F_p."""
     if any(len(r) != len(rows) for r in rows):
         raise StructuralError("determinant needs a square matrix")
-    pivots, det, _, order = _eliminate(rows, p)
+    pivots, det, _, order = _eliminate(rows)
     leads = [order[k] for k in pivots]
     if len(leads) < len(rows):
         return 0
     if sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :]) % 2:
-        det = -det % p
+        det = -det % PRIME
     return det
 
 
-def modp_kernel(rows: Sequence, width: int, p: int = PRIME) -> list[list[int]]:
+def modp_kernel(rows: Sequence, width: int) -> list[list[int]]:
     """A basis of the x of length width with row . x = 0 mod p for every row:
     one per column no pivot row leads, by back-substitution from the last
     place to the first, each pivot row mapped back to its columns.
     """
-    pivots, _, _, order = _eliminate(rows, p)
+    pivots, _, _, order = _eliminate(rows)
     back = [(order[k], [(order[j], v) for j, v in pivots[k].items()]) for k in sorted(pivots, reverse=True)]
     leads = {col for col, _ in back}
     basis = []
@@ -280,7 +275,7 @@ def modp_kernel(rows: Sequence, width: int, p: int = PRIME) -> list[list[int]]:
         x = [0] * width
         x[free] = 1
         for col, row in back:  # x[col] is still 0: its leading 1 adds nothing
-            x[col] = -sum(v * x[j] for j, v in row) % p
+            x[col] = -sum(v * x[j] for j, v in row) % PRIME
         basis.append(x)
     return basis
 
@@ -310,7 +305,6 @@ class RankReport:
 
     kind: str
     rank: int
-    mode: str
     trials: int
     seed: int
 
@@ -343,29 +337,39 @@ def _best_sampled_rank(draw_rows: Callable[[], Sequence], trials: int, ceiling: 
     return best
 
 
+def sample_rows(graph: ColoredGraph, kind: str, rng: random.Random) -> list[dict[int, int]]:
+    """One F_p sample of the M112, M222 or M232 rows, in edge order, drawn from rng.
+
+    M112 and M222 draw a nonzero a per edge and, for M222, then a b per edge
+    (`sample_assignment`); M232 is the rigidity rows at the integer point
+    `_integer_point` draws.
+    """
+    if kind == "M232":
+        return _modp_rigidity_rows(graph, _integer_point(graph.n, rng))
+    assignment = sample_assignment(graph, pairs=kind == "M222", rng=rng)
+    return list(build_natural_matrix(graph, kind, assignment).entries)
+
+
 def rank_mod_p(
     graph: ColoredGraph,
     kind: str = "M222",
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> RankReport:
-    """Generic rank of M112/M222 via random F_p samples; max over trials.
+    """Generic rank of M112, M222 or M232 via random F_p samples; max over trials.
 
     A trial underestimates the generic rank with probability at most m/p,
     so the reported maximum is exact except with negligible probability;
     deterministic for a fixed seed.  The first sample that reaches
-    min(m, n + 1) (M112) or min(m, 2n + 2) (M222) ends the trials.
+    min(m, n + 1) (M112), min(m, 2n + 2) (M222) or min(m, 2n + 1) (M232)
+    ends the trials.
     """
-    if kind not in ("M112", "M222"):
-        raise DomainError("rank_mod_p samples M112 or M222")
+    ceilings = {"M112": graph.n + 1, "M222": 2 * graph.n + 2, "M232": 2 * graph.n + 1}
+    if kind not in ceilings:
+        raise DomainError("rank_mod_p samples M112, M222 or M232")
     rng = random.Random(seed)
-    pairs = kind == "M222"
-
-    def draw():
-        return build_natural_matrix(graph, kind, sample_assignment(graph, pairs=pairs, rng=rng)).entries
-
-    ceiling = min(graph.m, 2 * graph.n + 2 if pairs else graph.n + 1)
-    return RankReport(kind, _best_sampled_rank(draw, trials, ceiling), "fp", trials, seed)
+    best = _best_sampled_rank(lambda: sample_rows(graph, kind, rng), trials, min(graph.m, ceilings[kind]))
+    return RankReport(kind, best, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +396,7 @@ class DetFormulaReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_determinant_formulas(
-    graph: ColoredGraph, kind: str = "M112", assignment: GenericAssignment | None = None
-) -> DetFormulaReport:
+def verify_determinant_formulas(graph: ColoredGraph, assignment: GenericAssignment | None = None) -> DetFormulaReport:
     """Compare designated square M112 minors over F_p against their closed forms.
 
     With m = n - 1 + k and k the cycle-image rank, the minor dropping one
@@ -404,15 +406,13 @@ def verify_determinant_formulas(
     the 2x2 determinant of the two cycle images for k = 2.  Graphs that are
     not (1,1,k) give identically zero determinants.
     """
-    if kind != "M112":
-        raise DomainError("determinant formulas are stated for M112")
     subset = EdgeSubset.full(graph)
     ok, k = is_11k(subset)
     n, m = graph.n, graph.m
     if m != n - 1 + k:
         raise DomainError(f"need m = n - 1 + k, got n={n} m={m} k={k}")
     if assignment is None:
-        assignment = sample_assignment(graph, pairs=False, seed=0)
+        assignment = sample_assignment(graph, pairs=False, rng=random.Random(0))
     rows = build_natural_matrix(graph, "M112", assignment).rows
     prod_a = 1
     for e in graph.edges:

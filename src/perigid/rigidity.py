@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from .colored_graph import ColoredGraph, EdgeSubset, scan_subset
 from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
-from .linear_rep import (
-    COORD_RANGE,
-    PRIME,
-    RankReport,
-    _best_sampled_rank,
-    _eliminate,
-    _integer_point,
-    _m112_row,
-    _modp_rigidity_rows,
-)
+from .linear_rep import COORD_RANGE, RankReport, _best_sampled_rank, _eliminate, _m112_row, rank_mod_p, sample_rows
 from .sparsity import CircuitReport, count_report, laman_sparse_subset
 from .sparsity import max_laman_sparse_subset  # noqa: F401  perfbench/tests read it from here
 
@@ -37,26 +28,9 @@ STATUS_OVER = "generically_rigid_overconstrained"
 STATUS_FLEXIBLE = "generically_flexible"
 
 
-def _sampled_modp_rows(graph: ColoredGraph, rng: random.Random) -> list[dict[int, int]]:
-    """Rigidity rows mod p at the integer point `_integer_point` draws from rng.
-
-    Row for edge ij: -eta at the tail columns, +eta at the head columns
-    (cancelling for loops), and g1*eta, g2*eta in the two lattice blocks;
-    this is the M222 filling pattern with eta substituted for (a, b).
-    """
-    return _modp_rigidity_rows(graph, _integer_point(graph.n, rng))
-
-
 def generic_rigidity_rank(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> RankReport:
-    """Rank of the rigidity matrix maximized over random integer points.
-
-    Each sample is eliminated over F_p, and the first that reaches
-    min(m, 2n + 1) ends the trials.
-    """
-    rng = random.Random(seed)
-    ceiling = min(graph.m, 2 * graph.n + 1)
-    best = _best_sampled_rank(lambda: _sampled_modp_rows(graph, rng), trials, ceiling)
-    return RankReport("M232", best, "fp", trials, seed)
+    """The M232 `rank_mod_p`: rigidity rows at random integer points."""
+    return rank_mod_p(graph, "M232", trials, seed)
 
 
 @dataclass(frozen=True)
@@ -101,8 +75,8 @@ def laman_analysis(graph: ColoredGraph, seed: int = 0) -> LamanAnalysis:
     ids = sorted(graph.edge_ids())
     rng = random.Random(seed)
     for _ in range(3):
-        rows = dict(zip(graph.edge_ids(), _sampled_modp_rows(graph, rng)))
-        combos = _eliminate([rows[x] for x in ids], PRIME, track=True)[2]
+        rows = dict(zip(graph.edge_ids(), sample_rows(graph, "M232", rng)))
+        combos = _eliminate([rows[x] for x in ids], track=True)[2]
         circuits = [EdgeSubset.of(graph, (ids[i] for i in combo)) for combo in combos]
         reports = [CircuitReport(c, count_report(c)) for c in circuits]
         # m' = 2f, or m' = 1 and f = 0: the loop colored (0, 0), whose row is zero
@@ -138,7 +112,9 @@ def decide_rigidity(
     F_p elimination and certifies by counts.  Rigid verdicts need rank
     2n + 1, a spanning colored-Laman subgraph; minimally rigid also needs
     m = 2n + 1.  Minimally rigid verdicts carry a faithful-realization
-    witness, and non-sparse inputs the analysis's circuit.
+    witness, drawn from an integer point where the 2n + 1 rigidity rows are
+    independent mod p (so deleting any row drops the rank to 2n), and
+    non-sparse inputs the analysis's circuit.
     """
     n, m = graph.n, graph.m
     analysis = laman_analysis(graph, seed)
@@ -149,25 +125,9 @@ def decide_rigidity(
         status = STATUS_FLEXIBLE
     witness = None
     if attach_witness and status == STATUS_MINIMAL:
-        witness, _ = rigid_realization_certificate(graph, seed=seed)
+        witness = faithful_realization(graph, seed=seed)
     circuit = None if analysis.sparse else analysis.circuit()
     return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, circuit)
-
-
-def rigid_realization_certificate(
-    graph: ColoredGraph, seed: int = 0
-) -> tuple[FaithfulRealization, RankReport]:
-    """Faithful realization whose rigidity matrix certifies minimal rigidity.
-
-    `faithful_realization` accepts an integer point only where the rigidity
-    rows have rank 2n + 1 mod p, and its witness is that point scaled: the
-    report reads that elimination.  A faithful realization exists only for
-    colored-Laman graphs (anything else raises DomainError), so the matrix
-    has exactly 2n + 1 rows; full row rank then means that deleting any
-    single row drops the rank to 2n, which is what makes the rigidity
-    minimal.
-    """
-    return faithful_realization(graph, seed=seed), RankReport("M232", 2 * graph.n + 1, "fp", 1, seed)
 
 
 # ---------------------------------------------------------------------------

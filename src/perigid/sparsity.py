@@ -143,18 +143,14 @@ def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
             deg[e.head] -= 1
             leaves += (e.tail, e.head)
 
-    cdeg: dict[int, int] = {}
+    # deg now holds each vertex's core degree, loops counted twice
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid in sorted(ids):
         e = graph.edge(eid)
-        cdeg[e.tail] = cdeg.get(e.tail, 0) + 1
-        cdeg[e.head] = cdeg.get(e.head, 0) + 1
-        if e.tail == e.head:
-            cdeg[e.tail] += 1  # loops count twice
         adj.setdefault(e.tail, []).append((e.head, eid))
         if e.tail != e.head:
             adj.setdefault(e.head, []).append((e.tail, eid))
-    branch = sorted(v for v, d in cdeg.items() if d >= 3)
+    branch = sorted(v for v, d in deg.items() if d >= 3)
 
     if len(branch) == 1:
         shape = 1

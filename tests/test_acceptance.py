@@ -242,7 +242,7 @@ def test_criterion_08_determinant_formulas():
         n = rng.randint(2, 8)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        asn = sample_assignment(g, pairs=False, seed=rng.randrange(1 << 30))
+        asn = sample_assignment(g, pairs=False, rng=random.Random(rng.randrange(1 << 30)))
         rep = verify_determinant_formulas(g, assignment=asn)
         assert rep.instance and rep.all_ok, g
         a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
@@ -254,7 +254,7 @@ def test_criterion_08_determinant_formulas():
         k = rng.randint(0, 2)
         bad = random_non_11k(rng, n, k)
         for trial in range(3):
-            asn = sample_assignment(bad, pairs=False, seed=trial)
+            asn = sample_assignment(bad, pairs=False, rng=random.Random(trial))
             rep = verify_determinant_formulas(bad, assignment=asn)
             assert not rep.instance
             assert all(c.determinant == 0 for c in rep.checks), bad

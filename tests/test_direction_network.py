@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from perigid import direction_network, rigidity
+from perigid import direction_network
 from perigid.colored_graph import ColoredGraph, EdgeSubset, scan_subset, image_rank
 from perigid.direction_network import (
     DirectionAssignment,
@@ -28,6 +28,7 @@ from perigid.linear_rep import (
     _modp_rigidity_rows,
     build_natural_matrix,
     modp_rank,
+    sample_rows,
 )
 from perigid.rigidity import decide_rigidity
 from perigid.sparsity import is_colored_laman
@@ -278,7 +279,7 @@ def test_the_first_attempt_draws_the_analysis_point():
     for seed in range(5):
         fr = faithful_realization(g, seed=seed)
         assert fr.attempts == 1
-        assert _modp_rigidity_rows(g, fr.exact) == rigidity._sampled_modp_rows(g, random.Random(seed))
+        assert _modp_rigidity_rows(g, fr.exact) == sample_rows(g, "M232", random.Random(seed))
 
 
 def test_faithful_realization_rejects_non_laman():

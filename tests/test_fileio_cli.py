@@ -20,8 +20,7 @@ from perigid.errors import BudgetError, MultiplicityWarning, ParseError
 import perigid
 from perigid import colored_graph, sparsity
 from perigid.fileio import MAX_COLOR, MAX_EDGES, MAX_VERTICES, parse_colored_graph, serialize_colored_graph
-from perigid.linear_rep import RankReport, modp_rank
-from perigid.rigidity import _sampled_modp_rows
+from perigid.linear_rep import RankReport, modp_rank, sample_rows
 
 from randgen import random_graph, random_laman_graph
 
@@ -311,7 +310,7 @@ def test_cli_sparsity_routes_cross_checked(capsys, monkeypatch, laman1, family):
         out, code = run_cli(capsys, "check", laman1)
         assert code == 3 and "internal error" in out
     else:
-        monkeypatch.setattr(cli, "rank_mod_p", lambda g, kind, seed: RankReport(kind, 0, "fp", 3, seed))
+        monkeypatch.setattr(cli, "rank_mod_p", lambda g, kind, seed: RankReport(kind, 0, 3, seed))
     out, code = run_cli(capsys, "sparsity", laman1, "--family", family)
     assert code == 3 and "internal error" in out
 
@@ -324,7 +323,7 @@ def test_colored_laman_questions_run_no_greedy_and_no_rank_trials(capsys, monkey
         raise AssertionError("the certified analysis replaces this call")
 
     for owner, name in [(sparsity, "max_laman_sparse_subset"), (rigidity, "max_laman_sparse_subset"),
-                        (rigidity, "generic_rigidity_rank"), (cli, "generic_rigidity_rank")]:
+                        (rigidity, "generic_rigidity_rank"), (rigidity, "rank_mod_p"), (cli, "rank_mod_p")]:
         monkeypatch.setattr(owner, name, refuse)
     ross = tmp_path / "ross.cg"
     ross.write_text("cg 2 2 2\n0 1 0 0\n0 1 1 0\n")
@@ -499,20 +498,34 @@ def test_cli_rank_dump(capsys, tmp_path, laman1):
     text = dump.read_text()
     assert text.startswith("mat 3 3 fp\n")
 
-    run_cli(capsys, "rank", laman1, "--matrix", "M232", "--seed", "5", "--dump", str(dump))
-    header, *rows = dump.read_text().splitlines()
-    assert header == "mat 3 6 fp"
-    # the dumped sample is the first F_p draw of generic_rigidity_rank
+    # every matrix dumps the first sample its rank draws; one trial ranks exactly that sample
     graph = parse_colored_graph(LAMAN1_TEXT)
-    want = [tuple(row.get(j, 0) for j in range(6)) for row in _sampled_modp_rows(graph, random.Random(5))]
-    assert [tuple(int(x) for x in row.split()) for row in rows] == want
-
-    # every matrix dumps a sample whose F_p rank is the printed one
     for matrix, width in (("M112", 3), ("M222", 6), ("M232", 6)):
-        out, _ = run_cli(capsys, "rank", laman1, "--matrix", matrix, "--seed", "5", "--dump", str(dump))
+        want = sample_rows(graph, matrix, random.Random(5))
+        out, code = run_cli(capsys, "rank", laman1, "--matrix", matrix, "--seed", "5", "--trials", "1",
+                            "--dump", str(dump))
         header, *rows = dump.read_text().splitlines()
-        assert header == f"mat 3 {width} fp"
-        assert f"generic rank: {modp_rank([[int(x) for x in row.split()] for row in rows])} " in out
+        assert code == 0 and header == f"mat 3 {width} fp"
+        assert [tuple(int(x) for x in row.split()) for row in rows] == [
+            tuple(row.get(j, 0) for j in range(width)) for row in want
+        ]
+        assert f"{matrix} generic rank: {modp_rank(want)} (mode=fp, trials=1, seed=5)" in out
+
+
+def test_cli_rank_refuses_one_dump_for_several_inputs(capsys, tmp_path, laman1, two_loops):
+    from perigid import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no input runs when the dump is refused")
+
+    dump = tmp_path / "m.txt"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "rank_mod_p", refuse)
+        out, code = run_cli(capsys, "rank", laman1, two_loops, "--dump", str(dump))
+    assert code == 2 and out == "error: --dump takes one input, got 2\n"
+    assert not dump.exists()
+    out, code = run_cli(capsys, "rank", laman1, two_loops)  # without a dump both ranks print
+    assert code == 0 and out.count("generic rank") == 2
 
 
 def test_cli_determinism(capsys, laman1):

@@ -173,7 +173,7 @@ def test_a_deficient_sample_never_ends_the_trials(monkeypatch):
 def test_trials_outside_the_budget_are_refused_before_any_sample(monkeypatch):
     ranks = spy_on_eliminations(monkeypatch)
     for trials in (0, -1, MAX_TRIALS + 1, 10**9):
-        for kind in ("M112", "M222"):
+        for kind in ("M112", "M222", "M232"):
             with pytest.raises(DomainError, match="trials must be"):
                 rank_mod_p(LAMAN1, kind, trials=trials)
     assert ranks == []
@@ -186,7 +186,7 @@ def modp_null_vectors(rows):
     One vector per row that the elimination reduces to zero: the
     combination of input rows that produced it, with a 1 at that row.
     """
-    nulls = _eliminate(rows, PRIME, track=True)[2]
+    nulls = _eliminate(rows, track=True)[2]
     return [tuple(y.get(i, 0) for i in range(len(rows))) for y in nulls]
 
 
@@ -267,7 +267,7 @@ def test_fp_rank_at_least_float_rank_same_assignment():
     rng = random.Random(10)
     for _ in range(40):
         g = random_graph(rng, nmax=3)
-        ints = sample_assignment(g, pairs=True, seed=rng.randrange(1 << 30))
+        ints = sample_assignment(g, pairs=True, rng=random.Random(rng.randrange(1 << 30)))
         small = GenericAssignment(
             {k: (v % 1000) + 1 for k, v in ints.a.items()},
             {k: (v % 1000) + 1 for k, v in ints.b.items()},
@@ -301,7 +301,7 @@ def test_det_formula_random_instances_and_non_instances():
         n = rng.randint(2, 6)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        asn = sample_assignment(g, pairs=False, seed=rng.randrange(1 << 30))
+        asn = sample_assignment(g, pairs=False, rng=random.Random(rng.randrange(1 << 30)))
         rep = verify_determinant_formulas(g, assignment=asn)
         assert rep.instance and rep.all_ok, g
         a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
@@ -595,7 +595,7 @@ def _permuted_row_sets(draw):
 def test_sparsest_first_matches_the_index_order(case):
     width, rows = case
     want_pivots, _, want_nulls = index_order_eliminate(rows, track=True)
-    pivots, _, nulls, _ = _eliminate(rows, PRIME, track=True)
+    pivots, _, nulls, _ = _eliminate(rows, track=True)
     assert modp_rank(rows) == len(pivots) == len(want_pivots)
     assert nulls == want_nulls  # the combination behind a vanishing row is unique
     kernel, want_kernel = modp_kernel(rows, width), index_order_kernel(rows, width)
@@ -607,7 +607,7 @@ def test_sparsest_first_matches_the_index_order(case):
 
 def test_sparsest_first_halves_the_fill(monkeypatch):
     graph = random_laman_graph(random.Random(3), 128)
-    rows = build_natural_matrix(graph, "M222", sample_assignment(graph, pairs=True, seed=0)).entries
+    rows = build_natural_matrix(graph, "M222", sample_assignment(graph, pairs=True, rng=random.Random(0))).entries
     touched = []
     subtract = linear_rep._subtract
 

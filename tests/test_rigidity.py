@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset
-from perigid.direction_network import DirectionAssignment
+from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid import direction_network, linear_rep, rigidity
 from perigid.errors import DomainError, InternalConsistencyError
-from perigid.linear_rep import PRIME, Realization, _eliminate
+from perigid.linear_rep import Realization, _eliminate, _modp_rigidity_rows, modp_rank, sample_rows
 from perigid.rigidity import (
     STATUS_FLEXIBLE,
     STATUS_MINIMAL,
@@ -23,7 +23,6 @@ from perigid.rigidity import (
     is_1d_rigid,
     is_ross,
     laman_analysis,
-    rigid_realization_certificate,
 )
 from perigid.sparsity import CircuitReport, brute_force_sparsity, is_colored_laman, max_laman_sparse_subset
 
@@ -148,8 +147,8 @@ def test_every_route_agrees_on_colored_laman_membership(case):
 
 
 def test_certificate_fixture():
-    fr, rep = rigid_realization_certificate(LAMAN1, seed=13)
-    assert rep.rank == 3
+    fr = faithful_realization(LAMAN1, seed=13)
+    assert modp_rank(_modp_rigidity_rows(LAMAN1, fr.exact)) == 3
     M = rigidity_matrix(LAMAN1, fr.realization).to_numpy()
     for i in range(3):
         r, _ = kernel_float(np.delete(M, i, axis=0), 1e-9)
@@ -159,19 +158,19 @@ def test_certificate_fixture():
 def test_certificate_random_graph():
     rng = random.Random(39)
     g = random_laman_graph(rng, 5)
-    fr, rep = rigid_realization_certificate(g, seed=17)
-    assert rep.rank == 2 * g.n + 1
+    fr = faithful_realization(g, seed=17)
+    assert modp_rank(_modp_rigidity_rows(g, fr.exact)) == 2 * g.n + 1
 
 
 def test_certificate_rejects_non_laman():
     with pytest.raises(DomainError):
-        rigid_realization_certificate(G(1, [(0, 0, (1, 0))]))
+        faithful_realization(G(1, [(0, 0, (1, 0))]))
 
 
 def test_trivial_motion_space():
     rng = random.Random(41)
     g = random_laman_graph(rng, 4)
-    fr, _ = rigid_realization_certificate(g, seed=19)
+    fr = faithful_realization(g, seed=19)
     M = rigidity_matrix(g, fr.realization).to_numpy()
     rank, kernel = kernel_float(M, 1e-9)
     assert kernel.shape[1] == 3
@@ -198,7 +197,7 @@ def test_ross_lattice_motions_are_trivial():
             continue
         found += 1
         aug = g.with_extra_loops(0, ((1, 0), (0, 1), (1, 1)))
-        fr, _ = rigid_realization_certificate(aug, seed=23)
+        fr = faithful_realization(aug, seed=23)
         M = rigidity_matrix(aug, fr.realization).to_numpy()
         _, kernel = kernel_float(M, 1e-9)
         assert kernel.shape[1] == 3
@@ -280,8 +279,8 @@ def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
     graph, ids = circuit.graph, circuit.sorted_ids()
     draws = random.Random(seed)
     for _ in range(3):
-        rows = dict(zip(graph.edge_ids(), rigidity._sampled_modp_rows(graph, draws)))
-        nulls = _eliminate([rows[x] for x in ids], PRIME, track=True)[2]
+        rows = dict(zip(graph.edge_ids(), sample_rows(graph, "M232", draws)))
+        nulls = _eliminate([rows[x] for x in ids], track=True)[2]
         if len(nulls) == 1 and {ids[i] for i in nulls[0]} == circuit.ids:
             return report
     raise InternalConsistencyError("circuit is not edge-minimal")
@@ -336,17 +335,16 @@ def test_certified_analysis_is_the_greedy_basis():
 
 def _degenerate_draws(monkeypatch, spoil, count):
     """Spy on the sampled rows; spoil(rows) the first `count` draws in place."""
-    sampled = rigidity._sampled_modp_rows
     draws = []
 
-    def draw(graph, rng):
-        rows = sampled(graph, rng)
+    def draw(graph, kind, rng):
+        rows = sample_rows(graph, kind, rng)
         draws.append(rows)
         if len(draws) <= count:
             spoil(rows)
         return rows
 
-    monkeypatch.setattr(rigidity, "_sampled_modp_rows", draw)
+    monkeypatch.setattr(rigidity, "sample_rows", draw)
     return draws
 
 
@@ -509,5 +507,5 @@ def test_exact_rank_paths_build_no_dense_row(monkeypatch):
         is_1d_rigid(flat)
     assert calls == [] and circuits
     # the spy sees the one path that densifies: rows for dumps and determinant minors
-    linear_rep.dump_matrix(linear_rep.NaturalMatrix("M232", 1, tuple(rigidity._sampled_modp_rows(LAMAN1, rng))))
+    linear_rep.dump_matrix(linear_rep.NaturalMatrix("M232", 1, tuple(sample_rows(LAMAN1, "M232", rng))))
     assert len(calls) == LAMAN1.m

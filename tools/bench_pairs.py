@@ -12,8 +12,11 @@ in even pairs and the change first in odd ones, so that a drift of the
 host's speed does not favour one side.  For every end-to-end metric of the
 change's BENCHMARK.json the summary gives each side's runs, median and
 quartiles, the number of pairs the change won (ties count for neither) and
-the change's median relative to the parent's.  `--out` merges the
-workload's entry into an existing file, so one file holds every workload.
+the change's median relative to the parent's; next to `peak_rss_mb` it
+also gives each side's median `attempted` job count, since the harness
+keeps every job's stdout and its peak RSS follows the job count.  `--out`
+merges the workload's entry into an existing file, so one file holds every
+workload.
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ def main(argv=None) -> int:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         metrics[name] = summarise(metric, values["parent"], values["change"])
+    # the harness keeps every job's stdout, so peak RSS grows with the job count
+    for side in runs:
+        attempted = statistics.median(r["attempted"] for r in runs[side])
+        metrics["peak_rss_mb"][side]["attempted_median"] = attempted
+        print(f"{side}: peak_rss_mb median {metrics['peak_rss_mb'][side]['median']:.2f} "
+              f"at median attempted {attempted:g}", file=sys.stderr)
     entry = {
         "seeds": seeds,
         "seconds": args.seconds,
