@@ -33,13 +33,10 @@ from .errors import (
 from .fileio import parse_colored_graph, serialize_colored_graph
 from .linear_rep import (
     PRIME,
-    GenericAssignment,
-    NaturalMatrix,
     RankReport,
     Realization,
-    build_natural_matrix,
+    natural_rows,
     rank_mod_p,
-    sample_assignment,
     verify_determinant_formulas,
 )
 from .rigidity import (

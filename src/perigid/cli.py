@@ -35,7 +35,7 @@ from .fileio import (
     to_json_bytes,
     verdict_json,
 )
-from .linear_rep import MAX_TRIALS, NaturalMatrix, dump_matrix, rank_mod_p, sample_rows
+from .linear_rep import DEFAULT_TRIALS, MAX_TRIALS, dump_matrix, rank_mod_p, sample_rows
 from .rigidity import STATUS_FLEXIBLE, decide_rigidity, is_1d_rigid, is_ross, laman_analysis
 from .svg import development_svg, realization_svg
 
@@ -138,10 +138,6 @@ def cmd_circuit(path, args):
 
 def cmd_realize(path, args):
     graph = _load(path)
-    # --tol no longer tunes anything; an out-of-range value is still refused, after
-    # faithful_realization's own m != 2n + 1 refusal and before its counts
-    if graph.m == 2 * graph.n + 1 and not 0 < args.tol < 1:  # also refuses NaN
-        raise DomainError(f"tolerance must lie in (0, 1), got {args.tol}")
     result = faithful_realization(graph, seed=args.seed)
     if args.format == "svg":
         return realization_svg(graph, result), OK
@@ -204,7 +200,7 @@ def cmd_rank(path, args):
     report = rank_mod_p(graph, args.matrix, trials=args.trials, seed=args.seed)
     if args.dump:  # the first F_p sample of the rank
         rows = sample_rows(graph, args.matrix, random.Random(args.seed))
-        Path(args.dump).write_text(dump_matrix(NaturalMatrix(args.matrix, graph.n, tuple(rows))))
+        Path(args.dump).write_text(dump_matrix(graph, args.matrix, rows))
     if args.format == "json":
         return to_json_bytes(rank_json(report)), OK
     line = f"{report.kind} generic rank: {report.rank} (mode=fp, trials={report.trials}, seed={report.seed})"
@@ -236,13 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json")):
         p.add_argument("inputs", nargs="+", help="colored-graph (.cg) files")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="accepted for old invocations; tunes nothing, and realize refuses it outside (0, 1)")
-        p.add_argument("--trials", type=int, default=3,
+        p.add_argument("--format", choices=formats, default="text")
+
+    def trials(p):
+        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                        help=f"most F_p samples per rank (1..{MAX_TRIALS}); a rank stops at the first sample "
                             "that reaches its ceiling")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--jobs", type=int, default=1, help="accepted for old invocations; inputs run one after another")
 
     common(sub.add_parser("check", help="decide generic rigidity"))
     p = sub.add_parser("sparsity", help="decide a sparsity family membership")
@@ -258,9 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--basis", required=True, help="2x2 integer matrix a,b,c,d (row-major)")
     common(sub.add_parser("ross", help="decide the fixed-lattice counts"))
-    common(sub.add_parser("oned", help="decide 1d periodic rigidity (g2 must be 0)"))
+    p = sub.add_parser("oned", help="decide 1d periodic rigidity (g2 must be 0)")
+    common(p)
+    trials(p)
     p = sub.add_parser("rank", help="randomized generic rank of a representation matrix")
     common(p)
+    trials(p)
     p.add_argument("--matrix", choices=("M112", "M222", "M232"), default="M222")
     p.add_argument("--dump", default=None, help="write the sampled matrix to this path")
     return parser

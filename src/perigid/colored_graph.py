@@ -402,22 +402,30 @@ def image_rank(images: Iterable[Sequence[int]]) -> int:
     return 1 if seen else 0
 
 
-def lattice_index(images: Iterable[Sequence[int]]) -> int | None:
-    """Index in Z^2 of the subgroup generated by the images; None if infinite.
+def _triangular(vectors: Iterable[Sequence[int]]) -> tuple[int, int, int]:
+    """A triangular basis (a, b), (0, d) of the subgroup the vectors generate.
 
-    Keeps a triangular basis (a, b), (0, d) of the subgroup: Euclid's
-    unimodular row steps reduce each image (x, y) against (a, b) to (0, y'),
-    which joins d.  The index |a|*d is the gcd of all 2x2 minors of the
-    images (the product of the Smith normal form diagonal).
+    Euclid's unimodular row steps reduce each vector (x, y) against (a, b)
+    to (0, y'), which joins d >= 0; b is kept reduced mod d once d > 0.
     """
     a = b = d = 0
-    for x, y in images:
+    for x, y in vectors:
         while x:
             q = a // x
             a, b, x, y = x, y, a - q * x, b - q * y
         d = gcd(d, y)
         if d:
             b %= d
+    return a, b, d
+
+
+def lattice_index(images: Iterable[Sequence[int]]) -> int | None:
+    """Index in Z^2 of the subgroup generated by the images; None if infinite.
+
+    The index |a|*d of the `_triangular` basis is the gcd of all 2x2 minors
+    of the images (the product of the Smith normal form diagonal).
+    """
+    a, _, d = _triangular(images)
     return abs(a) * d or None
 
 
@@ -618,29 +626,6 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
 # ---------------------------------------------------------------------------
 
 
-def _hnf_columns(basis: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Lower-triangular column Hermite form (h11, h21, h22) of a 2x2 basis."""
-    a, b = int(basis[0][0]), int(basis[0][1])
-    c, d = int(basis[1][0]), int(basis[1][1])
-    det = a * d - b * c
-    if det == 0:
-        raise StructuralError("sub-lattice basis must have nonzero determinant")
-    # column ops to zero the top entry of the second column
-    u = (a, c)
-    v = (b, d)
-    while v[0] != 0:
-        q = u[0] // v[0]
-        u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
-    h11, h21 = u
-    h22 = v[1]
-    if h11 < 0:
-        h11, h21 = -h11, -h21
-    if h22 < 0:
-        h22 = -h22
-    h21 %= h22
-    return h11, h21, h22
-
-
 def sublattice_cover(
     graph: ColoredGraph, basis: Sequence[Sequence[int]]
 ) -> ColoredGraph:
@@ -658,7 +643,10 @@ def sublattice_cover(
     if det == 0:
         raise StructuralError("sub-lattice basis must have nonzero determinant")
     _check_budget("sub-lattice cover", graph, abs(det))
-    h11, h21, h22 = _hnf_columns(basis)
+    # lower-triangular column Hermite form of the basis
+    h11, h21, h22 = _triangular(((a, c), (b, d)))
+    if h11 < 0:
+        h11, h21 = -h11, -h21 % h22
     sheets = h11 * h22
 
     def residue(x: int, y: int) -> tuple[int, int]:

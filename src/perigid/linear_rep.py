@@ -16,12 +16,13 @@ integer point, n points and then the two rows of L, drawn by
 rows and the 1d rows of :mod:`perigid.rigidity` and the realization system
 of :mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row`
 as sparse {column: value} entries mod p, at most eight per row; rows are
-densified only for dumps and determinant minors (`NaturalMatrix.rows`).
+densified (`_dense`) only for dumps and determinant minors.
 
 Generic rank is decided by sampling.  `sample_rows` draws one sample of
-any of the three kinds, with entries uniform in the prime field F_p,
-p = 2^61 - 1 (M112, M222), or at a uniform integer point (M232), and
-`rank_mod_p` is the one sampled rank of all three.  A sample is eliminated
+any of the three kinds, a plain list of entry rows in edge order, with
+entries uniform in the prime field F_p, p = 2^61 - 1 (M112, M222, by
+`natural_rows`), or at a uniform integer point (M232), and `rank_mod_p`
+is the one sampled rank of all three.  A sample is eliminated
 exactly and sparsely, rows in input order and columns sparsest first
 (`_eliminate`), so a full-rank sample certifies the generic rank while a
 deficient one is wrong with probability at most m/p per trial;
@@ -95,47 +96,6 @@ class Realization:
         return max(spread, math.hypot(*self.L[0], *self.L[1]))
 
 
-@dataclass(frozen=True)
-class GenericAssignment:
-    """Independent scalar(s) of F_p per edge id."""
-
-    a: dict[int, int]
-    b: dict[int, int] | None
-
-    def require_b(self):
-        if self.b is None:
-            raise StructuralError("this matrix kind needs (a, b) pairs per edge")
-
-
-def sample_assignment(graph: ColoredGraph, *, pairs: bool, rng: random.Random) -> GenericAssignment:
-    """Draw one (or a pair of) nonzero generic value(s) of F_p per edge: all a's, then all b's."""
-    a = {e.id: rng.randrange(1, PRIME) for e in graph.edges}
-    b = {e.id: rng.randrange(1, PRIME) for e in graph.edges} if pairs else None
-    return GenericAssignment(a, b)
-
-
-@dataclass(frozen=True)
-class NaturalMatrix:
-    """Row-per-edge matrix in one of the three filling patterns, kept sparse."""
-
-    kind: str
-    n: int
-    entries: tuple[dict, ...]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return self.n + 2 if self.kind == "M112" else 2 * self.n + 4
-
-    @property
-    def rows(self) -> tuple[tuple, ...]:
-        """Dense rows; a column no entry names holds the int 0."""
-        return tuple(_dense(row, self.ncols) for row in self.entries)
-
-
 def _dense(entries: dict, width: int) -> tuple:
     row = [0] * width
     for j, x in entries.items():
@@ -161,27 +121,23 @@ def _m222_row(n, e, a, b):
     return _pattern_row(((t, -a), (t + 1, -b), (h, a), (h + 1, b)) + lattice)
 
 
-def build_natural_matrix(
-    graph: ColoredGraph, kind: str, assignment: GenericAssignment | None = None
-) -> NaturalMatrix:
-    """Assemble the M112 or M222 matrix of a generic assignment.
+def natural_rows(graph: ColoredGraph, a: dict[int, int], b: dict[int, int] | None = None) -> list[dict[int, int]]:
+    """The M112 rows of the values a per edge id, or with b the M222 rows of the pairs (a, b).
 
     Loop rows cancel in the vertex block and keep only lattice entries.  The
     rigidity rows (M232) come from `_modp_rigidity_rows` at an integer point.
     """
-    if kind not in ("M112", "M222"):
-        raise DomainError(f"unknown matrix kind {kind!r}")
-    n = graph.n
-    if assignment is None:
-        raise StructuralError(f"{kind} needs a generic assignment")
-    missing = [e.id for e in graph.edges if e.id not in assignment.a]
+    missing = [e.id for e in graph.edges if e.id not in a or b is not None and e.id not in b]
     if missing:
-        raise StructuralError(f"assignment misses edges {missing}")
-    if kind == "M112":
-        return NaturalMatrix("M112", n, tuple(_m112_row(n, e, assignment.a[e.id]) for e in graph.edges))
-    assignment.require_b()
-    rows = tuple(_m222_row(n, e, assignment.a[e.id], assignment.b[e.id]) for e in graph.edges)
-    return NaturalMatrix("M222", n, rows)
+        raise StructuralError(f"values miss edges {missing}")
+    if b is None:
+        return [_m112_row(graph.n, e, a[e.id]) for e in graph.edges]
+    return [_m222_row(graph.n, e, a[e.id], b[e.id]) for e in graph.edges]
+
+
+def _nonzero_values(graph: ColoredGraph, rng: random.Random) -> dict[int, int]:
+    """One nonzero value of F_p per edge id, drawn in edge order."""
+    return {e.id: rng.randrange(1, PRIME) for e in graph.edges}
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +297,13 @@ def sample_rows(graph: ColoredGraph, kind: str, rng: random.Random) -> list[dict
     """One F_p sample of the M112, M222 or M232 rows, in edge order, drawn from rng.
 
     M112 and M222 draw a nonzero a per edge and, for M222, then a b per edge
-    (`sample_assignment`); M232 is the rigidity rows at the integer point
+    (`natural_rows`); M232 is the rigidity rows at the integer point
     `_integer_point` draws.
     """
     if kind == "M232":
         return _modp_rigidity_rows(graph, _integer_point(graph.n, rng))
-    assignment = sample_assignment(graph, pairs=kind == "M222", rng=rng)
-    return list(build_natural_matrix(graph, kind, assignment).entries)
+    a = _nonzero_values(graph, rng)
+    return natural_rows(graph, a, _nonzero_values(graph, rng) if kind == "M222" else None)
 
 
 def rank_mod_p(
@@ -396,27 +352,28 @@ class DetFormulaReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_determinant_formulas(graph: ColoredGraph, assignment: GenericAssignment | None = None) -> DetFormulaReport:
-    """Compare designated square M112 minors over F_p against their closed forms.
+def verify_determinant_formulas(graph: ColoredGraph, a: dict[int, int] | None = None) -> DetFormulaReport:
+    """Compare designated square M112 minors of the values a over F_p against their closed forms.
 
     With m = n - 1 + k and k the cycle-image rank, the minor dropping one
     vertex column and 2 - k lattice columns has determinant
     +-(image factor) * product(a_e): the factor is 1 for trees, a component
     t_q of the single cycle image for k = 1 (q the kept lattice column), and
     the 2x2 determinant of the two cycle images for k = 2.  Graphs that are
-    not (1,1,k) give identically zero determinants.
+    not (1,1,k) give identically zero determinants.  By default a holds one
+    nonzero value per edge drawn from Random(0).
     """
     subset = EdgeSubset.full(graph)
     ok, k = is_11k(subset)
     n, m = graph.n, graph.m
     if m != n - 1 + k:
         raise DomainError(f"need m = n - 1 + k, got n={n} m={m} k={k}")
-    if assignment is None:
-        assignment = sample_assignment(graph, pairs=False, rng=random.Random(0))
-    rows = build_natural_matrix(graph, "M112", assignment).rows
+    if a is None:
+        a = _nonzero_values(graph, random.Random(0))
+    rows = [_dense(row, n + 2) for row in natural_rows(graph, a)]
     prod_a = 1
     for e in graph.edges:
-        prod_a = prod_a * assignment.a[e.id] % PRIME
+        prod_a = prod_a * a[e.id] % PRIME
     images = [rho_of_walk(w) for _, w in fundamental_cycles(subset)]
 
     def check(label, dropped, factor):
@@ -437,9 +394,9 @@ def verify_determinant_formulas(graph: ColoredGraph, assignment: GenericAssignme
     return DetFormulaReport(ok, k, tuple(checks))
 
 
-def dump_matrix(matrix: NaturalMatrix) -> str:
-    """Plain text dump: header line then one space-separated row per line."""
-    out = [f"mat {matrix.nrows} {matrix.ncols} fp"]
-    for row in matrix.rows:
-        out.append(" ".join(map(str, row)))
+def dump_matrix(graph: ColoredGraph, kind: str, rows: Sequence[dict[int, int]]) -> str:
+    """Plain text dump of a M112, M222 or M232 sample: header line, then one dense row per line."""
+    width = graph.n + 2 if kind == "M112" else 2 * graph.n + 4
+    out = [f"mat {len(rows)} {width} fp"]
+    out.extend(" ".join(map(str, _dense(row, width))) for row in rows)
     return "\n".join(out) + "\n"

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from .colored_graph import ColoredGraph, EdgeSubset, scan_subset
 from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
-from .linear_rep import COORD_RANGE, RankReport, _best_sampled_rank, _eliminate, _m112_row, rank_mod_p, sample_rows
+from .linear_rep import (
+    COORD_RANGE, DEFAULT_TRIALS, RankReport, _best_sampled_rank, _eliminate, _m112_row, rank_mod_p, sample_rows,
+)
 from .sparsity import CircuitReport, count_report, laman_sparse_subset
 from .sparsity import max_laman_sparse_subset  # noqa: F401  perfbench/tests read it from here
 
@@ -28,7 +30,7 @@ STATUS_OVER = "generically_rigid_overconstrained"
 STATUS_FLEXIBLE = "generically_flexible"
 
 
-def generic_rigidity_rank(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> RankReport:
+def generic_rigidity_rank(graph: ColoredGraph, trials: int = DEFAULT_TRIALS, seed: int = 0) -> RankReport:
     """The M232 `rank_mod_p`: rigidity rows at random integer points."""
     return rank_mod_p(graph, "M232", trials, seed)
 
@@ -42,7 +44,6 @@ class LamanAnalysis:
     rejected_circuit is the circuit that edge closes with the basis.
     """
 
-    graph: ColoredGraph
     basis: frozenset[int]
     rejected: int | None
     rejected_circuit: CircuitReport | None
@@ -89,7 +90,7 @@ def laman_analysis(graph: ColoredGraph, seed: int = 0) -> LamanAnalysis:
     if not laman_sparse_subset(graph, basis):
         raise InternalConsistencyError("rows independent mod p on an edge set that is not sparse")
     first = (rejected[0], reports[0]) if reports else (None, None)
-    return LamanAnalysis(graph, basis, *first)
+    return LamanAnalysis(basis, *first)
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,7 @@ class RigidityVerdict:
     circuit: CircuitReport | None
 
 
-def decide_rigidity(
-    graph: ColoredGraph, seed: int = 0, attach_witness: bool = True
-) -> RigidityVerdict:
+def decide_rigidity(graph: ColoredGraph, seed: int = 0) -> RigidityVerdict:
     """Full rigidity decision from one certified colored-Laman analysis.
 
     The generic rank is the size of the basis `laman_analysis` proposes by
@@ -123,11 +122,8 @@ def decide_rigidity(
         status = STATUS_MINIMAL if m == 2 * n + 1 else STATUS_OVER
     else:
         status = STATUS_FLEXIBLE
-    witness = None
-    if attach_witness and status == STATUS_MINIMAL:
-        witness = faithful_realization(graph, seed=seed)
-    circuit = None if analysis.sparse else analysis.circuit()
-    return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, circuit)
+    witness = faithful_realization(graph, seed=seed) if status == STATUS_MINIMAL else None
+    return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, analysis.rejected_circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def _oned_rows(graph: ColoredGraph, xs: list[int], lat: int) -> list[dict[int, i
     ]
 
 
-def is_1d_rigid(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> OneDVerdict:
+def is_1d_rigid(graph: ColoredGraph, trials: int = DEFAULT_TRIALS, seed: int = 0) -> OneDVerdict:
     """Generic rigidity of a Z-colored quotient (second color must be zero).
 
     Combinatorial route: a spanning connected subgraph with a cycle of

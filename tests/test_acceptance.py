@@ -26,9 +26,9 @@ from perigid.colored_graph import (
 from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid.linear_rep import (
     _modp_rigidity_rows,
+    _nonzero_values,
     modp_rank,
     rank_mod_p,
-    sample_assignment,
     verify_determinant_formulas,
 )
 from perigid.rigidity import (
@@ -242,8 +242,7 @@ def test_criterion_08_determinant_formulas():
         n = rng.randint(2, 8)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        asn = sample_assignment(g, pairs=False, rng=random.Random(rng.randrange(1 << 30)))
-        rep = verify_determinant_formulas(g, assignment=asn)
+        rep = verify_determinant_formulas(g, _nonzero_values(g, random.Random(rng.randrange(1 << 30))))
         assert rep.instance and rep.all_ok, g
         a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
         assert float_determinant_checks(g, a), g  # within 1e-10 of the closed form
@@ -254,8 +253,7 @@ def test_criterion_08_determinant_formulas():
         k = rng.randint(0, 2)
         bad = random_non_11k(rng, n, k)
         for trial in range(3):
-            asn = sample_assignment(bad, pairs=False, rng=random.Random(trial))
-            rep = verify_determinant_formulas(bad, assignment=asn)
+            rep = verify_determinant_formulas(bad, _nonzero_values(bad, random.Random(trial)))
             assert not rep.instance
             assert all(c.determinant == 0 for c in rep.checks), bad
         non_instances += 1
@@ -294,9 +292,9 @@ def test_criterion_09_invariance_suite():
     # rigidity status on a subsample (randomized-rank route included)
     for _ in range(30):
         g = random_graph(rng, nmax=3)
-        base = decide_rigidity(g, seed=3, attach_witness=False).status
+        base = decide_rigidity(g, seed=3).status
         transform = rng.choice((random_reversal, random_potential, random_relabel))
-        assert decide_rigidity(transform(rng, g), seed=11, attach_witness=False).status == base
+        assert decide_rigidity(transform(rng, g), seed=11).status == base
     report(9, True, f"{pairs} transformation pairs leave every decision unchanged")
 
 

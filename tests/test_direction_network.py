@@ -22,12 +22,11 @@ from perigid.direction_network import (
 from perigid.errors import DomainError, GenericitySamplingError
 from perigid.linear_rep import (
     PRIME,
-    GenericAssignment,
-    NaturalMatrix,
     Realization,
+    _dense,
     _modp_rigidity_rows,
-    build_natural_matrix,
     modp_rank,
+    natural_rows,
     sample_rows,
 )
 from perigid.rigidity import decide_rigidity
@@ -70,7 +69,7 @@ def test_p_system_matches_natural_matrix():
         d = DirectionAssignment.sample(g, rng)
         exact = tuple(direction_network._modp_row(g.n, e, d) for e in g.edges)
         assert exact == _modp_p_system(g, d)
-        dense = NaturalMatrix("M222", g.n, exact).rows
+        dense = tuple(_dense(row, 2 * g.n + 4) for row in exact)
         assert dense == tuple(tuple(map(_modp, row)) for row in build_P_system(g, d).rows)
 
 
@@ -180,7 +179,7 @@ def _modp_p_system(graph, directions):
     """P-system rows mod p, each float perpendicular read as the exact rational it is."""
     a = {e.id: _modp(directions.perp(e.id)[0]) for e in graph.edges}
     b = {e.id: _modp(directions.perp(e.id)[1]) for e in graph.edges}
-    return build_natural_matrix(graph, "M222", GenericAssignment(a, b)).entries
+    return tuple(natural_rows(graph, a, b))
 
 
 def _rebuilt_doubled_rows(graph, directions, eid, extra):
@@ -344,8 +343,7 @@ def test_the_counts_run_only_after_a_rejected_first_sample(spied):
     assert spied == ["_exact_point", "is_colored_laman"]
     spied.clear()
 
-    # m != 2n + 1 is refused before any draw; that realize --tol is checked after this
-    # refusal and before the counts is pinned by the CLI tests in test_fileio_cli.py
+    # m != 2n + 1 is refused before any draw
     for g in (G(1, [(0, 0, (1, 0))]), G(2, [(0, 0, (1, 0)), (1, 1, (1, 0))])):
         with pytest.raises(DomainError, match="^faithful_realization needs a colored-Laman graph$"):
             faithful_realization(g)

@@ -17,18 +17,18 @@ from perigid import linear_rep
 from perigid.linear_rep import (
     MAX_TRIALS,
     PRIME,
-    GenericAssignment,
-    NaturalMatrix,
-    build_natural_matrix,
+    _dense,
     dump_matrix,
     _eliminate,
     _integer_eta,
     _modp_rigidity_rows,
+    _nonzero_values,
     modp_det,
     modp_kernel,
     modp_rank,
+    natural_rows,
     rank_mod_p,
-    sample_assignment,
+    sample_rows,
     verify_determinant_formulas,
 )
 from perigid.sparsity import decompose_two_11k, f_value, is_222_graph, is_222_sparse
@@ -48,28 +48,31 @@ G = ColoredGraph.build
 LAMAN1 = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
 
 
+def dense_rows(graph, a, b=None):
+    """The natural rows of the values, each densified to its full width."""
+    width = graph.n + 2 if b is None else 2 * graph.n + 4
+    return tuple(_dense(row, width) for row in natural_rows(graph, a, b))
+
+
 def test_m112_rows():
     loop = G(1, [(0, 0, (1, 0))])
-    asn = GenericAssignment({0: 9}, None)
-    assert build_natural_matrix(loop, "M112", asn).rows[0] == (0, 9, 0)
+    assert dense_rows(loop, {0: 9})[0] == (0, 9, 0)
     tree = G(2, [(0, 1, (0, 0))])
-    row = build_natural_matrix(tree, "M112", GenericAssignment({0: 4}, None)).rows[0]
-    assert row == ((-4) % PRIME, 4, 0, 0)
+    assert dense_rows(tree, {0: 4})[0] == ((-4) % PRIME, 4, 0, 0)
 
 
 def test_m222_row():
     g = G(2, [(0, 1, (2, 3))])
-    asn = GenericAssignment({0: 5}, {0: 7})
-    row = build_natural_matrix(g, "M222", asn).rows[0]
+    row = dense_rows(g, {0: 5}, {0: 7})[0]
     assert row == ((-5) % PRIME, (-7) % PRIME, 5, 7, 10, 14, 15, 21)
 
 
 def test_build_matrix_missing_assignment():
     g = G(1, [(0, 0, (1, 0))])
     with pytest.raises(StructuralError):
-        build_natural_matrix(g, "M112", GenericAssignment({}, None))
+        natural_rows(g, {})
     with pytest.raises(StructuralError):
-        build_natural_matrix(g, "M222", GenericAssignment({0: 1}, None))
+        natural_rows(g, {0: 1}, {})
 
 
 def test_rank_mod_p_examples():
@@ -267,13 +270,11 @@ def test_fp_rank_at_least_float_rank_same_assignment():
     rng = random.Random(10)
     for _ in range(40):
         g = random_graph(rng, nmax=3)
-        ints = sample_assignment(g, pairs=True, rng=random.Random(rng.randrange(1 << 30)))
-        small = GenericAssignment(
-            {k: (v % 1000) + 1 for k, v in ints.a.items()},
-            {k: (v % 1000) + 1 for k, v in ints.b.items()},
-        )
-        floats = ({k: float(v) for k, v in small.a.items()}, {k: float(v) for k, v in small.b.items()})
-        exact = modp_rank(build_natural_matrix(g, "M222", small).rows)
+        draw = random.Random(rng.randrange(1 << 30))
+        a = {k: v % 1000 + 1 for k, v in _nonzero_values(g, draw).items()}
+        b = {k: v % 1000 + 1 for k, v in _nonzero_values(g, draw).items()}
+        floats = ({k: float(v) for k, v in a.items()}, {k: float(v) for k, v in b.items()})
+        exact = modp_rank(natural_rows(g, a, b))
         approx, _ = kernel_float(m222_matrix(g, *floats))
         assert exact >= approx
         assert exact == approx  # equality on these well-conditioned samples
@@ -301,8 +302,7 @@ def test_det_formula_random_instances_and_non_instances():
         n = rng.randint(2, 6)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        asn = sample_assignment(g, pairs=False, rng=random.Random(rng.randrange(1 << 30)))
-        rep = verify_determinant_formulas(g, assignment=asn)
+        rep = verify_determinant_formulas(g, _nonzero_values(g, random.Random(rng.randrange(1 << 30))))
         assert rep.instance and rep.all_ok, g
         a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
         assert float_determinant_checks(g, a), g
@@ -343,7 +343,7 @@ def test_laplace_block_structure():
     rng = random.Random(3)
     a = {e.id: rng.randrange(1, 997) for e in g.edges}
     b = {e.id: rng.randrange(1, 997) for e in g.edges}
-    mat = build_natural_matrix(g, "M222", GenericAssignment(a, b)).rows
+    mat = dense_rows(g, a, b)
     n = g.n
     acols = [2 * n, 2 * n + 2]  # a-side: even vertex cols dropped (n=1)
     bcols = [2 * n + 1, 2 * n + 3]
@@ -369,8 +369,8 @@ def test_laplace_block_structure():
 
 
 def test_dump_matrix_format():
-    asn = GenericAssignment({0: 3}, None)
-    text = dump_matrix(build_natural_matrix(G(1, [(0, 0, (1, 2))]), "M112", asn))
+    g = G(1, [(0, 0, (1, 2))])
+    text = dump_matrix(g, "M112", natural_rows(g, {0: 3}))
     assert text == "mat 1 3 fp\n0 3 6\n"
 
 
@@ -490,25 +490,19 @@ def test_dense_rows_match_the_dense_builders():
     for _ in range(300):
         g = _looped_graph(rng)
         n = g.n
-        asn = sample_assignment(g, pairs=True, rng=rng)
-        _same_rows(
-            build_natural_matrix(g, "M112", asn).rows,
-            tuple(_dense_m112_row(n, e, asn.a[e.id]) for e in g.edges),
-        )
-        _same_rows(
-            build_natural_matrix(g, "M222", asn).rows,
-            tuple(_dense_m222_row(n, e, asn.a[e.id], asn.b[e.id]) for e in g.edges),
-        )
+        a, b = _nonzero_values(g, rng), _nonzero_values(g, rng)
+        _same_rows(dense_rows(g, a), tuple(_dense_m112_row(n, e, a[e.id]) for e in g.edges))
+        _same_rows(dense_rows(g, a, b), tuple(_dense_m222_row(n, e, a[e.id], b[e.id]) for e in g.edges))
         # repeated points collapse edges to zero displacements
         xy = [(rng.choice((0, -5, 5)), rng.randint(-9, 9)) for _ in range(n + 2)]
         want = tuple(_dense_m222_row(n, e, *_integer_eta(xy, e)) for e in g.edges)
-        _same_rows(NaturalMatrix("M232", n, tuple(_modp_rigidity_rows(g, xy))).rows, want)
+        _same_rows(tuple(_dense(row, 2 * n + 4) for row in _modp_rigidity_rows(g, xy)), want)
         # the P-system mod p, each float perpendicular read as the rational it is
         dirs = DirectionAssignment.sample(g, rng)
         ratios = {e.id: [x.as_integer_ratio() for x in dirs.perp(e.id)] for e in g.edges}
         modp = {x: [a * pow(b, -1, PRIME) for a, b in r] for x, r in ratios.items()}
         want = tuple(_dense_m222_row(n, e, *modp[e.id]) for e in g.edges)
-        _same_rows(NaturalMatrix("M222", n, tuple(_modp_row(n, e, dirs) for e in g.edges)).rows, want)
+        _same_rows(tuple(_dense(_modp_row(n, e, dirs), 2 * n + 4) for e in g.edges), want)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +601,7 @@ def test_sparsest_first_matches_the_index_order(case):
 
 def test_sparsest_first_halves_the_fill(monkeypatch):
     graph = random_laman_graph(random.Random(3), 128)
-    rows = build_natural_matrix(graph, "M222", sample_assignment(graph, pairs=True, rng=random.Random(0))).entries
+    rows = sample_rows(graph, "M222", random.Random(0))
     touched = []
     subtract = linear_rep._subtract
 

@@ -109,7 +109,7 @@ def test_four_regular_graphs_are_flexible():
     for _ in range(20):
         n = rng.randint(1, 4)
         g = random_graph(rng, n=n, m=2 * n)
-        v = decide_rigidity(g, seed=3, attach_witness=False)
+        v = decide_rigidity(g, seed=3)
         assert v.status == STATUS_FLEXIBLE
 
 
@@ -507,5 +507,5 @@ def test_exact_rank_paths_build_no_dense_row(monkeypatch):
         is_1d_rigid(flat)
     assert calls == [] and circuits
     # the spy sees the one path that densifies: rows for dumps and determinant minors
-    linear_rep.dump_matrix(linear_rep.NaturalMatrix("M232", 1, tuple(sample_rows(LAMAN1, "M232", rng))))
+    linear_rep.dump_matrix(LAMAN1, "M232", sample_rows(LAMAN1, "M232", rng))
     assert len(calls) == LAMAN1.m

@@ -37,7 +37,11 @@ m = 500 and 2,000 random edges (loops, parallel edges and (0, 0) loops among
 them), whose greedy basis rejects hundreds of edges, each with its own
 circuit.  Two one-vertex colored-Laman graphs with loops (1, 0), (0, 1) and
 (g, 1) for g = 2^40 and 2^53, at the color budget, run the full list of
-subcommands.  Each checkout runs the whole
+subcommands.  Pairs of the small graphs, and pairs of one small graph and
+a file that fails to parse (in either order), go through `check` in text
+and JSON, `sparsity` and `rank --dump` with both inputs at once, so that
+the `== path` headers, the largest exit code and the refusal of one dump
+for several inputs are compared.  Each checkout runs the whole
 list in its own subprocess, calling `perigid.cli.main` in-process on its own
 `src/`.  The tool prints the invocation count and the first differences in
 stdout, exit code or dump bytes, and exits 1 if there is any.
@@ -69,6 +73,8 @@ RANDOM_GRAPHS = 80
 FLEXIBLE_SIZES = (64, 128)
 HUGE_COLORS = (1 << 40, 1 << 53)
 TRIALS = ("1", "5")
+PAIRS = 40  # the first graphs, all small, taken two at a time
+BROKEN = "cg 2 1 1\n0 0 1\n"  # an edge line short of its color
 
 
 def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
@@ -244,6 +250,16 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     return out + trial_counts(path)
 
 
+def multi_input(first: str, second: str) -> list[list[str]]:
+    """The commands whose output joins several inputs, on two at once."""
+    return [
+        ["check", first, second, "--format", "text"],
+        ["check", first, second, "--format", "json"],
+        ["sparsity", first, second],
+        ["rank", first, second, "--dump", "{dump}"],
+    ]
+
+
 def trial_counts(path: str) -> list[list[str]]:
     """rank with every matrix and oned, at each of TRIALS samples at most."""
     argvs = [["rank", path, "--matrix", matrix] for matrix in ("M112", "M222", "M232")] + [["oned", path]]
@@ -297,12 +313,23 @@ def main(argv=None) -> int:
         work = Path(tmp)
         jobs = []
         labels = []
-        for i, (label, text) in enumerate(build_graphs(args.change / "perfbench", random.Random(args.seed))):
-            path = work / f"{i:04d}.cg"
-            path.write_text(text)
-            for inv in invocations(str(path), label.split()[0]):
+        graphs = build_graphs(args.change / "perfbench", random.Random(args.seed))
+        paths = [str(work / f"{i:04d}.cg") for i in range(len(graphs))]
+        for path, (label, text) in zip(paths, graphs):
+            Path(path).write_text(text)
+            for inv in invocations(path, label.split()[0]):
                 jobs.append(inv)
                 labels.append(label)
+        broken = work / "broken.cg"
+        broken.write_text(BROKEN)
+        for i in range(0, PAIRS, 2):
+            pair = f"{graphs[i][0]} + {graphs[i + 1][0]}"
+            for first, second, label in ((paths[i], paths[i + 1], pair),
+                                         (paths[i], str(broken), f"{graphs[i][0]} + broken"),
+                                         (str(broken), paths[i + 1], f"broken + {graphs[i + 1][0]}")):
+                for inv in multi_input(first, second):
+                    jobs.append(inv)
+                    labels.append(label)
         (work / "jobs.json").write_text(json.dumps(jobs))
         procs = {}
         for side in ("parent", "change"):
@@ -321,7 +348,7 @@ def main(argv=None) -> int:
         for key in ("code", "error", "out", "dump"):
             if old[key] != new[key]:
                 diffs.append((label, inv, key, old[key], new[key]))
-    print(f"{len(jobs)} invocations on {len(set(labels))} graphs, {len(diffs)} differences")
+    print(f"{len(jobs)} invocations on {len(graphs)} graphs, {len(diffs)} differences")
     for label, inv, key, old, new in diffs[: args.show]:
         if key in ("out", "dump") and old is not None and new is not None:
             old, new = base64.b64decode(old)[:200], base64.b64decode(new)[:200]
