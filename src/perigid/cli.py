@@ -60,16 +60,11 @@ def _basis(spec: str):
     return ((a, b), (c, d))
 
 
-def _load(path: str):
-    return parse_colored_graph(Path(path).read_bytes())
-
-
 def _text(lines) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def cmd_check(path, args):
-    graph = _load(path)
+def cmd_check(graph, args):
     verdict = decide_rigidity(graph, seed=args.seed)
     code = OK if verdict.status != STATUS_FLEXIBLE else NEGATIVE
     if args.format == "json":
@@ -83,8 +78,7 @@ def cmd_check(path, args):
     return _text(lines), code
 
 
-def cmd_sparsity(path, args):
-    graph = _load(path)
+def cmd_sparsity(graph, args):
     family = args.family
     if family == "laman":
         verdict = laman_analysis(graph, args.seed).sparse  # an F_p basis certified by counts
@@ -96,7 +90,7 @@ def cmd_sparsity(path, args):
         extra = f"(2,2,k)-graph: {tight}"
         # sparse iff the rows are generically independent, which full rank mod p certifies
         if (rank_mod_p(graph, "M222", seed=args.seed).rank == graph.m) != verdict:
-            raise InternalConsistencyError(f"222 sparsity disagrees with the F_p rank on {path}")
+            raise InternalConsistencyError("222 sparsity disagrees with the F_p rank")
     else:
         verdict = is_ross(graph)
         extra = None
@@ -112,8 +106,7 @@ def cmd_sparsity(path, args):
     return _text(lines), code
 
 
-def cmd_decompose(path, args):
-    graph = _load(path)
+def cmd_decompose(graph, args):
     dec = sparsity.decompose_two_11k(graph)
     p1, p2 = sorted(dec.part1.ids), sorted(dec.part2.ids)
     if args.format == "json":
@@ -121,8 +114,7 @@ def cmd_decompose(path, args):
     return _text(["part1: " + " ".join(map(str, p1)), "part2: " + " ".join(map(str, p2))]), OK
 
 
-def cmd_circuit(path, args):
-    graph = _load(path)
+def cmd_circuit(graph, args):
     analysis = laman_analysis(graph, args.seed)
     if analysis.sparse:
         if args.format == "json":
@@ -136,8 +128,7 @@ def cmd_circuit(path, args):
     return _text([f"circuit: {ids}", f"counts: n'={c.n} m'={c.m} c'={c.c} rk'={c.rk}"]), NEGATIVE
 
 
-def cmd_realize(path, args):
-    graph = _load(path)
+def cmd_realize(graph, args):
     result = faithful_realization(graph, seed=args.seed)
     if args.format == "svg":
         return realization_svg(graph, result), OK
@@ -153,8 +144,7 @@ def cmd_realize(path, args):
     return _text(lines), OK
 
 
-def cmd_develop(path, args):
-    graph = _load(path)
+def cmd_develop(graph, args):
     report = develop_window(graph, _window(args.window))
     if args.format == "svg":
         return development_svg(graph, report), OK
@@ -171,14 +161,12 @@ def cmd_develop(path, args):
     return _text(lines), OK
 
 
-def cmd_cover(path, args):
-    graph = _load(path)
+def cmd_cover(graph, args):
     cover = sublattice_cover(graph, _basis(args.basis))
     return serialize_colored_graph(cover).encode("utf-8"), OK
 
 
-def cmd_ross(path, args):
-    graph = _load(path)
+def cmd_ross(graph, args):
     verdict = is_ross(graph)
     code = OK if verdict else NEGATIVE
     if args.format == "json":
@@ -186,8 +174,7 @@ def cmd_ross(path, args):
     return _text([f"Ross graph: {verdict}"]), code
 
 
-def cmd_oned(path, args):
-    graph = _load(path)
+def cmd_oned(graph, args):
     verdict = is_1d_rigid(graph, trials=args.trials, seed=args.seed)
     code = OK if verdict.rigid else NEGATIVE
     if args.format == "json":
@@ -195,8 +182,7 @@ def cmd_oned(path, args):
     return _text([verdict.status.replace("_", " "), f"rank={verdict.rank} n={verdict.n} m={verdict.m}"]), code
 
 
-def cmd_rank(path, args):
-    graph = _load(path)
+def cmd_rank(graph, args):
     report = rank_mod_p(graph, args.matrix, trials=args.trials, seed=args.seed)
     if args.dump:  # the first F_p sample of the rank
         rows = sample_rows(graph, args.matrix, random.Random(args.seed))
@@ -266,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_one(path: str, args) -> tuple[bytes, int]:
     try:
-        return COMMANDS[args.command](path, args)
+        return COMMANDS[args.command](parse_colored_graph(Path(path).read_bytes()), args)
     except (ParseError, StructuralError, DomainError, BudgetError, FileNotFoundError, OSError) as exc:
         return f"error: {exc}\n".encode(), INPUT_ERROR
     except (InternalConsistencyError, GenericitySamplingError) as exc:

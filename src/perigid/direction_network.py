@@ -198,7 +198,9 @@ def _exact_point(graph: ColoredGraph, directions: DirectionAssignment) -> str | 
     point R on p_1 = 0 must collapse no edge.  The rows are dyadic, so
     nonzero mod p is nonzero over Q.  With m = 2n + 1 the two tests certify
     a colored-Laman graph.  The kernel is spanned by the two translations
-    and R, so a row vanishes on it iff it vanishes on R.  Double any edge e
+    and R, so a row vanishes on it iff it vanishes on R.  eta_e vanishes on
+    both translations, so e collapses at R iff eta_e vanishes on all three
+    kernel vectors, which is the test made.  Double any edge e
     into e' with a direction d': the row of e' on R is <eta_e(R), perp(d')>,
     nonzero for some d' since eta_e(R) != 0 mod p.  So G + e' has rows of
     rank 2n + 2 mod p, hence generically independent.  T's rows
@@ -210,13 +212,10 @@ def _exact_point(graph: ColoredGraph, directions: DirectionAssignment) -> str | 
     kernel = modp_kernel([_modp_row(n, e, directions) for e in graph.edges], 2 * n + 4)
     if len(kernel) != 3:
         return "rank"
-    # p_1 = 0: the cross product of the kernel's first two coordinates (nonzero by the translations)
-    (x0, x1, x2), (y0, y1, y2) = ([k[i] for k in kernel] for i in (0, 1))
-    line = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
-    flat = [sum(c * k[j] for c, k in zip(line, kernel)) % PRIME for j in range(2 * n + 4)]
-    xy = [(flat[2 * i], flat[2 * i + 1]) for i in range(n)]
-    xy += [(flat[2 * n], flat[2 * n + 2]), (flat[2 * n + 1], flat[2 * n + 3])]  # rows of L
-    if not all(any(x % PRIME for x in _integer_eta(xy, e)) for e in graph.edges):
+    # each kernel vector as a point: n points, then the rows of L
+    points = [[*zip(k[:2 * n:2], k[1:2 * n:2]), (k[2 * n], k[2 * n + 2]), (k[2 * n + 1], k[2 * n + 3])]
+              for k in kernel]
+    if not all(any(x % PRIME for xy in points for x in _integer_eta(xy, e)) for e in graph.edges):
         return "collapsed mod p"
     return None
 

@@ -105,12 +105,9 @@ def faithful_json(result: FaithfulRealization) -> dict[str, Any]:
     real = result.realization
     return {
         "n": real.n,
-        "p": [[float(x), float(y)] for x, y in real.p],
-        "L": [[float(v) for v in row] for row in real.L],
-        "edges": [
-            {"id": s.edge_id, "alpha": float(s.alpha), "collapsed": s.collapsed}
-            for s in result.statuses
-        ],
+        "p": [list(xy) for xy in real.p],
+        "L": [list(row) for row in real.L],
+        "edges": [{"id": s.edge_id, "alpha": s.alpha, "collapsed": s.collapsed} for s in result.statuses],
         "seed": result.seed,
     }
 

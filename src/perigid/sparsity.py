@@ -120,6 +120,11 @@ class Shape11kReport:
 
 
 def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
+    """The shape of a (1,1,2)-graph from its two fundamental cycles, each a
+    simple cycle of the 2-core: sharing an edge makes a theta (a spanning tree
+    misses one edge on two of its three paths, and both cycles hold the
+    third), sharing only a vertex a figure eight, and neither a dumbbell.
+    """
     ok, k = is_11k(subset)
     if not ok or k != 2:
         raise DomainError("classify_11k_shape needs a (1,1,2)-graph")
@@ -143,50 +148,16 @@ def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
             deg[e.head] -= 1
             leaves += (e.tail, e.head)
 
-    # deg now holds each vertex's core degree, loops counted twice
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in sorted(ids):
-        e = graph.edge(eid)
-        adj.setdefault(e.tail, []).append((e.head, eid))
-        if e.tail != e.head:
-            adj.setdefault(e.head, []).append((e.tail, eid))
-    branch = sorted(v for v, d in deg.items() if d >= 3)
-
-    if len(branch) == 1:
-        shape = 1
-    elif len(branch) == 2:
-        # walk the degree-2 chains leaving one branch vertex; a chain coming
-        # back to its start means a private cycle (dumbbell), otherwise all
-        # three chains join the two branch vertices (theta).
-        b = branch[0]
-        self_returns = 0
-        crossings = 0
-        used: set[int] = set()
-        for w, eid in sorted(adj[b]):
-            if eid in used:
-                continue
-            used.add(eid)
-            prev, cur = b, w
-            while cur not in branch:
-                nxt = [(x, f) for x, f in adj[cur] if f not in used]
-                (cur_next, feid) = sorted(nxt)[0]
-                used.add(feid)
-                prev, cur = cur, cur_next
-            if cur == b:
-                self_returns += 1
-            else:
-                crossings += 1
-        shape = 2 if self_returns else 3
-        if shape == 3 and crossings != 3:
-            raise InternalConsistencyError("theta core without three chains")
-    else:
-        raise InternalConsistencyError("2-core of a (1,1,2)-graph lost its shape")
-
     cycles = fundamental_cycles(subset)
-    extras = [(eid, walk) for eid, walk in cycles]
-    if len(extras) != 2:
+    if len(cycles) != 2:
         raise InternalConsistencyError("(1,1,2)-graph without two extra edges")
-    (e1, c1), (e2, c2) = extras
+    (_, c1), (_, c2) = cycles
+    edges1, edges2 = ({eid for eid, _ in c.steps} for c in (c1, c2))
+    ends1, ends2 = ({v for y in es for v in (graph.edge(y).tail, graph.edge(y).head)} for es in (edges1, edges2))
+    shape = 3 if edges1 & edges2 else 1 if ends1 & ends2 else 2
+    # deg now holds each vertex's core degree, loops counted twice
+    if sum(d >= 3 for d in deg.values()) != (1 if shape == 1 else 2):
+        raise InternalConsistencyError("2-core of a (1,1,2)-graph lost its shape")
     r1, r2 = rho_of_walk(c1), rho_of_walk(c2)
     if r1.g1 * r2.g2 - r1.g2 * r2.g1 == 0:
         raise InternalConsistencyError("fundamental images of a rank-2 graph collinear")

@@ -102,9 +102,9 @@ def realization_svg(graph: ColoredGraph, result: FaithfulRealization) -> bytes:
     real = result.realization
     margin = 40.0
     frame = 300.0
-    pts = [tuple(map(float, p)) for p in real.p]
-    l1 = (float(real.L[0][0]), float(real.L[1][0]))
-    l2 = (float(real.L[0][1]), float(real.L[1][1]))
+    pts = list(real.p)
+    l1 = (real.L[0][0], real.L[1][0])
+    l2 = (real.L[0][1], real.L[1][1])
     corners = [(0.0, 0.0), l1, l2, (l1[0] + l2[0], l1[1] + l2[1])]
     allx = [p[0] for p in pts + corners] or [0.0]
     ally = [p[1] for p in pts + corners] or [0.0]

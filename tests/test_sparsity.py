@@ -133,6 +133,45 @@ def _passes_core(subset):
     return frozenset(ids)
 
 
+def _chain_walk_shape(subset):
+    """The shape by walking the degree-2 chains of the 2-core from a branch vertex.
+
+    One branch vertex is a figure eight.  With two, a chain coming back to
+    its start is a private cycle (dumbbell); otherwise all three chains
+    join the two branch vertices (theta).
+    """
+    graph, core = subset.graph, _passes_core(subset)
+    adj, deg = {}, {}
+    for eid in sorted(core):
+        e = graph.edge(eid)
+        adj.setdefault(e.tail, []).append((e.head, eid))
+        if e.tail != e.head:
+            adj.setdefault(e.head, []).append((e.tail, eid))
+        deg[e.tail] = deg.get(e.tail, 0) + 1
+        deg[e.head] = deg.get(e.head, 0) + 1
+    branch = sorted(v for v, d in deg.items() if d >= 3)
+    if len(branch) == 1:
+        return 1
+    assert len(branch) == 2
+    b = branch[0]
+    self_returns = crossings = 0
+    used = set()
+    for w, eid in sorted(adj[b]):
+        if eid in used:
+            continue
+        used.add(eid)
+        cur = w
+        while cur not in branch:
+            cur, feid = sorted((x, f) for x, f in adj[cur] if f not in used)[0]
+            used.add(feid)
+        if cur == b:
+            self_returns += 1
+        else:
+            crossings += 1
+    assert self_returns or crossings == 3
+    return 2 if self_returns else 3
+
+
 def test_shape_leaf_stripping_matches_repeated_passes():
     rng = random.Random(113)
     shapes = set()
@@ -140,6 +179,7 @@ def test_shape_leaf_stripping_matches_repeated_passes():
         g = random_11k(rng, rng.randint(1, 12), 2)
         rep = classify_11k_shape(full(g))
         assert rep.core_edges == _passes_core(full(g))
+        assert rep.shape == _chain_walk_shape(full(g))
         shapes.add(rep.shape)
     assert shapes == {1, 2, 3}
 

@@ -37,11 +37,15 @@ m = 500 and 2,000 random edges (loops, parallel edges and (0, 0) loops among
 them), whose greedy basis rejects hundreds of edges, each with its own
 circuit.  Two one-vertex colored-Laman graphs with loops (1, 0), (0, 1) and
 (g, 1) for g = 2^40 and 2^53, at the color budget, run the full list of
-subcommands.  Pairs of the small graphs, and pairs of one small graph and
-a file that fails to parse (in either order), go through `check` in text
-and JSON, `sparsity` and `rank --dump` with both inputs at once, so that
-the `== path` headers, the largest exit code and the refusal of one dump
-for several inputs are compared.  Each checkout runs the whole
+subcommands, and so do the graphs `cg 2 0 0` (no vertex) and `cg 2 1 0`
+(one vertex, no edge), appended last so that they move no other graph's
+random draws.  Pairs of the small graphs, pairs of one small graph and a
+file that fails to parse (in either order), and the first small graph with
+an input path that does not exist (in either order), go through `check` in
+text and JSON, `sparsity` and `rank --dump` with both inputs at once, so
+that the `== path` headers, the largest exit code, the refusal of one dump
+for several inputs and the errors of reading and parsing an input are
+compared.  Each checkout runs the whole
 list in its own subprocess, calling `perigid.cli.main` in-process on its own
 `src/`.  The tool prints the invocation count and the first differences in
 stdout, exit code or dump bytes, and exits 1 if there is any.
@@ -72,6 +76,7 @@ MULTI_SIZES = ((2, 500), (2, 2000), (3, 500), (3, 2000))
 RANDOM_GRAPHS = 80
 FLEXIBLE_SIZES = (64, 128)
 HUGE_COLORS = (1 << 40, 1 << 53)
+EDGELESS_SIZES = (0, 1)
 TRIALS = ("1", "5")
 PAIRS = 40  # the first graphs, all small, taken two at a time
 BROKEN = "cg 2 1 1\n0 0 1\n"  # an edge line short of its color
@@ -141,6 +146,8 @@ def build_graphs(perfbench: Path, rng: random.Random) -> list[tuple[str, str]]:
             add(f"tight n={n} #{i}", inst.minimal, n)
     for g in HUGE_COLORS:
         graphs.append((f"huge-color g={g}", inst.to_cg(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (g, 1))])))
+    for n in EDGELESS_SIZES:  # drawn from no rng, so appending them moves no other graph
+        graphs.append((f"edgeless n={n}", inst.to_cg(n, [])))
     return graphs
 
 
@@ -322,14 +329,16 @@ def main(argv=None) -> int:
                 labels.append(label)
         broken = work / "broken.cg"
         broken.write_text(BROKEN)
+        missing = str(work / "missing.cg")  # never written
+        pairs = [(paths[0], missing, f"{graphs[0][0]} + missing"), (missing, paths[0], f"missing + {graphs[0][0]}")]
         for i in range(0, PAIRS, 2):
-            pair = f"{graphs[i][0]} + {graphs[i + 1][0]}"
-            for first, second, label in ((paths[i], paths[i + 1], pair),
-                                         (paths[i], str(broken), f"{graphs[i][0]} + broken"),
-                                         (str(broken), paths[i + 1], f"broken + {graphs[i + 1][0]}")):
-                for inv in multi_input(first, second):
-                    jobs.append(inv)
-                    labels.append(label)
+            pairs += [(paths[i], paths[i + 1], f"{graphs[i][0]} + {graphs[i + 1][0]}"),
+                      (paths[i], str(broken), f"{graphs[i][0]} + broken"),
+                      (str(broken), paths[i + 1], f"broken + {graphs[i + 1][0]}")]
+        for first, second, label in pairs:
+            for inv in multi_input(first, second):
+                jobs.append(inv)
+                labels.append(label)
         (work / "jobs.json").write_text(json.dumps(jobs))
         procs = {}
         for side in ("parent", "change"):
