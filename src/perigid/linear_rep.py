@@ -171,16 +171,24 @@ def _eliminate(rows, track: bool = False):
     echelon form is triangular in the placed columns); with track, the
     input-row combination (as entries) behind each row that vanished; and
     the column at each place.
+
+    With track, each row's reduction steps (place, factor) are recorded,
+    not applied to a combination as they happen.  Only when a row vanished
+    are combinations built: first those of the pivots the vanished rows'
+    steps reach, directly or through other pivots' steps, in the order the
+    pivots were made, then each vanished row's.  The arithmetic is the one
+    an eager update would do, so the combinations are the same, and a
+    full-rank sample builds none.
     """
     p = PRIME
     rows = [{j: x % p for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x % p} for r in rows]
     count = Counter(chain.from_iterable(rows))
     order = sorted(sorted(count), key=count.__getitem__)
     place = {j: k for k, j in enumerate(order)}
-    pivots, combos, lead_prod, nulls = {}, {}, 1, []
+    pivots, made, lead_prod, vanished = {}, {}, 1, []
     for i, row in enumerate(rows):
         row = {place[j]: x for j, x in row.items()}
-        combo = {i: 1}
+        steps = []
         while row:
             col = min(row)
             if col not in pivots:
@@ -188,16 +196,37 @@ def _eliminate(rows, track: bool = False):
             f = row[col]
             _subtract(row, f, pivots[col], p)
             if track:
-                _subtract(combo, f, combos[col], p)
+                steps.append((col, f))
         if row:
             inv = pow(row[col], -1, p)
             lead_prod = lead_prod * row[col] % p
             pivots[col] = {j: x * inv % p for j, x in row.items()}
-            if track:
-                combos[col] = {j: x * inv % p for j, x in combo.items()}
-        elif track:
-            nulls.append(combo)
-    return pivots, lead_prod, nulls, order
+            made[col] = (i, steps, inv)
+        else:
+            vanished.append((i, steps))
+    return pivots, lead_prod, _null_combinations(made, vanished) if track else [], order
+
+
+def _null_combinations(made: dict, vanished: list) -> list[dict[int, int]]:
+    """The input-row combination behind each vanished row, from the recorded
+    steps: made maps a pivot's place to (row, steps, inverse of its leading
+    value), in the order the pivots were made."""
+    reached = {col for _, steps in vanished for col, _ in steps}
+    for col in reversed(made):  # a pivot's steps reach only pivots made before it
+        if col in reached:
+            reached.update(c for c, _ in made[col][1])
+    combos = {}
+
+    def combination(i, steps):
+        combo = {i: 1}
+        for col, f in steps:
+            _subtract(combo, f, combos[col], PRIME)
+        return combo
+
+    for col, (i, steps, inv) in made.items():
+        if col in reached:
+            combos[col] = {j: x * inv % PRIME for j, x in combination(i, steps).items()}
+    return [combination(i, steps) for i, steps in vanished]
 
 
 def modp_rank(rows: Sequence) -> int:

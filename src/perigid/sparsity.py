@@ -21,9 +21,13 @@ the edges of a colored graph.  Everything in this module is built from it:
 Matroid union never probes a circuit one element at a time: each exchange
 step reads the fundamental circuit of a part plus one edge off the two root
 paths of its ends in the part's gain forest (:class:`GainScan`,
-:meth:`PartitionState._circuit`).  A direct insertion grows the forest by
-that edge; a removal or an exchange chain drops it, and the next read
-builds it again in one breadth-first pass.
+:meth:`PartitionState._circuit`).  The breadth-first exchange search tests
+each request for a direct fit when it is queued, not when it is taken, so it
+stops as soon as the landing request is known, without reading the circuits
+of the requests queued ahead of it; the queue is first in, first out, so the
+chain it finds is the one the later test would find.  A direct insertion
+grows the forest by that edge; a removal or an exchange chain drops it, and
+the next read builds it again in one breadth-first pass.
 `perigid.rigidity.laman_analysis` finds the greedy basis by an F_p
 elimination this module cannot import and certifies it with the counts
 here; the greedy search is its test reference.
@@ -224,8 +228,8 @@ class PartitionState:
             return None
         return x1, x2
 
-    def _circuit(self, r: int, x: int) -> set[int] | None:
-        """The unique circuit of part r + x, or None when part r + x is independent.
+    def _circuit(self, r: int, x: int, image: tuple[int, int]) -> set[int]:
+        """The unique circuit of part r + x, given x's closing image there.
 
         The dependency puts a coefficient mu_z on x and each non-tree edge z
         (a zero image, a parallel pair or Cramer's rule on three images).
@@ -233,9 +237,6 @@ class PartitionState:
         on tail(z)'s, the flow that cancels the vertex part; a tree edge is in
         the circuit, the dependency's support, iff its sum is nonzero.
         """
-        image = self._closing_image(r, x)
-        if image is None:
-            return None
         (x1, x2), forest = image, self.kept[r]
         imgs, extras = forest.images, forest.extras
         if not extras:
@@ -267,24 +268,32 @@ class PartitionState:
     def _chain(self, eid: int) -> tuple[int, int, dict[int, tuple[int, int]]] | None:
         """Search for a place for eid, changing nothing: after both direct
         fits, each node (x, r), a request to put x into part r, is taken
-        breadth-first, and if part r + x has a circuit C each unvisited y of
-        C - x becomes the node (y, 1 - r), in id order.  Returns the request
-        that lands and its chain's parent map (empty for a fit), or None."""
-        for r in (0, 1):
-            if self._closing_image(r, eid) is None:
-                return eid, r, {}
-        queue = deque(((eid, 0), (eid, 1)))
+        breadth-first, and each unvisited y of the circuit C of part r + x,
+        in id order, becomes the node (y, 1 - r).  A node is tested for a fit
+        when it is queued, and the search ends at the first that fits.  The
+        queue is first in, first out, so that node is the first fitting one in
+        queue order, the one a test at dequeue time would reach, with the same
+        parent chain, and the same partitions follow; the circuits left
+        unread are those of the nodes between its parent and it in the queue.
+        Returns the request that lands and its chain's parent map
+        (empty for a fit), or None."""
         parent: dict[int, tuple[int, int]] = {}
+        queue = deque()
+        for r in (0, 1):
+            image = self._closing_image(r, eid)
+            if image is None:
+                return eid, r, parent
+            queue.append((eid, r, image))
         visited = {eid}
         while queue:
-            x, r = queue.popleft()
-            circuit = self._circuit(r, x)
-            if circuit is None:
-                return x, r, parent
-            for y in sorted(circuit - visited):
+            x, r, image = queue.popleft()
+            for y in sorted(self._circuit(r, x, image) - visited):
                 visited.add(y)
                 parent[y] = (x, r)
-                queue.append((y, 1 - r))
+                image = self._closing_image(1 - r, y)
+                if image is None:
+                    return y, 1 - r, parent
+                queue.append((y, 1 - r, image))
         return None
 
     def try_insert(self, eid: int) -> bool:

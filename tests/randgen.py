@@ -54,6 +54,16 @@ def random_laman_graph(rng: random.Random, n: int) -> ColoredGraph:
     raise RuntimeError(f"could not grow a colored-Laman graph on {n} vertices")
 
 
+def triangle_strip(rng: random.Random, n: int) -> ColoredGraph:
+    """Three loops at vertex 0, two edges from 1 to 0, then v joined to v - 1
+    and v - 2: a colored-Laman graph whose spanning forests are paths."""
+    edges = [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1)), (1, 0, (0, 0)), (1, 0, (1, -1))]
+    for v in range(2, n):
+        for u in (v - 1, v - 2):
+            edges.append((v, u, (rng.randint(-2, 2), rng.randint(-2, 2))))
+    return ColoredGraph.build(n, edges)
+
+
 def random_circuit_graph(rng: random.Random, nmax: int = 4) -> ColoredGraph:
     """A colored-Laman circuit, extracted from a random non-sparse graph."""
     while True:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from float_reference import (
     m222_matrix,
     m222_row,
 )
-from randgen import random_11k, random_graph, random_laman_graph, random_non_11k
+from randgen import random_11k, random_graph, random_laman_graph, random_non_11k, triangle_strip
 
 G = ColoredGraph.build
 LAMAN1 = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
@@ -616,3 +617,71 @@ def test_sparsest_first_halves_the_fill(monkeypatch):
     want_rank = len(index_order_eliminate(rows)[0])
     assert rank == want_rank == 2 * graph.n + 1
     assert touched[0] <= touched[1] // 2
+
+
+# ---------------------------------------------------------------------------
+# Combinations built only for the rows that vanish.
+# ---------------------------------------------------------------------------
+
+
+def eager_nulls(rows, p=PRIME):
+    """The tracked sparsest-first elimination that updates a combination at
+    every reduction step: the combination behind each row that vanishes."""
+    rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+    count = Counter(itertools.chain.from_iterable(rows))
+    place = {j: k for k, j in enumerate(sorted(sorted(count), key=count.__getitem__))}
+    pivots, combos, nulls = {}, {}, []
+    for i, row in enumerate(rows):
+        row = {place[j]: x for j, x in row.items()}
+        combo = {i: 1}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                break
+            f = row[col]
+            linear_rep._subtract(row, f, pivots[col], p)
+            linear_rep._subtract(combo, f, combos[col], p)
+        if row:
+            inv = pow(row[col], -1, p)
+            pivots[col] = {j: x * inv % p for j, x in row.items()}
+            combos[col] = {j: x * inv % p for j, x in combo.items()}
+        else:
+            nulls.append(combo)
+    return nulls
+
+
+def test_lazy_combinations_match_the_eager_update():
+    rng = random.Random(26)
+    graphs = [random_graph(rng, n=n, m=6 * n) for n in range(3, 13) for _ in range(3)]  # most rows vanish
+    strip = triangle_strip(random.Random(5), 40)
+    edges = [(e.tail, e.head, tuple(e.color)) for e in strip.edges]
+    graphs.append(ColoredGraph.build(strip.n, edges + [(0, strip.n - 1, (1, 2))]))
+    # a parallel edge of one color repeats a row, a (0, 0) loop is a zero row
+    repeats = ColoredGraph.build(4, [(0, 1, (1, 0)), (2, 2, (0, 0)), (1, 2, (0, 1)), (3, 3, (0, 0)), (2, 3, (1, 1))] * 2)
+    samples = [sample_rows(g, "M232", rng) for g in graphs + [repeats]] + [sample_rows(repeats, "M222", rng)]
+    vanished = []
+    for rows in samples:
+        nulls = _eliminate(rows, track=True)[2]
+        assert nulls == eager_nulls(rows)
+        vanished.append(len(nulls))
+        assert len(nulls) == len(rows) - modp_rank(rows)
+    # rows vanish in every dense sample, once in the strip plus one edge, at
+    # the repeats and zero rows of M232 and at the four zero rows of M222
+    assert min(vanished[:30]) > 0 and vanished[30:] == [1, 7, 4], vanished
+
+
+def test_a_full_rank_sample_builds_no_combination(monkeypatch):
+    rows = sample_rows(random_laman_graph(random.Random(26), 32), "M232", random.Random(0))
+    calls = []
+    subtract = linear_rep._subtract
+
+    def spy(row, f, prow, p):
+        calls[-1] += 1
+        subtract(row, f, prow, p)
+
+    monkeypatch.setattr(linear_rep, "_subtract", spy)
+    for track in (False, True):
+        calls.append(0)
+        pivots, _, nulls, _ = _eliminate(rows, track=track)
+        assert len(pivots) == len(rows) == 65 and nulls == []
+    assert calls[0] == calls[1] > 0, calls

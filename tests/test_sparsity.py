@@ -34,7 +34,7 @@ from perigid.sparsity import (
     union_independent,
 )
 
-from randgen import random_11k, random_graph, random_laman_graph
+from randgen import random_11k, random_graph, random_laman_graph, triangle_strip
 
 G = ColoredGraph.build
 
@@ -320,6 +320,12 @@ def circuit_by_probes(state, part, x):
     return {y for y in with_x if indep(state, with_x - {y})}
 
 
+def read_circuit(state, r, x):
+    """The circuit of part r + x, or None when part r + x is independent."""
+    image = state._closing_image(r, x)
+    return None if image is None else state._circuit(r, x, image)
+
+
 def kept_state(g, part):
     """A state whose part 0 is `part`; its forest is built on first read."""
     state = PartitionState(g)
@@ -332,7 +338,7 @@ def test_circuit_read_off_cases():
     def read_off(edges, part, x):
         state = kept_state(G(4, edges), part)
         assert indep(state, part)
-        got = state._circuit(0, x)
+        got = read_circuit(state, 0, x)
         assert got == circuit_by_probes(state, part, x)
         return got if got is None else sorted(got)
 
@@ -381,7 +387,7 @@ def test_circuit_read_off_matches_probes():
             for x in ids:
                 if x in part:
                     continue
-                got = state._circuit(0, x)
+                got = read_circuit(state, 0, x)
                 assert got == circuit_by_probes(state, part, x)
                 if got is not None:
                     shapes.add(len(got))
@@ -412,7 +418,7 @@ def assert_forests_hold(state):
     for r in (0, 1):
         for x in edata:
             if x not in state.parts[r]:
-                assert state._circuit(r, x) == circuit_by_probes(state, state.parts[r], x)
+                assert read_circuit(state, r, x) == circuit_by_probes(state, state.parts[r], x)
 
 
 def forest_snapshot(state):
@@ -489,16 +495,6 @@ def test_forests_through_random_insertions_probes_and_exchanges(monkeypatch):
     assert min(seen.values()) > 60, seen
 
 
-def triangle_strip(rng, n):
-    """Three loops at vertex 0, two edges from 1 to 0, then v joined to v - 1
-    and v - 2: a colored-Laman graph whose spanning forests are paths."""
-    edges = [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1)), (1, 0, (0, 0)), (1, 0, (1, -1))]
-    for v in range(2, n):
-        for u in (v - 1, v - 2):
-            edges.append((v, u, (rng.randint(-2, 2), rng.randint(-2, 2))))
-    return G(n, edges)
-
-
 def test_doubling_probes_rebuild_no_forest(monkeypatch):
     # a new state builds two empty forests, an applied chain rebuilds both
     # (its self-check) and a discard drops one; a doubling probe adds none
@@ -537,12 +533,12 @@ def test_deep_forests_read_off_like_probes():
         probes += [g.edge(x) for x in rng.sample(sorted(state.parts[r]), 2)]  # parallel copies
         for e in probes + [g.edge(0), g.edge(3)]:
             state.register_edge(_VIRTUAL, e.tail, e.head, (e.color.g1, e.color.g2))
-            sizes.append(len(state._circuit(r, _VIRTUAL) or ()))
-            assert state._circuit(r, _VIRTUAL) == circuit_by_probes(state, state.parts[r], _VIRTUAL)
+            sizes.append(len(read_circuit(state, r, _VIRTUAL) or ()))
+            assert read_circuit(state, r, _VIRTUAL) == circuit_by_probes(state, state.parts[r], _VIRTUAL)
         for tail, head in ((0, n - 1), (n // 2, n - 1), (n - 1, n - 2)):  # chords
             state.register_edge(_VIRTUAL, tail, head, (rng.randint(-2, 2), rng.randint(-2, 2)))
-            sizes.append(len(state._circuit(r, _VIRTUAL) or ()))
-            assert state._circuit(r, _VIRTUAL) == circuit_by_probes(state, state.parts[r], _VIRTUAL)
+            sizes.append(len(read_circuit(state, r, _VIRTUAL) or ()))
+            assert read_circuit(state, r, _VIRTUAL) == circuit_by_probes(state, state.parts[r], _VIRTUAL)
     assert max(sizes) > n // 2 and 0 < min(s for s in sizes if s) < 10, sizes
 
 
@@ -579,6 +575,82 @@ def test_union_partitions_match_the_probing_search(monkeypatch):
             patched.setattr(sparsity, "PartitionState", ProbingState)
             assert union_independent(full(g)) == fast
             assert max_laman_sparse_subset(g) == basis
+
+
+class DequeueTestState(PartitionState):
+    """The exchange search that tests a node for a fit only when it is taken
+    from the queue, after reading the circuit of every node queued before it:
+    the reference for the queue-time test of `PartitionState._chain`."""
+
+    def _chain(self, eid):
+        for r in (0, 1):
+            if self._closing_image(r, eid) is None:
+                return eid, r, {}
+        queue = deque(((eid, 0), (eid, 1)))
+        parent = {}
+        visited = {eid}
+        while queue:
+            x, r = queue.popleft()
+            circuit = read_circuit(self, r, x)
+            if circuit is None:
+                return x, r, parent
+            for y in sorted(circuit - visited):
+                visited.add(y)
+                parent[y] = (x, r)
+                queue.append((y, 1 - r))
+        return None
+
+
+def two_11k_union(rng, n):
+    """Two random spanning (1,1,2)-graphs on n vertices, their edges shuffled:
+    a (2,2,2)-graph."""
+    edges = [(e.tail, e.head, tuple(e.color)) for _ in range(2) for e in random_11k(rng, n, 2).edges]
+    rng.shuffle(edges)
+    return G(n, edges)
+
+
+def test_queue_time_fits_find_the_dequeue_time_chains(monkeypatch):
+    rng = random.Random(2026)
+    independent = tight = 0
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        if trial % 4 == 3:
+            g = two_11k_union(rng, n)
+        else:
+            g = random_graph(rng, n=n, m=rng.randint(n, 2 * n + 2), color_range=rng.randint(0, 2))
+        fast = union_independent(full(g))
+        answers = (max_laman_sparse_subset(g), is_colored_laman_sparse(g))
+        parts = None
+        if is_222_graph(g):
+            d = decompose_two_11k(g)
+            parts = (d.part1.ids, d.part2.ids)
+        with monkeypatch.context() as patched:
+            patched.setattr(sparsity, "PartitionState", DequeueTestState)
+            assert union_independent(full(g)) == fast
+            assert (max_laman_sparse_subset(g), is_colored_laman_sparse(g)) == answers
+            if parts is not None:
+                d = decompose_two_11k(g)
+                assert (d.part1.ids, d.part2.ids) == parts
+        independent += fast[0]
+        tight += parts is not None
+    assert independent >= 400 // 3 and tight >= 50, (independent, tight)
+
+
+def test_queue_time_fits_read_fewer_circuits(monkeypatch):
+    g = triangle_strip(random.Random(5), 200)
+    reads = []
+    circuit = PartitionState._circuit
+
+    def counted(state, *args):
+        reads[-1] += 1
+        return circuit(state, *args)
+
+    monkeypatch.setattr(PartitionState, "_circuit", counted)
+    for cls in (PartitionState, DequeueTestState):
+        reads.append(0)
+        monkeypatch.setattr(sparsity, "PartitionState", cls)
+        assert laman_sparse_subset(g, g.edge_ids())
+    assert 0 < reads[0] < reads[1], reads
 
 
 # -- (2,2,k) ----------------------------------------------------------------

@@ -11,12 +11,13 @@ once in each checkout, each run in its own process; the parent runs first
 in even pairs and the change first in odd ones, so that a drift of the
 host's speed does not favour one side.  For every end-to-end metric of the
 change's BENCHMARK.json the summary gives each side's runs, median and
-quartiles, the number of pairs the change won (ties count for neither) and
-the change's median relative to the parent's; next to `peak_rss_mb` it
-also gives each side's median `attempted` job count, since the harness
-keeps every job's stdout and its peak RSS follows the job count.  `--out`
-merges the workload's entry into an existing file, so one file holds every
-workload.
+quartiles, the number of pairs the change won (ties count for neither),
+the change's median relative to the parent's and a verdict (`improved`,
+`worse`, `unresolved` or `level`, see `verdict`), which it also prints to
+stderr.  Next to `peak_rss_mb` it gives each side's median `attempted` job
+count, since the harness keeps every job's stdout and its peak RSS follows
+the job count.  `--out` merges the workload's entry into an existing file,
+so one file holds every workload.
 """
 
 from __future__ import annotations
@@ -45,10 +46,30 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Quartiles by linear interpolation between the runs, never beyond them."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(summary: dict) -> str:
+    """`improved` when the change wins at least 9 of 10 pairs and its median
+    beats the parent's by more than the parent's quartile spread; `worse` when
+    its median is worse than the parent's by more than the bound, relative to
+    the parent's median; `unresolved` when the parent's quartile spread over
+    its median exceeds the bound; `level` otherwise."""
+    sign = 1 if summary["better"] == "higher" else -1
+    parent, change = summary["parent"], summary["change"]
+    gain = sign * (change["median"] - parent["median"])
+    pairs = len(parent["runs"])
+    if 10 * summary["change_wins"] >= 9 * pairs > 0 and gain > parent["q3"] - parent["q1"]:
+        return "improved"
+    if -gain > summary["bound"] * abs(parent["median"]):
+        return "worse"
+    if parent["q3"] - parent["q1"] > summary["bound"] * abs(parent["median"]):
+        return "unresolved"
+    return "level"
 
 
 def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
@@ -63,6 +84,7 @@ def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
     out["change_wins"] = wins
     out["change_losses"] = losses
     out["change_over_parent"] = c_med / p_med if p_med else None
+    out["verdict"] = verdict(out)
     return out
 
 
@@ -92,6 +114,9 @@ def main(argv=None) -> int:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         metrics[name] = summarise(metric, values["parent"], values["change"])
+        m = metrics[name]
+        print(f"{name}: parent median {m['parent']['median']:.4g} change median {m['change']['median']:.4g}, "
+              f"change won {m['change_wins']} of {args.pairs}: {m['verdict']}", file=sys.stderr)
     # the harness keeps every job's stdout, so peak RSS grows with the job count
     for side in runs:
         attempted = statistics.median(r["attempted"] for r in runs[side])
