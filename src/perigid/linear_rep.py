@@ -201,8 +201,9 @@ def _eliminate(rows, track: bool = False):
             inv = pow(row[col], -1, p)
             lead_prod = lead_prod * row[col] % p
             pivots[col] = {j: x * inv % p for j, x in row.items()}
-            made[col] = (i, steps, inv)
-        else:
+            if track:
+                made[col] = (i, steps, inv)
+        elif track:
             vanished.append((i, steps))
     return pivots, lead_prod, _null_combinations(made, vanished) if track else [], order
 

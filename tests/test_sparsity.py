@@ -287,9 +287,15 @@ def indep(state, ids):
 
 
 class ProbingState(PartitionState):
-    """The exchange search with |part| independence probes per step: the
-    reference for the circuit read-off and for the search order.  It
+    """The exchange search with |part| independence probes per circuit,
+    which tests a request for a fit only when it is taken from the queue:
+    the reference for the circuit read-off and for the search order, which
+    `PartitionState._chain` keeps with a test when a request is queued.  It
     replaces the search only; `try_insert` and `admits` act on what it finds."""
+
+    def _read(self, r, x):
+        """The circuit of part r + x, or None when part r + x is independent."""
+        return circuit_by_probes(self, self.parts[r], x)
 
     def _chain(self, eid):
         for r in (0, 1):
@@ -300,16 +306,23 @@ class ProbingState(PartitionState):
         queue = deque([(eid, 0), (eid, 1)])
         while queue:
             x, r = queue.popleft()
-            part = self.parts[r]
-            with_x = part | {x}
-            if indep(self, with_x):
+            circuit = self._read(r, x)
+            if circuit is None:
                 return x, r, parent
-            for y in sorted(part):
-                if y not in visited and indep(self, with_x - {y}):
-                    visited.add(y)
-                    parent[y] = (x, r)
-                    queue.append((y, 1 - r))
+            for y in sorted(circuit - visited):
+                visited.add(y)
+                parent[y] = (x, r)
+                queue.append((y, 1 - r))
         return None
+
+
+class DequeueTestState(ProbingState):
+    """The probing search with each circuit read off the gain forests: the
+    same dequeue-time reference, for graphs up to n = 40, where the probes
+    take about a minute over the 400 graphs of the partition test."""
+
+    def _read(self, r, x):
+        return read_circuit(self, r, x)
 
 
 def circuit_by_probes(state, part, x):
@@ -565,42 +578,6 @@ def test_a_broken_exchange_fails_the_rebuild(monkeypatch):
         union_independent(full(g))
 
 
-def test_union_partitions_match_the_probing_search(monkeypatch):
-    rng = random.Random(71)
-    for _ in range(120):
-        g = random_graph(rng, nmax=4, mmax=10, color_range=rng.randint(0, 2))
-        fast = union_independent(full(g))
-        basis = max_laman_sparse_subset(g)
-        with monkeypatch.context() as patched:
-            patched.setattr(sparsity, "PartitionState", ProbingState)
-            assert union_independent(full(g)) == fast
-            assert max_laman_sparse_subset(g) == basis
-
-
-class DequeueTestState(PartitionState):
-    """The exchange search that tests a node for a fit only when it is taken
-    from the queue, after reading the circuit of every node queued before it:
-    the reference for the queue-time test of `PartitionState._chain`."""
-
-    def _chain(self, eid):
-        for r in (0, 1):
-            if self._closing_image(r, eid) is None:
-                return eid, r, {}
-        queue = deque(((eid, 0), (eid, 1)))
-        parent = {}
-        visited = {eid}
-        while queue:
-            x, r = queue.popleft()
-            circuit = read_circuit(self, r, x)
-            if circuit is None:
-                return x, r, parent
-            for y in sorted(circuit - visited):
-                visited.add(y)
-                parent[y] = (x, r)
-                queue.append((y, 1 - r))
-        return None
-
-
 def two_11k_union(rng, n):
     """Two random spanning (1,1,2)-graphs on n vertices, their edges shuffled:
     a (2,2,2)-graph."""
@@ -609,15 +586,22 @@ def two_11k_union(rng, n):
     return G(n, edges)
 
 
-def test_queue_time_fits_find_the_dequeue_time_chains(monkeypatch):
+def test_union_partitions_match_the_probing_search(monkeypatch):
+    # small graphs against the probes, then graphs up to n = 40, every fourth
+    # a (2,2,2)-graph, against the forest read-off: both search the queue
+    # at dequeue time, the reference for the queue-time fit test
+    rng = random.Random(71)
+    cases = [(random_graph(rng, nmax=4, mmax=10, color_range=rng.randint(0, 2)), ProbingState) for _ in range(120)]
     rng = random.Random(2026)
-    independent = tight = 0
     for trial in range(400):
         n = rng.randint(1, 40)
         if trial % 4 == 3:
             g = two_11k_union(rng, n)
         else:
             g = random_graph(rng, n=n, m=rng.randint(n, 2 * n + 2), color_range=rng.randint(0, 2))
+        cases.append((g, DequeueTestState))
+    independent = tight = 0
+    for g, reference in cases:
         fast = union_independent(full(g))
         answers = (max_laman_sparse_subset(g), is_colored_laman_sparse(g))
         parts = None
@@ -625,15 +609,24 @@ def test_queue_time_fits_find_the_dequeue_time_chains(monkeypatch):
             d = decompose_two_11k(g)
             parts = (d.part1.ids, d.part2.ids)
         with monkeypatch.context() as patched:
-            patched.setattr(sparsity, "PartitionState", DequeueTestState)
+            patched.setattr(sparsity, "PartitionState", reference)
             assert union_independent(full(g)) == fast
             assert (max_laman_sparse_subset(g), is_colored_laman_sparse(g)) == answers
             if parts is not None:
                 d = decompose_two_11k(g)
                 assert (d.part1.ids, d.part2.ids) == parts
-        independent += fast[0]
-        tight += parts is not None
+        if reference is DequeueTestState:
+            independent += fast[0]
+            tight += parts is not None
     assert independent >= 400 // 3 and tight >= 50, (independent, tight)
+
+
+def two_11k_union(rng, n):
+    """Two random spanning (1,1,2)-graphs on n vertices, their edges shuffled:
+    a (2,2,2)-graph."""
+    edges = [(e.tail, e.head, tuple(e.color)) for _ in range(2) for e in random_11k(rng, n, 2).edges]
+    rng.shuffle(edges)
+    return G(n, edges)
 
 
 def test_queue_time_fits_read_fewer_circuits(monkeypatch):

@@ -40,3 +40,16 @@ def test_verdicts_on_hand_made_runs():
     summary = bench_pairs.summarise(RSS, wide, [31, 21, 29, 41, 49])
     assert summary["verdict"] == "unresolved"
     assert (summary["parent"]["q1"], summary["parent"]["q3"]) == (20, 40)
+    # every run of the change beats every run of the parent, by less than the
+    # parent's quartile spread of 38: level, not unresolved
+    split = [10, 11, 30, 49, 50]
+    assert bench_pairs.summarise(RSS, split, [9.5] * 5)["verdict"] == "level"
+    assert bench_pairs.summarise(RSS, split, [9.5] * 4 + [10.5])["verdict"] == "unresolved"
+
+
+def test_more_failures_make_every_metric_worse():
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    faster = [x * 1.2 for x in parent]
+    assert bench_pairs.summarise(JOBS, parent, faster)["verdict"] == "improved"
+    assert bench_pairs.summarise(JOBS, parent, faster, more_failures=True)["verdict"] == "worse"
+    assert bench_pairs.summarise(JOBS, parent, parent, more_failures=True)["verdict"] == "worse"

@@ -14,7 +14,9 @@ change's BENCHMARK.json the summary gives each side's runs, median and
 quartiles, the number of pairs the change won (ties count for neither),
 the change's median relative to the parent's and a verdict (`improved`,
 `worse`, `unresolved` or `level`, see `verdict`), which it also prints to
-stderr.  Next to `peak_rss_mb` it gives each side's median `attempted` job
+stderr.  Each side's share of failed jobs over all jobs attempted is stored
+as `failed_share`; a larger share in the change's runs makes every verdict
+`worse`.  Next to `peak_rss_mb` it gives each side's median `attempted` job
 count, since the harness keeps every job's stdout and its peak RSS follows
 the job count.  `--out` merges the workload's entry into an existing file,
 so one file holds every workload.
@@ -53,26 +55,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(summary: dict) -> str:
-    """`improved` when the change wins at least 9 of 10 pairs and its median
-    beats the parent's by more than the parent's quartile spread; `worse` when
-    its median is worse than the parent's by more than the bound, relative to
-    the parent's median; `unresolved` when the parent's quartile spread over
-    its median exceeds the bound; `level` otherwise."""
+def verdict(summary: dict, more_failures: bool = False) -> str:
+    """`worse` when a larger share of the change's jobs failed, or when its
+    median is worse than the parent's by more than the bound, relative to the
+    parent's median; `improved` when the change wins at least 9 of 10 pairs
+    and its median beats the parent's by more than the parent's quartile
+    spread; `unresolved` when the parent's quartile spread over its median
+    exceeds the bound, unless every run of the change beats every run of the
+    parent; `level` otherwise."""
     sign = 1 if summary["better"] == "higher" else -1
     parent, change = summary["parent"], summary["change"]
     gain = sign * (change["median"] - parent["median"])
     pairs = len(parent["runs"])
+    if more_failures or -gain > summary["bound"] * abs(parent["median"]):
+        return "worse"
     if 10 * summary["change_wins"] >= 9 * pairs > 0 and gain > parent["q3"] - parent["q1"]:
         return "improved"
-    if -gain > summary["bound"] * abs(parent["median"]):
-        return "worse"
-    if parent["q3"] - parent["q1"] > summary["bound"] * abs(parent["median"]):
+    every_run_better = min(sign * c for c in change["runs"]) > max(sign * p for p in parent["runs"])
+    if parent["q3"] - parent["q1"] > summary["bound"] * abs(parent["median"]) and not every_run_better:
         return "unresolved"
     return "level"
 
 
-def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
+def summarise(metric: dict, parent: list[float], change: list[float], more_failures: bool = False) -> dict:
     higher = metric["better"] == "higher"
     wins = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
     losses = sum(1 for p, c in zip(parent, change) if (c < p if higher else c > p))
@@ -84,7 +89,7 @@ def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
     out["change_wins"] = wins
     out["change_losses"] = losses
     out["change_over_parent"] = c_med / p_med if p_med else None
-    out["verdict"] = verdict(out)
+    out["verdict"] = verdict(out, more_failures)
     return out
 
 
@@ -109,11 +114,15 @@ def main(argv=None) -> int:
             runs[side].append(result)
             print(f"pair {i} seed {seed} {side}: " + json.dumps(result["metrics"]), file=sys.stderr)
 
+    failed_share = {side: sum(r["failed"] for r in runs[side]) / max(1, sum(r["attempted"] for r in runs[side]))
+                    for side in runs}
+    print(f"failed share: parent {failed_share['parent']:.4g} change {failed_share['change']:.4g}", file=sys.stderr)
     metrics = {}
     for metric in spec["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        metrics[name] = summarise(metric, values["parent"], values["change"])
+        metrics[name] = summarise(metric, values["parent"], values["change"],
+                                  failed_share["change"] > failed_share["parent"])
         m = metrics[name]
         print(f"{name}: parent median {m['parent']['median']:.4g} change median {m['change']['median']:.4g}, "
               f"change won {m['change_wins']} of {args.pairs}: {m['verdict']}", file=sys.stderr)
@@ -127,6 +136,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "seconds": args.seconds,
         "first_in_pair": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
+        "failed_share": failed_share,
         "runs": {
             side: [{k: r[k] for k in ("correct", "attempted", "failed", "exit_code")} for r in runs[side]]
             for side in runs
