@@ -1,16 +1,12 @@
 """Generic rigidity of planar periodic frameworks from colored quotient graphs."""
 
 from .colored_graph import (
-    ClosedWalk,
     ColoredEdge,
     ColoredGraph,
     ColorVector,
     DevelopmentReport,
     EdgeSubset,
-    components,
     develop_window,
-    fundamental_cycles,
-    rho_of_walk,
     sublattice_cover,
     z2_rank,
 )
@@ -18,7 +14,6 @@ from .direction_network import (
     DirectionAssignment,
     EdgeStatus,
     FaithfulRealization,
-    collapsed_realization,
     faithful_realization,
 )
 from .errors import (
@@ -37,7 +32,6 @@ from .linear_rep import (
     Realization,
     natural_rows,
     rank_mod_p,
-    verify_determinant_formulas,
 )
 from .rigidity import (
     LamanAnalysis,
@@ -55,16 +49,12 @@ from .sparsity import (
     CountReport,
     Decomposition,
     brute_force_sparsity,
-    classify_11k_shape,
     count_report,
     decompose_two_11k,
-    f_value,
     is_11k,
-    is_222_graph,
     is_222_sparse,
     is_colored_laman,
     is_colored_laman_sparse,
-    is_f_independent,
     max_laman_sparse_subset,
     union_independent,
 )

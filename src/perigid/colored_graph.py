@@ -9,7 +9,8 @@ rigidity) operates on these quotient objects.
 
 The key invariant is the map sending a closed walk to the signed sum of its
 edge colors.  Its image generates a subgroup of Z^2 whose rank (0, 1 or 2)
-drives all the counting formulas in :mod:`perigid.sparsity`.
+drives all the counting formulas in :mod:`perigid.sparsity`; the gain forest
+`GainScan` reads a generating set off its non-tree edges, one image each.
 """
 
 from __future__ import annotations
@@ -46,15 +47,8 @@ class ColorVector(NamedTuple):
     g1: int
     g2: int
 
-    def __neg__(self) -> "ColorVector":
-        return ColorVector(-self.g1, -self.g2)
-
     def plus(self, other: Sequence[int]) -> "ColorVector":
         return ColorVector(self.g1 + other[0], self.g2 + other[1])
-
-    def minus(self, other: Sequence[int]) -> "ColorVector":
-        return ColorVector(self.g1 - other[0], self.g2 - other[1])
-
 
 
 def _color(value: Sequence[int]) -> ColorVector:
@@ -70,9 +64,6 @@ class ColoredEdge:
     tail: int
     head: int
     color: ColorVector
-
-    def reversed(self) -> "ColoredEdge":
-        return ColoredEdge(self.id, self.head, self.tail, -self.color)
 
 
 @dataclass(frozen=True)
@@ -136,48 +127,7 @@ class ColoredGraph:
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges)
 
-    # -- transformations (used by the invariance suite and by doubling) -----
-
-    def with_reversed(self, ids: Iterable[int]) -> "ColoredGraph":
-        """Reverse the orientation of selected edges while negating colors."""
-        flip = set(ids)
-        return ColoredGraph(
-            self.n,
-            tuple(e.reversed() if e.id in flip else e for e in self.edges),
-        )
-
-    def with_potential(self, mu: Sequence[Sequence[int]]) -> "ColoredGraph":
-        """Recolor by a vertex potential: color += mu[head] - mu[tail]."""
-        if len(mu) != self.n:
-            raise StructuralError("potential must assign one Z^2 value per vertex")
-        pots = [_color(v) for v in mu]
-        return ColoredGraph(
-            self.n,
-            tuple(
-                ColoredEdge(
-                    e.id, e.tail, e.head, e.color.plus(pots[e.head]).minus(pots[e.tail])
-                )
-                for e in self.edges
-            ),
-        )
-
-    def with_relabeled(self, perm: Sequence[int]) -> "ColoredGraph":
-        """Relabel vertices: vertex v becomes perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise StructuralError("perm must be a permutation of the vertices")
-        return ColoredGraph(
-            self.n,
-            tuple(
-                ColoredEdge(e.id, perm[e.tail], perm[e.head], e.color)
-                for e in self.edges
-            ),
-        )
-
-    def with_doubled(self, eid: int) -> "ColoredGraph":
-        """Append a parallel copy of edge `eid` with the same color, under the next free id."""
-        e = self.edge(eid)
-        copy_id = max((x.id for x in self.edges), default=-1) + 1
-        return ColoredGraph(self.n, self.edges + (ColoredEdge(copy_id, e.tail, e.head, e.color),))
+    # -- the loops `perigid.rigidity.is_ross` adds -------------------------
 
     def with_extra_loops(
         self, vertex: int, colors: Iterable[Sequence[int]]
@@ -188,22 +138,6 @@ class ColoredGraph:
             for i, c in enumerate(colors)
         )
         return ColoredGraph(self.n, self.edges + extra)
-
-    def induced(self, ids: Iterable[int]) -> tuple["ColoredGraph", dict[int, int]]:
-        """Edge-induced subgraph, vertices reindexed; edge ids preserved.
-
-        Returns the subgraph and the old->new vertex map.
-        """
-        chosen = [self.edge(i) for i in sorted(ids)]
-        verts = sorted({v for e in chosen for v in (e.tail, e.head)})
-        vmap = {v: i for i, v in enumerate(verts)}
-        sub = ColoredGraph(
-            len(verts),
-            tuple(
-                ColoredEdge(e.id, vmap[e.tail], vmap[e.head], e.color) for e in chosen
-            ),
-        )
-        return sub, vmap
 
 
 @dataclass(frozen=True)
@@ -232,52 +166,6 @@ class EdgeSubset:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True)
-class ClosedWalk:
-    """Closed walk given as (edge id, forward?) steps; consecutive steps chain."""
-
-    graph: ColoredGraph
-    steps: tuple[tuple[int, bool], ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise StructuralError("closed walk needs at least one step")
-        cur = self.start_vertex()
-        for eid, forward in self.steps:
-            e = self.graph.edge(eid)
-            a, b = (e.tail, e.head) if forward else (e.head, e.tail)
-            if a != cur:
-                raise StructuralError(
-                    f"walk breaks at edge {eid}: expected to leave {cur}, edge leaves {a}"
-                )
-            cur = b
-        if cur != self.start_vertex():
-            raise StructuralError("walk does not return to its start vertex")
-
-    def start_vertex(self) -> int:
-        eid, forward = self.steps[0]
-        e = self.graph.edge(eid)
-        return e.tail if forward else e.head
-
-
-def rho_of_walk(walk: ClosedWalk) -> ColorVector:
-    """Signed color sum over a closed walk: forward edges +, backward edges -.
-
-    Reversing the traversal negates the result; the image in Z^2 is what the
-    rank computations below consume.
-    """
-    g1 = g2 = 0
-    for eid, forward in walk.steps:
-        c = walk.graph.edge(eid).color
-        if forward:
-            g1 += c.g1
-            g2 += c.g2
-        else:
-            g1 -= c.g1
-            g2 -= c.g2
-    return ColorVector(g1, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +268,6 @@ class GainScan:
             root[w] = (rh, p1 + s1, p2 + s2)
         trees[rh].extend(moved)
 
-    # -- results ------------------------------------------------------------
-
-    def component_map(self) -> dict[int, int]:
-        """Vertex -> component index; components numbered by min vertex."""
-        ordered = sorted(self.trees.values(), key=min)
-        return {v: i for i, comp in enumerate(ordered) for v in comp}
-
 
 def image_rank(images: Iterable[Sequence[int]]) -> int:
     """Rank over Q of a family of Z^2 vectors: 0, 1 or 2."""
@@ -439,51 +320,6 @@ def scan_subset(subset: EdgeSubset, vertices: Iterable[int] = ()) -> GainScan:
 def z2_rank(subset: EdgeSubset) -> int:
     """Rank of the subgroup of Z^2 generated by the subset's cycle images."""
     return image_rank(scan_subset(subset).images)
-
-
-def components(subset: EdgeSubset) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Connected components of the edge-induced subgraph.
-
-    Returns (count, partition of the spanned vertices); the empty subset
-    spans nothing and has zero components.
-    """
-    trees = scan_subset(subset).trees.values()
-    ordered = tuple(sorted(tuple(sorted(tree)) for tree in trees))
-    return len(ordered), ordered
-
-
-def fundamental_cycles(subset: EdgeSubset) -> list[tuple[int, ClosedWalk]]:
-    """One closed walk per non-tree edge of the subset's breadth-first gain forest.
-
-    The walk traverses the extra edge forward, climbs from its head to where
-    the two root paths meet and descends to its tail.  Another forest gives
-    other walks, but their images generate the same subgroup of Z^2.
-    """
-    graph = subset.graph
-    scan = scan_subset(subset)
-    up = scan.up
-
-    def path_to_root(v: int) -> list[tuple[int, bool]]:
-        """The steps from v up to its root: (tree edge, forward?)."""
-        out = []
-        while v in up:
-            u, y, _, _ = up[v]
-            out.append((y, graph.edge(y).tail == v))
-            v = u
-        return out
-
-    cycles = []
-    for eid in scan.extras:
-        e = graph.edge(eid)
-        up_h = path_to_root(e.head)
-        up_t = path_to_root(e.tail)
-        while up_h and up_t and up_h[-1] == up_t[-1]:
-            up_h.pop()
-            up_t.pop()
-        # head up to the meeting point, then down to the tail against each step
-        steps = [(eid, True), *up_h, *((y, not fwd) for y, fwd in reversed(up_t))]
-        cycles.append((eid, ClosedWalk(graph, tuple(steps))))
-    return cycles
 
 
 # ---------------------------------------------------------------------------

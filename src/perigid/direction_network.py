@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
-from .colored_graph import ColoredGraph, EdgeSubset, GainScan, image_rank, scan_subset
-from .errors import DomainError, GenericitySamplingError, InternalConsistencyError, StructuralError
+from .colored_graph import ColoredGraph
+from .errors import DomainError, GenericitySamplingError
 from .linear_rep import PRIME, Realization, _integer_eta, _integer_point, _m222_row
 from .linear_rep import _modp_rigidity_rows, modp_kernel, modp_rank
 from .sparsity import is_colored_laman
@@ -45,9 +44,6 @@ class DirectionAssignment:
                 raise DomainError(f"edge {eid}: zero direction vector")
             normed[eid] = (dx / norm, dy / norm)
         object.__setattr__(self, "d", normed)
-
-    def direction(self, eid: int) -> tuple[float, float]:
-        return self.d[eid]
 
     def perp(self, eid: int) -> tuple[float, float]:
         dx, dy = self.d[eid]
@@ -71,103 +67,6 @@ class EdgeStatus:
     eta: tuple[float, float]
     alpha: float
     collapsed: bool
-
-
-# ---------------------------------------------------------------------------
-# Collapsed realizations.
-# ---------------------------------------------------------------------------
-
-
-Matrix = tuple[tuple[float, float], tuple[float, float]]  # 2x2, by rows
-
-
-def _lattice_kernel_basis(images: Sequence[tuple[int, int]]) -> list[Matrix]:
-    """Basis of the 2x2 matrices annihilating every cycle image.
-
-    Rows of such a matrix are orthogonal to the image span, so the space has
-    dimension 4 - 2k: four free entries for k = 0, two multiples of the
-    perpendicular direction per row for k = 1, only the zero matrix for k = 2.
-    """
-    k = image_rank(images)
-    zero = (0.0, 0.0)
-    if k == 0:
-        return [((1.0, 0.0), zero), ((0.0, 1.0), zero), (zero, (1.0, 0.0)), (zero, (0.0, 1.0))]
-    if k == 1:
-        g1, g2 = next(v for v in images if any(v))
-        perp = (float(-g2), float(g1))
-        return [(perp, zero), (zero, perp)]
-    return []
-
-
-def _canonical_collapsed_lattice(images: Sequence[tuple[int, int]]) -> Matrix:
-    k = image_rank(images)
-    if k == 0:
-        return ((1.0, 0.0), (0.0, 1.0))
-    if k == 2:
-        return ((0.0, 0.0), (0.0, 0.0))
-    g1, g2 = next(v for v in images if any(v))
-    return ((-float(g2), float(g1)), (0.0, 0.0))
-
-
-def _collapsed_points(
-    graph: ColoredGraph,
-    scan: GainScan,
-    lattice: Matrix,
-    anchors: Mapping[int, Sequence[float]],
-) -> list[tuple[float, float]]:
-    cmap = scan.component_map()
-    (a, b), (c, d) = lattice
-    points = []
-    for v in range(graph.n):
-        x, y = anchors.get(cmap[v], (0.0, 0.0))
-        _, s1, s2 = scan.root[v]
-        points.append((x - (a * s1 + b * s2), y - (c * s1 + d * s2)))
-    return points
-
-
-def collapsed_realization(graph: ColoredGraph, anchors: Sequence[Sequence[float]] | None = None) -> Realization:
-    """A realization in which every edge displacement vanishes.
-
-    Chooses a lattice matrix annihilating all cycle images (identity when the
-    image rank is 0, a canonical rank-one matrix when it is 1, zero when 2),
-    then places each vertex at its component anchor minus L times its forest
-    potential.  Verified collapsed before returning.
-    """
-    scan = scan_subset(EdgeSubset.full(graph), range(graph.n))
-    ncomp = len(scan.trees)
-    lattice = _canonical_collapsed_lattice(scan.images)
-    anchor_map: dict[int, Sequence[float]] = {}
-    if anchors is not None:
-        if len(anchors) != ncomp:
-            raise StructuralError(f"need one anchor per component ({ncomp})")
-        anchor_map = dict(enumerate(anchors))
-    real = Realization(_collapsed_points(graph, scan, lattice, anchor_map), lattice)
-    tol = 1e-9 * max(real.scale(), 1.0)
-    for e in graph.edges:
-        if math.hypot(*real.eta(e.tail, e.head, tuple(e.color))) > tol:
-            raise InternalConsistencyError(
-                f"collapsed construction left edge {e.id} with nonzero displacement"
-            )
-    return real
-
-
-def collapsed_space_basis(graph: ColoredGraph) -> list[Realization]:
-    """Spanning set of the collapsed realizations: 4 - 2k + 2c dimensions.
-
-    One generator per lattice-kernel basis matrix (anchors at the origin) and
-    two translation generators per connected component.
-    """
-    scan = scan_subset(EdgeSubset.full(graph), range(graph.n))
-    cmap = scan.component_map()
-    ncomp = len(scan.trees)
-    out = []
-    for w in _lattice_kernel_basis(scan.images):
-        out.append(Realization(_collapsed_points(graph, scan, w, {}), w))
-    for comp in range(ncomp):
-        for unit in ((1.0, 0.0), (0.0, 1.0)):
-            p = [unit if cmap[v] == comp else (0.0, 0.0) for v in range(graph.n)]
-            out.append(Realization(p, ((0.0, 0.0), (0.0, 0.0))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ integer point, n points and then the two rows of L, drawn by
 rows and the 1d rows of :mod:`perigid.rigidity` and the realization system
 of :mod:`perigid.direction_network`, is built by `_m112_row` or `_m222_row`
 as sparse {column: value} entries mod p, at most eight per row; rows are
-densified (`_dense`) only for dumps and determinant minors.
+densified (`_dense`) only for dumps.
 
 Generic rank is decided by sampling.  `sample_rows` draws one sample of
 any of the three kinds, a plain list of entry rows in edge order, with
@@ -27,22 +27,20 @@ exactly and sparsely, rows in input order and columns sparsest first
 (`_eliminate`), so a full-rank sample certifies the generic rank while a
 deficient one is wrong with probability at most m/p per trial;
 back-substitution in reverse elimination order gives a kernel
-(`modp_kernel`).  Every rank, kernel and determinant here is exact over
-F_p; no floating-point linear algebra is left.
+(`modp_kernel`).  Every rank and kernel here is exact over F_p; no
+floating-point linear algebra is left.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
 
-from .colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
+from .colored_graph import ColoredGraph
 from .errors import DomainError, StructuralError
-from .sparsity import is_11k
 
 PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 3
@@ -70,10 +68,6 @@ class Realization:
     def n(self) -> int:
         return len(self.p)
 
-    def to_flat(self) -> tuple[float, ...]:
-        (a, b), (c, d) = self.L
-        return (*chain.from_iterable(self.p), a, c, b, d)
-
     @classmethod
     def from_flat(cls, vec: Sequence[float], n: int) -> "Realization":
         vec = [float(v) for v in vec]
@@ -88,12 +82,6 @@ class Realization:
         g1, g2 = color
         (xh, yh), (xt, yt) = self.p[head], self.p[tail]
         return xh + (a * g1 + b * g2) - xt, yh + (c * g1 + d * g2) - yt
-
-    def scale(self) -> float:
-        """Size reference for relative thresholds: point spread and lattice norm."""
-        x0, y0 = self.p[0] if self.p else (0.0, 0.0)
-        spread = max((math.hypot(x - x0, y - y0) for x, y in self.p), default=0.0)
-        return max(spread, math.hypot(*self.L[0], *self.L[1]))
 
 
 def _dense(entries: dict, width: int) -> tuple:
@@ -165,12 +153,9 @@ def _eliminate(rows, track: bool = False):
     value} entries or a dense sequence) is reduced by the pivot row stored
     at its first nonzero place until it vanishes or leads at a new place,
     where it is stored scaled to a leading 1.  Returns the pivot rows by
-    leading place, in insertion order, with entries keyed by place; the
-    product of the leading values (the determinant up to the sign of the
-    leading columns in row order: only earlier rows are subtracted, and the
-    echelon form is triangular in the placed columns); with track, the
-    input-row combination (as entries) behind each row that vanished; and
-    the column at each place.
+    leading place, in insertion order, with entries keyed by place; with
+    track, the input-row combination (as entries) behind each row that
+    vanished; and the column at each place.
 
     With track, each row's reduction steps (place, factor) are recorded,
     not applied to a combination as they happen.  Only when a row vanished
@@ -185,7 +170,7 @@ def _eliminate(rows, track: bool = False):
     count = Counter(chain.from_iterable(rows))
     order = sorted(sorted(count), key=count.__getitem__)
     place = {j: k for k, j in enumerate(order)}
-    pivots, made, lead_prod, vanished = {}, {}, 1, []
+    pivots, made, vanished = {}, {}, []
     for i, row in enumerate(rows):
         row = {place[j]: x for j, x in row.items()}
         steps = []
@@ -199,13 +184,12 @@ def _eliminate(rows, track: bool = False):
                 steps.append((col, f))
         if row:
             inv = pow(row[col], -1, p)
-            lead_prod = lead_prod * row[col] % p
             pivots[col] = {j: x * inv % p for j, x in row.items()}
             if track:
                 made[col] = (i, steps, inv)
         elif track:
             vanished.append((i, steps))
-    return pivots, lead_prod, _null_combinations(made, vanished) if track else [], order
+    return pivots, _null_combinations(made, vanished) if track else [], order
 
 
 def _null_combinations(made: dict, vanished: list) -> list[dict[int, int]]:
@@ -235,25 +219,12 @@ def modp_rank(rows: Sequence) -> int:
     return len(_eliminate(rows)[0])
 
 
-def modp_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square matrix of dense rows over F_p."""
-    if any(len(r) != len(rows) for r in rows):
-        raise StructuralError("determinant needs a square matrix")
-    pivots, det, _, order = _eliminate(rows)
-    leads = [order[k] for k in pivots]
-    if len(leads) < len(rows):
-        return 0
-    if sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :]) % 2:
-        det = -det % PRIME
-    return det
-
-
 def modp_kernel(rows: Sequence, width: int) -> list[list[int]]:
     """A basis of the x of length width with row . x = 0 mod p for every row:
     one per column no pivot row leads, by back-substitution from the last
     place to the first, each pivot row mapped back to its columns.
     """
-    pivots, _, _, order = _eliminate(rows)
+    pivots, _, order = _eliminate(rows)
     back = [(order[k], [(order[j], v) for j, v in pivots[k].items()]) for k in sorted(pivots, reverse=True)]
     leads = {col for col, _ in back}
     basis = []
@@ -356,72 +327,6 @@ def rank_mod_p(
     rng = random.Random(seed)
     best = _best_sampled_rank(lambda: sample_rows(graph, kind, rng), trials, min(graph.m, ceilings[kind]))
     return RankReport(kind, best, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# Determinant formulas for the M112 minors.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinorCheck:
-    label: str
-    determinant: int
-    formula: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class DetFormulaReport:
-    instance: bool  # graph is a (1,1,k)-graph of the size-matching k
-    k: int
-    checks: tuple[MinorCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_determinant_formulas(graph: ColoredGraph, a: dict[int, int] | None = None) -> DetFormulaReport:
-    """Compare designated square M112 minors of the values a over F_p against their closed forms.
-
-    With m = n - 1 + k and k the cycle-image rank, the minor dropping one
-    vertex column and 2 - k lattice columns has determinant
-    +-(image factor) * product(a_e): the factor is 1 for trees, a component
-    t_q of the single cycle image for k = 1 (q the kept lattice column), and
-    the 2x2 determinant of the two cycle images for k = 2.  Graphs that are
-    not (1,1,k) give identically zero determinants.  By default a holds one
-    nonzero value per edge drawn from Random(0).
-    """
-    subset = EdgeSubset.full(graph)
-    ok, k = is_11k(subset)
-    n, m = graph.n, graph.m
-    if m != n - 1 + k:
-        raise DomainError(f"need m = n - 1 + k, got n={n} m={m} k={k}")
-    if a is None:
-        a = _nonzero_values(graph, random.Random(0))
-    rows = [_dense(row, n + 2) for row in natural_rows(graph, a)]
-    prod_a = 1
-    for e in graph.edges:
-        prod_a = prod_a * a[e.id] % PRIME
-    images = [rho_of_walk(w) for _, w in fundamental_cycles(subset)]
-
-    def check(label, dropped, factor):
-        # vertex column 0 is dropped: any vertex column works; fixed for determinism
-        cols = [c for c in range(n + 2) if c not in (0, *dropped)]
-        det = modp_det([tuple(r[c] for c in cols) for r in rows])
-        formula = factor * prod_a
-        return MinorCheck(label, det, formula, det in (formula % PRIME, -formula % PRIME))
-
-    if k == 0:
-        checks = [check("drop L1 L2", (n, n + 1), 1 if ok else 0)]
-    elif k == 1:
-        t = images[0] if ok else None
-        checks = [check("keep L1", (n + 1,), t.g1 if ok else 0), check("keep L2", (n,), t.g2 if ok else 0)]
-    else:
-        cross = images[0].g1 * images[1].g2 - images[0].g2 * images[1].g1 if ok else 0
-        checks = [check("full L block", (), cross)]
-    return DetFormulaReport(ok, k, tuple(checks))
 
 
 def dump_matrix(graph: ColoredGraph, kind: str, rows: Sequence[dict[int, int]]) -> str:

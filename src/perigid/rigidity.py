@@ -77,7 +77,7 @@ def laman_analysis(graph: ColoredGraph, seed: int = 0) -> LamanAnalysis:
     rng = random.Random(seed)
     for _ in range(3):
         rows = dict(zip(graph.edge_ids(), sample_rows(graph, "M232", rng)))
-        combos = _eliminate([rows[x] for x in ids], track=True)[2]
+        combos = _eliminate([rows[x] for x in ids], track=True)[1]
         circuits = [EdgeSubset.of(graph, (ids[i] for i in combo)) for combo in combos]
         reports = [CircuitReport(c, count_report(c)) for c in circuits]
         # m' = 2f, or m' = 1 and f = 0: the loop colored (0, 0), whose row is zero

@@ -42,17 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .colored_graph import (
-    ClosedWalk,
-    ColoredGraph,
-    EdgeSubset,
-    GainScan,
-    fundamental_cycles,
-    image_rank,
-    rho_of_walk,
-    scan_subset,
-    z2_rank,
-)
+from .colored_graph import ColoredGraph, EdgeSubset, GainScan, image_rank, scan_subset, z2_rank
 from .errors import BudgetError, DomainError, InternalConsistencyError
 
 BRUTE_FORCE_LIMIT = 22  # 2^m subsets is the enumeration budget
@@ -83,16 +73,6 @@ def count_report(subset: EdgeSubset) -> CountReport:
     )
 
 
-def f_value(subset: EdgeSubset) -> int:
-    """Matroid rank bound n' + rk' - c' of an edge subset."""
-    return count_report(subset).f
-
-
-def is_f_independent(subset: EdgeSubset) -> bool:
-    """Exact independence test: f has unit increments, so f(E') = |E'| decides."""
-    return f_value(subset) == len(subset)
-
-
 def is_11k(subset: EdgeSubset) -> tuple[bool, int]:
     """Is the subset a spanning tree plus k extra edges with k independent images?
 
@@ -106,66 +86,6 @@ def is_11k(subset: EdgeSubset) -> tuple[bool, int]:
     if rep.n != graph.n or rep.c != 1:
         return (False, rep.rk)
     return (rep.m == rep.n - 1 + rep.rk, rep.rk)
-
-
-@dataclass(frozen=True)
-class Shape11kReport:
-    """Topological shape of a rank-2 (1,1,2)-graph after leaf stripping.
-
-    shape 1: two cycles sharing a single vertex (subdivided two-loop vertex);
-    shape 2: two cycles joined by a path (loop at each end of an edge);
-    shape 3: three internally disjoint paths between two vertices.
-    """
-
-    shape: int
-    core_edges: frozenset[int]
-    cycle1: ClosedWalk
-    cycle2: ClosedWalk
-
-
-def classify_11k_shape(subset: EdgeSubset) -> Shape11kReport:
-    """The shape of a (1,1,2)-graph from its two fundamental cycles, each a
-    simple cycle of the 2-core: sharing an edge makes a theta (a spanning tree
-    misses one edge on two of its three paths, and both cycles hold the
-    third), sharing only a vertex a figure eight, and neither a dumbbell.
-    """
-    ok, k = is_11k(subset)
-    if not ok or k != 2:
-        raise DomainError("classify_11k_shape needs a (1,1,2)-graph")
-    graph = subset.graph
-
-    # leaf removal down to the 2-core, from a worklist of degree-1 vertices
-    ids = set(subset.ids)
-    incident: dict[int, list[int]] = {}
-    for eid in ids:
-        e = graph.edge(eid)
-        incident.setdefault(e.tail, []).append(eid)
-        incident.setdefault(e.head, []).append(eid)
-    deg = {v: len(eids) for v, eids in incident.items()}  # a loop counts twice
-    leaves = [v for v, d in deg.items() if d == 1]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] == 1:  # so v's one edge left is not a loop
-            e = graph.edge(next(eid for eid in incident[v] if eid in ids))
-            ids.discard(e.id)
-            deg[e.tail] -= 1
-            deg[e.head] -= 1
-            leaves += (e.tail, e.head)
-
-    cycles = fundamental_cycles(subset)
-    if len(cycles) != 2:
-        raise InternalConsistencyError("(1,1,2)-graph without two extra edges")
-    (_, c1), (_, c2) = cycles
-    edges1, edges2 = ({eid for eid, _ in c.steps} for c in (c1, c2))
-    ends1, ends2 = ({v for y in es for v in (graph.edge(y).tail, graph.edge(y).head)} for es in (edges1, edges2))
-    shape = 3 if edges1 & edges2 else 1 if ends1 & ends2 else 2
-    # deg now holds each vertex's core degree, loops counted twice
-    if sum(d >= 3 for d in deg.values()) != (1 if shape == 1 else 2):
-        raise InternalConsistencyError("2-core of a (1,1,2)-graph lost its shape")
-    r1, r2 = rho_of_walk(c1), rho_of_walk(c2)
-    if r1.g1 * r2.g2 - r1.g2 * r2.g1 == 0:
-        raise InternalConsistencyError("fundamental images of a rank-2 graph collinear")
-    return Shape11kReport(shape, frozenset(ids), c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +123,17 @@ class PartitionState:
         forest = self.kept[r]
         if forest is None:
             edata = self.edata
-            forest = self.kept[r] = GainScan((y, *edata[y]) for y in sorted(self.parts[r]))
+            forest = self.kept[r] = _checked(GainScan((y, *edata[y]) for y in sorted(self.parts[r])))
         return forest
 
     def _closing_image(self, r: int, x: int) -> tuple[int, int] | None:
         """x's cycle image if part r + x is dependent, else None: the fit test.
 
         f is the rank of the vectors (e_head - e_tail, g_e) over Q, and the
-        part is a forest plus k <= 2 non-tree edges with independent images,
-        so x is dependent iff its ends share a root (an untouched vertex is
-        its own) and its image lies in the span of the part's images.
+        part is a forest plus k <= 2 non-tree edges with independent images
+        (`_checked` where the forest is built or grown), so x is dependent
+        iff its ends share a root (an untouched vertex is its own) and its
+        image lies in the span of the part's images.
         """
         forest = self._forest(r)
         t, h, (c1, c2) = self.edata[x]
@@ -222,8 +143,6 @@ class PartitionState:
             return None  # x joins two trees or reaches a new vertex
         x1, x2 = c1 + t1 - h1, c2 + t2 - h2
         imgs = forest.images
-        if len(imgs) > 2 or image_rank(imgs) != len(imgs):
-            raise InternalConsistencyError("a matroid-union part is not f-independent")
         if not imgs and (x1 or x2) or len(imgs) == 1 and imgs[0][0] * x2 - imgs[0][1] * x1:
             return None
         return x1, x2
@@ -306,7 +225,9 @@ class PartitionState:
         if parent:
             self._apply(x, r, parent)
         else:  # a direct fit grows the part's forest
-            self._forest(r).add(eid, *self.edata[eid])
+            forest = self._forest(r)
+            forest.add(eid, *self.edata[eid])
+            _checked(forest)
             self.parts[r].add(eid)
             self.part_of[eid] = r
         return True
@@ -331,12 +252,18 @@ class PartitionState:
             if x not in parent:
                 break
             x, r = parent[x]
-        # rebuilding both forests is the self-check: f == |part| iff rk == #images
         self.kept = [None, None]
-        for side in (0, 1):
-            images = self._forest(side).images
-            if image_rank(images) != len(images):
-                raise InternalConsistencyError("matroid-union augmentation broke a part")
+        for side in (0, 1):  # rebuilt now, so a broken part fails its self-check here
+            self._forest(side)
+
+
+def _checked(forest: GainScan) -> GainScan:
+    """The self-check of a part's forest where it is built or grown: the part is
+    f-independent, f = |part|, iff its at most two images are independent."""
+    imgs = forest.images
+    if len(imgs) > 2 or image_rank(imgs) != len(imgs):
+        raise InternalConsistencyError("a matroid-union part is not f-independent")
+    return forest
 
 
 def union_independent(
@@ -357,14 +284,6 @@ def union_independent(
 def is_222_sparse(graph: ColoredGraph) -> bool:
     """Does every nonempty subset satisfy m' <= 2 f(E')?"""
     return union_independent(EdgeSubset.full(graph))[0]
-
-
-def is_222_graph(graph: ColoredGraph) -> bool:
-    """(2,2,k)-graph: (2,2,.)-sparse with the full count m = 2n - 2 + 2k."""
-    k = z2_rank(EdgeSubset.full(graph))
-    if graph.m != 2 * graph.n - 2 + 2 * k:
-        return False
-    return is_222_sparse(graph)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 perigid decides every rank over F_p and draws its faithful realization from
 an exact integer point; none of it takes an SVD.  These are the float
 references the acceptance criteria and the cross-checks measure it by:
-dense float rows in the three filling patterns, an SVD rank and kernel, the
-realization space of a direction network and its collapsed edges, and the
-float determinant check of the M112 minors.
+dense float rows in the three filling patterns, an SVD rank and kernel, and
+the realization space of a direction network, with the flat vector and the
+size of a realization and its collapsed edges.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from perigid.colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
+from perigid.colored_graph import ColoredGraph
 from perigid.direction_network import DirectionAssignment, EdgeStatus
 from perigid.errors import DomainError, StructuralError
 from perigid.linear_rep import Realization
-from perigid.sparsity import is_11k
 
 FLOAT_TOL = 1e-9
 SOLVE_TOL = 1e-9
@@ -117,6 +116,20 @@ def float_realization(graph: ColoredGraph, rng: random.Random) -> Realization:
     )
 
 
+def to_flat(real: Realization) -> tuple[float, ...]:
+    """x_1, y_1, ..., x_n, y_n, then the first lattice column and the second:
+    the layout `Realization.from_flat` reads."""
+    (a, b), (c, d) = real.L
+    return (*(v for xy in real.p for v in xy), a, c, b, d)
+
+
+def scale(real: Realization) -> float:
+    """Size reference for relative thresholds: point spread and lattice norm."""
+    x0, y0 = real.p[0] if real.p else (0.0, 0.0)
+    spread = max((math.hypot(x - x0, y - y0) for x, y in real.p), default=0.0)
+    return max(spread, math.hypot(*real.L[0], *real.L[1]))
+
+
 def float_rigidity_rank(graph: ColoredGraph, trials: int = 3, seed: int = 0) -> int:
     """Rigidity rank maximized over trials float realizations; every trial is drawn."""
     rng = random.Random(seed)
@@ -144,46 +157,15 @@ def edge_status(
     small fraction of the flat vector's norm so that numerically pure
     translations (whose spread is roundoff) still read as fully collapsed.
     """
-    flat_norm = float(np.linalg.norm(realization.to_flat()))
-    threshold = tolerance * max(realization.scale(), 1e-8 * flat_norm)
+    flat_norm = float(np.linalg.norm(to_flat(realization)))
+    threshold = tolerance * max(scale(realization), 1e-8 * flat_norm)
     out = []
     for e in graph.edges:
         eta = realization.eta(e.tail, e.head, tuple(e.color))
         collapsed = float(np.linalg.norm(eta)) <= threshold
         alpha = 0.0
         if not collapsed:
-            dx, dy = directions.direction(e.id)
+            dx, dy = directions.d[e.id]
             alpha = float(eta[0] * dx + eta[1] * dy)
         out.append(EdgeStatus(e.id, (float(eta[0]), float(eta[1])), alpha, collapsed))
     return out
-
-
-def float_determinant_checks(graph: ColoredGraph, a) -> bool:
-    """The designated M112 minors at float a against their closed forms, to 1e-10.
-
-    The float twin of `perigid.linear_rep.verify_determinant_formulas`: with
-    m = n - 1 + k, dropping vertex column 0 and 2 - k lattice columns leaves
-    +-(image factor) * product(a_e), and zero when the graph is not (1,1,k).
-    """
-    subset = EdgeSubset.full(graph)
-    ok, k = is_11k(subset)
-    n = graph.n
-    assert graph.m == n - 1 + k
-    mat = m112_matrix(graph, a).to_numpy()
-    prod_a = math.prod(a[e.id] for e in graph.edges)
-    images = [rho_of_walk(w) for _, w in fundamental_cycles(subset)]
-    if k == 0:
-        minors = [((n, n + 1), 1 if ok else 0)]
-    elif k == 1:
-        t = images[0] if ok else None
-        minors = [((n + 1,), t.g1 if ok else 0), ((n,), t.g2 if ok else 0)]
-    else:
-        cross = images[0].g1 * images[1].g2 - images[0].g2 * images[1].g1 if ok else 0
-        minors = [((), cross)]
-    for dropped, factor in minors:
-        cols = [c for c in range(n + 2) if c not in (0, *dropped)]
-        det = float(np.linalg.det(mat[:, cols]))
-        formula = factor * prod_a
-        if min(abs(det - formula), abs(det + formula)) > 1e-10 * max(abs(prod_a) * max(1, abs(factor)), 1e-30):
-            return False
-    return True

@@ -1,10 +1,10 @@
-"""Seeded random instance generators shared by the test modules."""
+"""Seeded random instance generators and graph transformations shared by the test modules."""
 
 from __future__ import annotations
 
 import random
 
-from perigid.colored_graph import ColoredGraph, EdgeSubset
+from perigid.colored_graph import ColoredEdge, ColoredGraph, ColorVector, EdgeSubset
 from perigid.rigidity import laman_analysis
 from perigid.sparsity import PartitionState, _grow, is_11k, is_colored_laman, is_colored_laman_sparse
 
@@ -69,11 +69,9 @@ def random_circuit_graph(rng: random.Random, nmax: int = 4) -> ColoredGraph:
     while True:
         g = random_graph(rng, nmax=nmax)
         if g.m and not is_colored_laman_sparse(g):
-            report = laman_analysis(g).circuit()
-            sub, _ = g.induced(report.circuit.ids)
-            return ColoredGraph.build(
-                sub.n, [(e.tail, e.head, tuple(e.color)) for e in sub.edges]
-            )
+            chosen = [g.edge(i) for i in sorted(laman_analysis(g).circuit().circuit.ids)]
+            vmap = {v: i for i, v in enumerate(sorted({v for e in chosen for v in (e.tail, e.head)}))}
+            return ColoredGraph.build(len(vmap), [(vmap[e.tail], vmap[e.head], e.color) for e in chosen])
 
 
 def random_tree_edges(rng: random.Random, n: int, color_range: int = 2):
@@ -109,24 +107,46 @@ def random_non_11k(rng: random.Random, n: int, k: int) -> ColoredGraph:
             return g
 
 
+def with_reversed(g: ColoredGraph, ids) -> ColoredGraph:
+    """Reverse the orientation of the selected edges, negating their colors."""
+    flip = set(ids)
+    return ColoredGraph(g.n, tuple(
+        ColoredEdge(e.id, e.head, e.tail, ColorVector(-e.color.g1, -e.color.g2)) if e.id in flip else e
+        for e in g.edges
+    ))
+
+
+def with_potential(g: ColoredGraph, mu) -> ColoredGraph:
+    """Recolor by a vertex potential: color += mu[head] - mu[tail]."""
+    assert len(mu) == g.n
+    return ColoredGraph(g.n, tuple(
+        ColoredEdge(e.id, e.tail, e.head, ColorVector(*(c + h - t for c, h, t in zip(e.color, mu[e.head], mu[e.tail]))))
+        for e in g.edges
+    ))
+
+
+def with_relabeled(g: ColoredGraph, perm) -> ColoredGraph:
+    """Relabel vertices: vertex v becomes perm[v]."""
+    assert sorted(perm) == list(range(g.n))
+    return ColoredGraph(g.n, tuple(ColoredEdge(e.id, perm[e.tail], perm[e.head], e.color) for e in g.edges))
+
+
+def with_doubled(g: ColoredGraph, eid: int) -> ColoredGraph:
+    """Append a parallel copy of edge eid, same color, under the next free id."""
+    e = g.edge(eid)
+    copy_id = max((x.id for x in g.edges), default=-1) + 1
+    return ColoredGraph(g.n, g.edges + (ColoredEdge(copy_id, e.tail, e.head, e.color),))
+
+
 def random_reversal(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
-    ids = [e.id for e in g.edges if rng.random() < 0.5]
-    return g.with_reversed(ids)
+    return with_reversed(g, [e.id for e in g.edges if rng.random() < 0.5])
 
 
 def random_potential(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
-    mu = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(g.n)]
-    return g.with_potential(mu)
+    return with_potential(g, [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(g.n)])
 
 
 def random_relabel(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return g.with_relabeled(perm)
-
-
-TRANSFORMS = (random_reversal, random_potential, random_relabel)
-
-
-def random_transform(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
-    return rng.choice(TRANSFORMS)(rng, g)
+    return with_relabeled(g, perm)

@@ -13,12 +13,7 @@ import pytest
 
 from perigid import direction_network
 from perigid.colored_graph import ColoredGraph, EdgeSubset, scan_subset, image_rank
-from perigid.direction_network import (
-    DirectionAssignment,
-    collapsed_realization,
-    collapsed_space_basis,
-    faithful_realization,
-)
+from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid.errors import DomainError, GenericitySamplingError
 from perigid.linear_rep import (
     PRIME,
@@ -31,8 +26,9 @@ from perigid.linear_rep import (
 )
 from perigid.rigidity import decide_rigidity
 from perigid.sparsity import is_colored_laman
-from float_reference import build_P_system, edge_status, kernel_float, realization_kernel
-from randgen import random_circuit_graph, random_graph, random_laman_graph
+from float_reference import build_P_system, edge_status, kernel_float, realization_kernel, scale, to_flat
+from paper_reference import collapsed_realization, collapsed_space_basis
+from randgen import random_circuit_graph, random_graph, random_laman_graph, with_doubled
 
 G = ColoredGraph.build
 LAMAN1 = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
@@ -134,7 +130,7 @@ def test_collapsed_space_dimension():
         scan = scan_subset(EdgeSubset.full(g), range(g.n))
         k = image_rank(scan.images)
         c = len(scan.trees)
-        basis = [b.to_flat() for b in collapsed_space_basis(g)]
+        basis = [to_flat(b) for b in collapsed_space_basis(g)]
         dim = np.linalg.matrix_rank(np.array(basis)) if basis else 0
         assert dim == 4 - 2 * k + 2 * c
 
@@ -168,7 +164,7 @@ def test_doubling_a_collapsed_edge_keeps_the_kernel():
     rng = random.Random(19)
     d = DirectionAssignment.sample(g, rng)
     dim, _ = realization_kernel(g, d)
-    doubled = g.with_doubled(0)
+    doubled = with_doubled(g, 0)
     dmap = dict(d.d)
     dmap[max(e.id for e in doubled.edges)] = (0.6, 0.8)
     dim2, _ = realization_kernel(doubled, DirectionAssignment(dmap))
@@ -184,7 +180,7 @@ def _modp_p_system(graph, directions):
 
 def _rebuilt_doubled_rows(graph, directions, eid, extra):
     """The doubled system built the long way: a new graph, directions and P-system."""
-    doubled = graph.with_doubled(eid)
+    doubled = with_doubled(graph, eid)
     copy_id = max(e.id for e in doubled.edges)
     dmap = dict(directions.d)
     dmap[copy_id] = extra
@@ -251,7 +247,7 @@ def test_translation_and_scaling_invariance():
     g = random_laman_graph(rng, 3)
     fr = faithful_realization(g, seed=4)
     system = build_P_system(g, fr.directions).to_numpy()
-    vec = np.asarray(fr.realization.to_flat())
+    vec = np.asarray(to_flat(fr.realization))
     # translation: shift every point, keep L
     shift = np.tile([0.37, -1.2], g.n).tolist() + [0.0] * 4
     assert np.max(np.abs(system @ (vec + np.array(shift)))) < 1e-8
@@ -262,14 +258,14 @@ def test_translation_and_scaling_invariance():
 def test_faithful_realization_fixture():
     fr = faithful_realization(LAMAN1, seed=42)
     assert np.allclose(fr.realization.p[0], 0.0, atol=1e-12)
-    assert abs(np.linalg.norm(fr.realization.to_flat()) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(to_flat(fr.realization)) - 1.0) < 1e-12
     assert not any(s.collapsed for s in fr.statuses)
-    scale = fr.realization.scale()
+    size = scale(fr.realization)
     for s, e in zip(fr.statuses, LAMAN1.edges):
         eta = np.array(s.eta)
         perp = np.array(fr.directions.perp(e.id))
-        assert abs(eta @ perp) <= 1e-9 * scale
-        assert np.linalg.norm(eta) > 1e-6 * scale
+        assert abs(eta @ perp) <= 1e-9 * size
+        assert np.linalg.norm(eta) > 1e-6 * size
 
 
 def test_the_first_attempt_draws_the_analysis_point():
@@ -366,4 +362,4 @@ def test_faithful_uniqueness_up_to_normalization():
     lead = np.flatnonzero(np.abs(vec) > 1e-9)
     if vec[lead[0]] < 0:
         vec = -vec
-    assert np.allclose(vec, fr.realization.to_flat(), atol=1e-8)
+    assert np.allclose(vec, to_flat(fr.realization), atol=1e-8)

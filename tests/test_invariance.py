@@ -6,16 +6,10 @@ import random
 
 from perigid.colored_graph import ColoredGraph, EdgeSubset, z2_rank
 from perigid.rigidity import decide_rigidity, is_1d_rigid, is_ross
-from perigid.sparsity import (
-    f_value,
-    is_11k,
-    is_222_graph,
-    is_222_sparse,
-    is_colored_laman,
-    is_colored_laman_sparse,
-)
+from perigid.sparsity import is_11k, is_222_sparse, is_colored_laman, is_colored_laman_sparse
 
-from randgen import random_graph, random_potential, random_relabel, random_reversal
+from paper_reference import f_value, is_222_graph
+from randgen import random_graph, random_potential, random_relabel, random_reversal, with_relabeled, with_reversed
 
 
 def combinatorial_profile(g: ColoredGraph):
@@ -64,8 +58,8 @@ def test_1d_status_invariance():
             ],
         )
         base = is_1d_rigid(g, seed=2).status
-        rev = g.with_reversed([e.id for e in g.edges if rng.random() < 0.5])
+        rev = with_reversed(g, [e.id for e in g.edges if rng.random() < 0.5])
         assert is_1d_rigid(rev, seed=7).status == base
         perm = list(range(n))
         rng.shuffle(perm)
-        assert is_1d_rigid(g.with_relabeled(perm), seed=8).status == base
+        assert is_1d_rigid(with_relabeled(g, perm), seed=8).status == base

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigid.colored_graph import ColoredGraph, EdgeSubset, fundamental_cycles, rho_of_walk
+from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.direction_network import DirectionAssignment, _modp_row
 from perigid.errors import DomainError, StructuralError
 from perigid import linear_rep
@@ -24,24 +24,25 @@ from perigid.linear_rep import (
     _integer_eta,
     _modp_rigidity_rows,
     _nonzero_values,
-    modp_det,
     modp_kernel,
     modp_rank,
     natural_rows,
     rank_mod_p,
     sample_rows,
-    verify_determinant_formulas,
 )
-from perigid.sparsity import decompose_two_11k, f_value, is_222_graph, is_222_sparse
+from perigid.sparsity import decompose_two_11k, is_222_sparse
 
-from float_reference import (
-    float_assignment,
+from float_reference import float_assignment, kernel_float, m112_matrix, m112_row, m222_matrix, m222_row
+from paper_reference import (
+    dense_reduce,
+    designated_minors,
+    exact_determinant_checks,
+    f_value,
     float_determinant_checks,
-    kernel_float,
-    m112_matrix,
-    m112_row,
-    m222_matrix,
-    m222_row,
+    fundamental_cycles,
+    is_222_graph,
+    modp_det,
+    rho_of_walk,
 )
 from randgen import random_11k, random_graph, random_laman_graph, random_non_11k, triangle_strip
 
@@ -190,7 +191,7 @@ def modp_null_vectors(rows):
     One vector per row that the elimination reduces to zero: the
     combination of input rows that produced it, with a 1 at that row.
     """
-    nulls = _eliminate(rows, track=True)[2]
+    nulls = _eliminate(rows, track=True)[1]
     return [tuple(y.get(i, 0) for i in range(len(rows))) for y in nulls]
 
 
@@ -283,18 +284,16 @@ def test_fp_rank_at_least_float_rank_same_assignment():
 
 def test_det_formula_tree():
     path3 = G(3, [(0, 1, (0, 0)), (1, 2, (0, 0))])
-    rep = verify_determinant_formulas(path3)
-    assert rep.instance and rep.all_ok
+    assert exact_determinant_checks(path3) == (True, True)
 
 
 def test_det_formula_one_loop():
-    rep = verify_determinant_formulas(G(1, [(0, 0, (5, 7))]))
-    assert rep.instance and rep.all_ok and len(rep.checks) == 2
+    loop = G(1, [(0, 0, (5, 7))])
+    assert exact_determinant_checks(loop) == (True, True) and len(designated_minors(loop)[1]) == 2
 
 
 def test_det_formula_two_loops():
-    rep = verify_determinant_formulas(G(1, [(0, 0, (1, 0)), (0, 0, (0, 1))]))
-    assert rep.instance and rep.all_ok
+    assert exact_determinant_checks(G(1, [(0, 0, (1, 0)), (0, 0, (0, 1))])) == (True, True)
 
 
 def test_det_formula_random_instances_and_non_instances():
@@ -303,19 +302,17 @@ def test_det_formula_random_instances_and_non_instances():
         n = rng.randint(2, 6)
         k = rng.randint(0, 2)
         g = random_11k(rng, n, k)
-        rep = verify_determinant_formulas(g, _nonzero_values(g, random.Random(rng.randrange(1 << 30))))
-        assert rep.instance and rep.all_ok, g
+        a = _nonzero_values(g, random.Random(rng.randrange(1 << 30)))
+        assert exact_determinant_checks(g, a) == (True, True), g
         a, _ = float_assignment(g, False, random.Random(rng.randrange(1 << 30)))
         assert float_determinant_checks(g, a), g
         bad = random_non_11k(rng, n, k)
-        rep = verify_determinant_formulas(bad)
-        assert not rep.instance and rep.all_ok
-        assert all(c.determinant == 0 for c in rep.checks)
+        assert exact_determinant_checks(bad) == (False, True)  # every minor vanishes
 
 
 def test_det_formula_wrong_size_rejected():
     with pytest.raises(DomainError):
-        verify_determinant_formulas(LAMAN1)  # m = n + 2 does not fit any case
+        exact_determinant_checks(LAMAN1)  # m = n + 2 does not fit any case
 
 
 def test_cycle_elimination():
@@ -381,32 +378,6 @@ def test_dump_matrix_format():
 # ---------------------------------------------------------------------------
 
 
-def _dense_reduce(mat, ncols, p=PRIME):
-    """Row-reduce mat over F_p in place on its first ncols columns; (rank, det)."""
-    width = len(mat[0]) if mat else 0
-    rank, det = 0, 1
-    for col in range(ncols):
-        if rank == len(mat):
-            break
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            det = -det
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        det = det * prow[col] % p
-        inv = pow(prow[col], p - 2, p)
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][col] * inv % p
-            if f:
-                row = mat[i]
-                for j in range(col, width):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-    return rank, det
-
-
 def _random_entry(rng):
     kind = rng.random()
     if kind < 0.45:
@@ -423,7 +394,7 @@ def _random_entry(rng):
 def _random_matrix(rng):
     m, n = rng.choice(((0, 0), (0, 3), (3, 0))) if rng.random() < 0.05 else (
         rng.randint(1, 8), rng.randint(1, 8))
-    if rng.random() < 0.3:  # square, for the determinant
+    if rng.random() < 0.3:  # square
         n = m
     rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
     for i in range(m):
@@ -448,7 +419,7 @@ def test_sparse_elimination_matches_dense_reduction():
         shapes.add("tall" if m > n else "wide" if m < n else "square")
         # entry rows name some zero and multiple-of-p entries explicitly
         entries = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3} for r in dense]
-        want_rank, want_det = _dense_reduce([list(r) for r in dense], n)
+        want_rank = dense_reduce([list(r) for r in dense], n)[0]
         for rows in (dense, entries):
             assert modp_rank(rows) == want_rank
             nulls = modp_null_vectors(rows)
@@ -456,9 +427,7 @@ def test_sparse_elimination_matches_dense_reduction():
             for y in nulls:
                 assert len(y) == m and all(0 <= c < PRIME for c in y)
                 assert all(sum(c * r[j] for c, r in zip(y, dense)) % PRIME == 0 for j in range(n))
-            assert _dense_reduce([list(y) for y in nulls], m)[0] == len(nulls)
-        if m == n:
-            assert modp_det(dense) == (want_det if want_rank == m else 0)
+            assert dense_reduce([list(y) for y in nulls], m)[0] == len(nulls)
     assert shapes == {"tall", "wide", "square"}
 
 
@@ -513,9 +482,8 @@ def test_dense_rows_match_the_dense_builders():
 
 def index_order_eliminate(rows, p=PRIME, track=False):
     """The elimination with every row led at its lowest nonzero column:
-    (pivot rows by leading column, in insertion order, product of the
-    leading values, tracked nulls)."""
-    pivots, combos, lead_prod, nulls = {}, {}, 1, []
+    (pivot rows by leading column, in insertion order, tracked nulls)."""
+    pivots, combos, nulls = {}, {}, []
     for i, row in enumerate(rows):
         items = row.items() if isinstance(row, dict) else enumerate(row)
         row = {j: x % p for j, x in items if x % p}
@@ -530,21 +498,12 @@ def index_order_eliminate(rows, p=PRIME, track=False):
                 linear_rep._subtract(combo, f, combos[col], p)
         if row:
             inv = pow(row[col], -1, p)
-            lead_prod = lead_prod * row[col] % p
             pivots[col] = {j: x * inv % p for j, x in row.items()}
             if track:
                 combos[col] = {j: x * inv % p for j, x in combo.items()}
         elif track:
             nulls.append(combo)
-    return pivots, lead_prod, nulls
-
-
-def index_order_det(rows, p=PRIME):
-    pivots, det, _ = index_order_eliminate(rows, p)
-    leads = list(pivots)
-    if len(leads) < len(rows):
-        return 0
-    return -det % p if sum(a > b for a, b in itertools.combinations(leads, 2)) % 2 else det
+    return pivots, nulls
 
 
 def index_order_kernel(rows, width, p=PRIME):
@@ -562,8 +521,7 @@ def index_order_kernel(rows, width, p=PRIME):
 @st.composite
 def _permuted_row_sets(draw):
     """Sparse rows with zero, repeated and empty rows, or a square matrix with
-    a nonzero diagonal (mostly of full rank, for the determinant), under a
-    column permutation."""
+    a nonzero diagonal (mostly of full rank), under a column permutation."""
     width = draw(st.integers(0, 9))
     value = st.one_of(st.integers(-3, 3), st.integers(0, PRIME - 1), st.sampled_from((PRIME, -PRIME, 2 * PRIME)))
     cols = st.lists(st.integers(0, max(width - 1, 0)), max_size=min(width, 4), unique=True)
@@ -589,15 +547,12 @@ def _permuted_row_sets(draw):
 @given(_permuted_row_sets())
 def test_sparsest_first_matches_the_index_order(case):
     width, rows = case
-    want_pivots, _, want_nulls = index_order_eliminate(rows, track=True)
-    pivots, _, nulls, _ = _eliminate(rows, track=True)
+    want_pivots, want_nulls = index_order_eliminate(rows, track=True)
+    pivots, nulls, _ = _eliminate(rows, track=True)
     assert modp_rank(rows) == len(pivots) == len(want_pivots)
     assert nulls == want_nulls  # the combination behind a vanishing row is unique
     kernel, want_kernel = modp_kernel(rows, width), index_order_kernel(rows, width)
     assert len(kernel) == len(want_kernel) == modp_rank(kernel) == modp_rank(kernel + want_kernel)
-    if len(rows) == width:
-        dense = [[row.get(j, 0) for j in range(width)] for row in rows]
-        assert modp_det(dense) == index_order_det(dense)
 
 
 def test_sparsest_first_halves_the_fill(monkeypatch):
@@ -661,7 +616,7 @@ def test_lazy_combinations_match_the_eager_update():
     samples = [sample_rows(g, "M232", rng) for g in graphs + [repeats]] + [sample_rows(repeats, "M222", rng)]
     vanished = []
     for rows in samples:
-        nulls = _eliminate(rows, track=True)[2]
+        nulls = _eliminate(rows, track=True)[1]
         assert nulls == eager_nulls(rows)
         vanished.append(len(nulls))
         assert len(nulls) == len(rows) - modp_rank(rows)
@@ -682,6 +637,6 @@ def test_a_full_rank_sample_builds_no_combination(monkeypatch):
     monkeypatch.setattr(linear_rep, "_subtract", spy)
     for track in (False, True):
         calls.append(0)
-        pivots, _, nulls, _ = _eliminate(rows, track=track)
+        pivots, nulls, _ = _eliminate(rows, track=track)
         assert len(pivots) == len(rows) == 65 and nulls == []
     assert calls[0] == calls[1] > 0, calls

@@ -280,7 +280,7 @@ def certify_circuit(report: CircuitReport, seed: int = 0) -> CircuitReport:
     draws = random.Random(seed)
     for _ in range(3):
         rows = dict(zip(graph.edge_ids(), sample_rows(graph, "M232", draws)))
-        nulls = _eliminate([rows[x] for x in ids], track=True)[2]
+        nulls = _eliminate([rows[x] for x in ids], track=True)[1]
         if len(nulls) == 1 and {ids[i] for i in nulls[0]} == circuit.ids:
             return report
     raise InternalConsistencyError("circuit is not edge-minimal")

@@ -19,21 +19,18 @@ from perigid.sparsity import (
     _VIRTUAL,
     PartitionState,
     brute_force_sparsity,
-    classify_11k_shape,
     count_report,
     decompose_two_11k,
-    f_value,
     is_11k,
-    is_222_graph,
     is_222_sparse,
     is_colored_laman,
     is_colored_laman_sparse,
-    is_f_independent,
     laman_sparse_subset,
     max_laman_sparse_subset,
     union_independent,
 )
 
+from paper_reference import classify_11k_shape, f_value, is_222_graph, is_f_independent, rho_of_walk
 from randgen import random_11k, random_graph, random_laman_graph, triangle_strip
 
 G = ColoredGraph.build
@@ -228,9 +225,6 @@ def test_shape_requires_rank_two():
 
 
 def test_shape_witness_cycles():
-    from perigid.colored_graph import rho_of_walk
-    from randgen import random_11k
-
     rng = random.Random(8)
     for _ in range(30):
         g = random_11k(rng, rng.randint(1, 5), 2)
@@ -574,7 +568,25 @@ def test_a_broken_exchange_fails_the_rebuild(monkeypatch):
         return apply(state, x, 1 - r, parent)
 
     monkeypatch.setattr(PartitionState, "_apply", misplaced)
-    with pytest.raises(InternalConsistencyError, match="matroid-union augmentation broke a part"):
+    with pytest.raises(InternalConsistencyError, match="a matroid-union part is not f-independent"):
+        union_independent(full(g))
+
+
+def test_a_broken_direct_fit_fails_the_grown_forest(monkeypatch):
+    # a forest grown by a direct fit is checked at once: here every added
+    # edge also repeats the part's first image, so the part turns dependent
+    g = G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, 1))])
+    assert union_independent(full(g))[0]
+    add = GainScan.add
+
+    def broken(forest, *args):
+        add(forest, *args)
+        if forest.images:
+            forest.extras.append(forest.extras[0])
+            forest.images.append(forest.images[0])
+
+    monkeypatch.setattr(GainScan, "add", broken)
+    with pytest.raises(InternalConsistencyError, match="a matroid-union part is not f-independent"):
         union_independent(full(g))
 
 
@@ -619,14 +631,6 @@ def test_union_partitions_match_the_probing_search(monkeypatch):
             independent += fast[0]
             tight += parts is not None
     assert independent >= 400 // 3 and tight >= 50, (independent, tight)
-
-
-def two_11k_union(rng, n):
-    """Two random spanning (1,1,2)-graphs on n vertices, their edges shuffled:
-    a (2,2,2)-graph."""
-    edges = [(e.tail, e.head, tuple(e.color)) for _ in range(2) for e in random_11k(rng, n, 2).edges]
-    rng.shuffle(edges)
-    return G(n, edges)
 
 
 def test_queue_time_fits_read_fewer_circuits(monkeypatch):
