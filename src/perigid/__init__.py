@@ -12,7 +12,6 @@ from .colored_graph import (
 )
 from .direction_network import (
     DirectionAssignment,
-    EdgeStatus,
     FaithfulRealization,
     faithful_realization,
 )
@@ -29,7 +28,6 @@ from .fileio import parse_colored_graph, serialize_colored_graph
 from .linear_rep import (
     PRIME,
     RankReport,
-    Realization,
     natural_rows,
     rank_mod_p,
 )

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import random
 import sys
 from pathlib import Path
 
 from . import sparsity
 from .colored_graph import EdgeSubset, develop_window, sublattice_cover, z2_rank
-from .direction_network import faithful_realization
+from .direction_network import drawing, faithful_realization
 from .errors import (
     BudgetError,
     DomainError,
@@ -68,7 +69,7 @@ def cmd_check(graph, args):
     verdict = decide_rigidity(graph, seed=args.seed)
     code = OK if verdict.status != STATUS_FLEXIBLE else NEGATIVE
     if args.format == "json":
-        return to_json_bytes(verdict_json(verdict)), code
+        return to_json_bytes(verdict_json(graph, verdict)), code
     lines = [
         verdict.status.replace("_", " "),
         f"n={verdict.n} m={verdict.m} rank={verdict.rank} dof={verdict.dof}",
@@ -133,14 +134,14 @@ def cmd_realize(graph, args):
     if args.format == "svg":
         return realization_svg(graph, result), OK
     if args.format == "json":
-        return to_json_bytes(faithful_json(result)), OK
-    real = result.realization
+        return to_json_bytes(faithful_json(graph, result)), OK
+    points, ((a, b), (c, d)), etas = drawing(graph, result)
     lines = [f"faithful realization (seed={args.seed}, attempts={result.attempts})"]
-    for i, (x, y) in enumerate(real.p):
+    for i, (x, y) in enumerate(points):
         lines.append(f"p{i} = ({x:.9f}, {y:.9f})")
-    lines.append(f"L = [[{real.L[0][0]:.9f}, {real.L[0][1]:.9f}], [{real.L[1][0]:.9f}, {real.L[1][1]:.9f}]]")
-    for s in result.statuses:
-        lines.append(f"edge {s.edge_id}: alpha={s.alpha:.9f} collapsed={s.collapsed}")
+    lines.append(f"L = [[{a:.9f}, {b:.9f}], [{c:.9f}, {d:.9f}]]")
+    for e, eta in zip(graph.edges, etas):
+        lines.append(f"edge {e.id}: alpha={math.hypot(*eta):.9f} collapsed=False")
     return _text(lines), OK
 
 

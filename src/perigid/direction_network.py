@@ -10,9 +10,10 @@ Edges with eta = 0 are collapsed.  For a colored-Laman graph and generic
 directions the kernel is 3-dimensional (translations plus one scaling class)
 and contains, up to translation and scale, a unique realization with no
 collapsed edge.  This module decides sampled directions over F_p, and
-draws the faithful realization from an integer point whose rigidity rows
+takes as the faithful realization an integer point whose rigidity rows
 have full rank: such a point is, up to translation and scale, the unique
-realization of the directions of its own edges.
+realization of the directions of its own edges.  The witness is that exact
+point; `drawing` turns it into floats only where it is printed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .colored_graph import ColoredGraph
 from .errors import DomainError, GenericitySamplingError
-from .linear_rep import PRIME, Realization, _integer_eta, _integer_point, _m222_row
+from .linear_rep import PRIME, _integer_eta, _integer_point, _m222_row
 from .linear_rep import _modp_rigidity_rows, modp_kernel, modp_rank
 from .sparsity import is_colored_laman
 
@@ -61,14 +62,6 @@ class DirectionAssignment:
         )
 
 
-@dataclass(frozen=True)
-class EdgeStatus:
-    edge_id: int
-    eta: tuple[float, float]
-    alpha: float
-    collapsed: bool
-
-
 # ---------------------------------------------------------------------------
 # Faithful realizations of colored-Laman graphs.
 # ---------------------------------------------------------------------------
@@ -76,12 +69,14 @@ class EdgeStatus:
 
 @dataclass(frozen=True)
 class FaithfulRealization:
-    realization: Realization
-    directions: DirectionAssignment
-    statuses: tuple[EdgeStatus, ...]
+    """The witness: an integer point whose rigidity rows have rank 2n + 1 mod p.
+
+    `drawing` gives it in floats, normalized, as the writers print it.
+    """
+
+    exact: tuple[tuple[int, int], ...]  # n points, then the rows of L
     seed: int
     attempts: int
-    exact: tuple[tuple[int, int], ...]  # the integer point drawn: n points, then the rows of L
 
 
 def _modp_row(n: int, e, directions: DirectionAssignment) -> dict[int, int]:
@@ -119,23 +114,22 @@ def _exact_point(graph: ColoredGraph, directions: DirectionAssignment) -> str | 
     return None
 
 
-def _drawn_from(graph: ColoredGraph, xy: list[tuple[int, int]], seed: int, attempts: int) -> FaithfulRealization:
-    """The realization of the directions of xy's own edges, normalized.
+def drawing(graph: ColoredGraph, witness: FaithfulRealization) -> tuple[list, tuple, list]:
+    """The witness in floats: its points, the rows of L and each edge's eta, in edge order.
 
     p_1 is moved to 0, the point scaled to unit norm and its leading nonzero
     coordinate made positive.  Every eta_e is nonzero: the rigidity rows at
-    xy have full rank.
+    the point have full rank.
     """
-    n = graph.n
+    n, xy = graph.n, witness.exact
     (x0, y0), (a, b), (c, d) = xy[0], *xy[n:]
     flat = [v for x, y in xy[:n] for v in (x - x0, y - y0)] + [a, c, b, d]
     sign = 1 if next(v for v in flat if v) > 0 else -1
     flat = [sign * v for v in flat]
     norm = math.sqrt(sum(v * v for v in flat))
-    etas = {e.id: tuple(sign * v / norm for v in _integer_eta(xy, e)) for e in graph.edges}
-    statuses = tuple(EdgeStatus(eid, eta, math.hypot(*eta), False) for eid, eta in etas.items())
-    real = Realization.from_flat([v / norm for v in flat], n)
-    return FaithfulRealization(real, DirectionAssignment(etas), statuses, seed, attempts, tuple(xy))
+    vec = [v / norm for v in flat]
+    etas = [tuple(sign * v / norm for v in _integer_eta(xy, e)) for e in graph.edges]
+    return list(zip(vec[:2 * n:2], vec[1:2 * n:2])), (tuple(vec[2 * n::2]), tuple(vec[2 * n + 1::2])), etas
 
 
 def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealization:
@@ -147,10 +141,11 @@ def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealizat
     certifies the graph: m != 2n + 1 is refused before any draw, and the
     counts run only after a rejected first attempt, to tell a DomainError
     from bad luck.  The attempt is accepted when the rigidity rows at the
-    point have rank 2n + 1 mod p.  The witness is that point: with
-    directions eta_e / |eta_e| its P-system is the rigidity matrix with each
-    column pair turned by 90 degrees and each row scaled, of the same rank,
-    so the point is their realization, unique up to translation and scale.
+    point have rank 2n + 1 mod p.  The witness is that point, kept exact:
+    with directions eta_e / |eta_e| its P-system is the rigidity matrix with
+    each column pair turned by 90 degrees and each row scaled, of the same
+    rank, so the point is their realization, unique up to translation and
+    scale.  `drawing` normalizes it in floats.
     """
     n = graph.n
     if graph.m != 2 * n + 1:
@@ -163,7 +158,7 @@ def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealizat
         if reason is None and modp_rank(_modp_rigidity_rows(graph, xy)) != 2 * n + 1:
             reason = "point rank"
         if reason is None:
-            return _drawn_from(graph, xy, seed, attempt)
+            return FaithfulRealization(tuple(xy), seed, attempt)
         if attempt == 1 and not is_colored_laman(graph):
             raise DomainError("faithful_realization needs a colored-Laman graph")
         rejected[reason] += 1

@@ -16,11 +16,12 @@ entry beyond MAX_COLOR in magnitude is refused too.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Any
 
 from .colored_graph import MAX_COLOR, MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
-from .direction_network import FaithfulRealization
+from .direction_network import FaithfulRealization, drawing
 from .errors import BudgetError, ParseError
 from .linear_rep import RankReport
 from .rigidity import OneDVerdict, RigidityVerdict
@@ -101,13 +102,13 @@ def serialize_colored_graph(graph: ColoredGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def faithful_json(result: FaithfulRealization) -> dict[str, Any]:
-    real = result.realization
+def faithful_json(graph: ColoredGraph, result: FaithfulRealization) -> dict[str, Any]:
+    points, lattice, etas = drawing(graph, result)
     return {
-        "n": real.n,
-        "p": [list(xy) for xy in real.p],
-        "L": [list(row) for row in real.L],
-        "edges": [{"id": s.edge_id, "alpha": s.alpha, "collapsed": s.collapsed} for s in result.statuses],
+        "n": graph.n,
+        "p": [list(xy) for xy in points],
+        "L": [list(row) for row in lattice],
+        "edges": [{"id": e.id, "alpha": math.hypot(*eta), "collapsed": False} for e, eta in zip(graph.edges, etas)],
         "seed": result.seed,
     }
 
@@ -120,14 +121,14 @@ def circuit_json(report: CircuitReport) -> dict[str, Any]:
     }
 
 
-def verdict_json(verdict: RigidityVerdict) -> dict[str, Any]:
+def verdict_json(graph: ColoredGraph, verdict: RigidityVerdict) -> dict[str, Any]:
     return {
         "status": verdict.status,
         "rank": verdict.rank,
         "dof": verdict.dof,
         "n": verdict.n,
         "m": verdict.m,
-        "witness": faithful_json(verdict.witness) if verdict.witness else None,
+        "witness": faithful_json(graph, verdict.witness) if verdict.witness else None,
         "circuit": circuit_json(verdict.circuit) if verdict.circuit else None,
     }
 

@@ -27,8 +27,9 @@ exactly and sparsely, rows in input order and columns sparsest first
 (`_eliminate`), so a full-rank sample certifies the generic rank while a
 deficient one is wrong with probability at most m/p per trial;
 back-substitution in reverse elimination order gives a kernel
-(`modp_kernel`).  Every rank and kernel here is exact over F_p; no
-floating-point linear algebra is left.
+(`modp_kernel`).  Every rank and kernel here is exact over F_p, and the
+module defines no float type: a realization is an integer point, and
+:mod:`perigid.direction_network` draws the witness in floats only to print it.
 """
 
 from __future__ import annotations
@@ -46,42 +47,6 @@ PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 3
 MAX_TRIALS = 64  # most samples one rank may draw
 COORD_RANGE = 1 << 20  # integer sampling window for exact realizations
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Points p_i in the plane plus a 2x2 lattice matrix L, as tuples of floats.
-
-    Flattened layout (length 2n + 4): x_1, y_1, ..., x_n, y_n followed by
-    the first lattice column then the second.
-    """
-
-    p: tuple[tuple[float, float], ...]  # n rows (x, y)
-    L: tuple[tuple[float, float], tuple[float, float]]  # the rows of L
-
-    def __post_init__(self):
-        (a, b), (c, d) = self.L
-        object.__setattr__(self, "p", tuple((float(x), float(y)) for x, y in self.p))
-        object.__setattr__(self, "L", ((float(a), float(b)), (float(c), float(d))))
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    @classmethod
-    def from_flat(cls, vec: Sequence[float], n: int) -> "Realization":
-        vec = [float(v) for v in vec]
-        if len(vec) != 2 * n + 4:
-            raise StructuralError(f"flat realization must have length {2 * n + 4}")
-        a, c, b, d = vec[2 * n :]
-        return cls(tuple(zip(vec[0 : 2 * n : 2], vec[1 : 2 * n : 2])), ((a, b), (c, d)))
-
-    def eta(self, tail: int, head: int, color: Sequence[int]) -> tuple[float, float]:
-        """Displacement p_head + L*color - p_tail."""
-        (a, b), (c, d) = self.L
-        g1, g2 = color
-        (xh, yh), (xt, yt) = self.p[head], self.p[tail]
-        return xh + (a * g1 + b * g2) - xt, yh + (c * g1 + d * g2) - yt
 
 
 def _dense(entries: dict, width: int) -> tuple:
@@ -149,13 +114,13 @@ def _eliminate(rows, track: bool = False):
     Before the first row, every column is placed by how many rows name it
     (nonzero mod p), ties by index: a static minimum-degree order, so the
     lattice columns that almost every row names come last and dense rows,
-    where every count is equal, keep the index order.  A row ({column:
-    value} entries or a dense sequence) is reduced by the pivot row stored
-    at its first nonzero place until it vanishes or leads at a new place,
-    where it is stored scaled to a leading 1.  Returns the pivot rows by
-    leading place, in insertion order, with entries keyed by place; with
-    track, the input-row combination (as entries) behind each row that
-    vanished; and the column at each place.
+    where every count is equal, keep the index order.  A row, an entry row
+    of {column: value}, is reduced by the pivot row stored at its first
+    nonzero place until it vanishes or leads at a new place, where it is
+    stored scaled to a leading 1.  Returns the pivot rows by leading place,
+    in insertion order, with entries keyed by place; with track, the
+    input-row combination (as entries) behind each row that vanished; and
+    the column at each place.
 
     With track, each row's reduction steps (place, factor) are recorded,
     not applied to a combination as they happen.  Only when a row vanished
@@ -166,7 +131,7 @@ def _eliminate(rows, track: bool = False):
     full-rank sample builds none.
     """
     p = PRIME
-    rows = [{j: x % p for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x % p} for r in rows]
+    rows = [{j: x % p for j, x in r.items() if x % p} for r in rows]
     count = Counter(chain.from_iterable(rows))
     order = sorted(sorted(count), key=count.__getitem__)
     place = {j: k for k, j in enumerate(order)}
@@ -215,7 +180,7 @@ def _null_combinations(made: dict, vanished: list) -> list[dict[int, int]]:
 
 
 def modp_rank(rows: Sequence) -> int:
-    """Row rank over F_p of entry-dict or dense rows."""
+    """Row rank over F_p of entry rows ({column: value})."""
     return len(_eliminate(rows)[0])
 
 

@@ -111,9 +111,10 @@ def decide_rigidity(graph: ColoredGraph, seed: int = 0) -> RigidityVerdict:
     F_p elimination and certifies by counts.  Rigid verdicts need rank
     2n + 1, a spanning colored-Laman subgraph; minimally rigid also needs
     m = 2n + 1.  Minimally rigid verdicts carry a faithful-realization
-    witness, drawn from an integer point where the 2n + 1 rigidity rows are
-    independent mod p (so deleting any row drops the rank to 2n), and
-    non-sparse inputs the analysis's circuit.
+    witness, the exact integer point where the 2n + 1 rigidity rows are
+    independent mod p (so deleting any row drops the rank to 2n), which
+    `direction_network.drawing` draws in floats; non-sparse inputs carry the
+    analysis's circuit.
     """
     n, m = graph.n, graph.m
     analysis = laman_analysis(graph, seed)

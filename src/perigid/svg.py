@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .colored_graph import ColoredGraph, DevelopmentReport
-from .direction_network import FaithfulRealization
+from .direction_network import FaithfulRealization, drawing
 
 CELL = 100.0
 PALETTE = (
@@ -99,18 +99,16 @@ def development_svg(graph: ColoredGraph, report: DevelopmentReport) -> bytes:
 
 def realization_svg(graph: ColoredGraph, result: FaithfulRealization) -> bytes:
     """Realized quotient: unit cell, lattice arrows, points, edge segments."""
-    real = result.realization
+    pts, ((a, b), (c, d)), etas = drawing(graph, result)
     margin = 40.0
     frame = 300.0
-    pts = list(real.p)
-    l1 = (real.L[0][0], real.L[1][0])
-    l2 = (real.L[0][1], real.L[1][1])
+    l1, l2 = (a, c), (b, d)
     corners = [(0.0, 0.0), l1, l2, (l1[0] + l2[0], l1[1] + l2[1])]
     allx = [p[0] for p in pts + corners] or [0.0]
     ally = [p[1] for p in pts + corners] or [0.0]
-    for e, s in zip(graph.edges, result.statuses):
-        hx = pts[e.tail][0] + s.eta[0]
-        hy = pts[e.tail][1] + s.eta[1]
+    for e, eta in zip(graph.edges, etas):
+        hx = pts[e.tail][0] + eta[0]
+        hy = pts[e.tail][1] + eta[1]
         allx.append(hx)
         ally.append(hy)
     span = max(max(allx) - min(allx), max(ally) - min(ally), 1e-9)
@@ -133,9 +131,9 @@ def realization_svg(graph: ColoredGraph, result: FaithfulRealization) -> bytes:
         body.append(_line(o[0], o[1], tip[0], tip[1], "#888888", 2.0))
         body.append(_circle(tip[0], tip[1], 3.0, "#888888"))
     # edges: segment from tail point along eta (a faithful realization collapses none)
-    for e, s in zip(graph.edges, result.statuses):
+    for e, eta in zip(graph.edges, etas):
         x1, y1 = place(*pts[e.tail])
-        x2, y2 = place(pts[e.tail][0] + s.eta[0], pts[e.tail][1] + s.eta[1])
+        x2, y2 = place(pts[e.tail][0] + eta[0], pts[e.tail][1] + eta[1])
         body.append(_line(x1, y1, x2, y2, "#1f77b4", 2.0))
     for x, y in pts:
         px, py = place(x, y)

@@ -5,25 +5,48 @@ an exact integer point; none of it takes an SVD.  These are the float
 references the acceptance criteria and the cross-checks measure it by:
 dense float rows in the three filling patterns, an SVD rank and kernel, and
 the realization space of a direction network, with the flat vector and the
-size of a realization and its collapsed edges.
+size of a realization and its collapsed edges, as the float types here.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from perigid.colored_graph import ColoredGraph
-from perigid.direction_network import DirectionAssignment, EdgeStatus
+from perigid.direction_network import DirectionAssignment, drawing
 from perigid.errors import DomainError, StructuralError
-from perigid.linear_rep import Realization
 
 FLOAT_TOL = 1e-9
 SOLVE_TOL = 1e-9
 COLLAPSE_TOL = 1e-6  # relative; deliberately looser than the solve tolerance
+
+
+class Realization:
+    """Points p_i plus the rows of a 2x2 lattice matrix L, as tuples of floats."""
+
+    def __init__(self, p, L):
+        self.p = tuple((float(x), float(y)) for x, y in p)
+        self.L = tuple((float(x), float(y)) for x, y in L)
+
+    def eta(self, tail: int, head: int, color) -> tuple[float, float]:
+        """Displacement p_head + L*color - p_tail."""
+        (a, b), (c, d), (g1, g2) = *self.L, color
+        (xh, yh), (xt, yt) = self.p[head], self.p[tail]
+        return xh + (a * g1 + b * g2) - xt, yh + (c * g1 + d * g2) - yt
+
+
+EdgeStatus = namedtuple("EdgeStatus", "edge_id eta alpha collapsed")
+
+
+def drawn(graph: ColoredGraph, witness) -> tuple[Realization, DirectionAssignment]:
+    """A witness as the library draws it, and the directions of its edges."""
+    points, lattice, etas = drawing(graph, witness)
+    return Realization(points, lattice), DirectionAssignment({e.id: eta for e, eta in zip(graph.edges, etas)})
 
 
 @dataclass(frozen=True)
@@ -118,7 +141,7 @@ def float_realization(graph: ColoredGraph, rng: random.Random) -> Realization:
 
 def to_flat(real: Realization) -> tuple[float, ...]:
     """x_1, y_1, ..., x_n, y_n, then the first lattice column and the second:
-    the layout `Realization.from_flat` reads."""
+    the layout of the P-system's columns."""
     (a, b), (c, d) = real.L
     return (*(v for xy in real.p for v in xy), a, c, b, d)
 
@@ -141,7 +164,8 @@ def realization_kernel(graph: ColoredGraph, directions: DirectionAssignment) -> 
     rank, basis = kernel_float(build_P_system(graph, directions), SOLVE_TOL)
     dim = 2 * graph.n + 4 - rank
     assert basis.shape[1] == dim
-    return dim, [Realization.from_flat(basis[:, j], graph.n) for j in range(dim)]
+    n = graph.n
+    return dim, [Realization(zip(v[:2 * n:2], v[1:2 * n:2]), (v[2 * n::2], v[2 * n + 1::2])) for v in basis.T]
 
 
 def edge_status(

@@ -24,10 +24,10 @@ import numpy as np
 
 from perigid.colored_graph import ColoredGraph, ColorVector, EdgeSubset, GainScan, image_rank, scan_subset, z2_rank
 from perigid.errors import DomainError, StructuralError
-from perigid.linear_rep import PRIME, Realization, _dense, _nonzero_values, natural_rows
+from perigid.linear_rep import PRIME, _dense, _nonzero_values, natural_rows
 from perigid.sparsity import count_report, is_11k, is_222_sparse
 
-from float_reference import m112_matrix
+from float_reference import Realization, m112_matrix
 
 # ---------------------------------------------------------------------------
 # Closed walks and cycle images.

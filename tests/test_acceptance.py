@@ -47,7 +47,7 @@ from perigid.sparsity import (
     max_laman_sparse_subset,
 )
 
-from float_reference import edge_status, float_assignment, kernel_float, realization_kernel, rigidity_matrix, scale
+from float_reference import drawn, edge_status, float_assignment, kernel_float, realization_kernel, rigidity_matrix, scale
 from paper_reference import exact_determinant_checks, f_value, float_determinant_checks, is_222_graph
 from randgen import (
     random_11k,
@@ -80,10 +80,11 @@ def test_criterion_01_one_vertex_fixture():
     rank = generic_rigidity_rank(LAMAN1, seed=2).rank
     fr = faithful_realization(LAMAN1, seed=2)
     elapsed = time.perf_counter() - t0
+    real, directions = drawn(LAMAN1, fr)
     ok = (
         laman
         and rank == 3 == 2 * LAMAN1.n + 1
-        and not any(s.collapsed for s in fr.statuses)
+        and not any(s.collapsed for s in edge_status(LAMAN1, directions, real))
         and elapsed < 0.010
     )
     report(1, ok, f"laman={laman} rank={rank} faithful in {elapsed * 1e3:.2f} ms")
@@ -176,12 +177,13 @@ def laman_realizations():
         n = rng.randint(1, 8)
         g = random_laman_graph(rng, n)
         fr = faithful_realization(g, seed=i)
-        dim, _ = realization_kernel(g, fr.directions)
+        real, directions = drawn(g, fr)
+        dim, _ = realization_kernel(g, directions)
         assert dim == 3, (g, dim)
-        size = scale(fr.realization)
-        for s, e in zip(fr.statuses, g.edges):
+        size = scale(real)
+        for s, e in zip(edge_status(g, directions, real), g.edges):
             eta = np.array(s.eta)
-            perp = np.array(fr.directions.perp(e.id))
+            perp = np.array(directions.perp(e.id))
             assert abs(float(eta @ perp)) <= 1e-9 * size
             assert float(np.linalg.norm(eta)) > 1e-6 * size
         results.append((g, fr))
@@ -198,7 +200,7 @@ def test_criterion_06_main_theorem_transfer(laman_realizations):
     _, results = laman_realizations
     for g, fr in results:
         n = g.n
-        mat = rigidity_matrix(g, fr.realization)
+        mat = rigidity_matrix(g, drawn(g, fr)[0])
         rank, _ = kernel_float(mat, 1e-9)
         assert rank == 2 * n + 1, (g, rank)
         assert modp_rank(_modp_rigidity_rows(g, fr.exact)) == 2 * n + 1  # at the exact F_p point

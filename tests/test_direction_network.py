@@ -17,7 +17,6 @@ from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid.errors import DomainError, GenericitySamplingError
 from perigid.linear_rep import (
     PRIME,
-    Realization,
     _dense,
     _modp_rigidity_rows,
     modp_rank,
@@ -26,7 +25,7 @@ from perigid.linear_rep import (
 )
 from perigid.rigidity import decide_rigidity
 from perigid.sparsity import is_colored_laman
-from float_reference import build_P_system, edge_status, kernel_float, realization_kernel, scale, to_flat
+from float_reference import Realization, build_P_system, drawn, edge_status, kernel_float, realization_kernel, scale, to_flat
 from paper_reference import collapsed_realization, collapsed_space_basis
 from randgen import random_circuit_graph, random_graph, random_laman_graph, with_doubled
 
@@ -245,9 +244,9 @@ def test_sampling_error_counts_the_rejections_by_reason(monkeypatch):
 def test_translation_and_scaling_invariance():
     rng = random.Random(20)
     g = random_laman_graph(rng, 3)
-    fr = faithful_realization(g, seed=4)
-    system = build_P_system(g, fr.directions).to_numpy()
-    vec = np.asarray(to_flat(fr.realization))
+    real, directions = drawn(g, faithful_realization(g, seed=4))
+    system = build_P_system(g, directions).to_numpy()
+    vec = np.asarray(to_flat(real))
     # translation: shift every point, keep L
     shift = np.tile([0.37, -1.2], g.n).tolist() + [0.0] * 4
     assert np.max(np.abs(system @ (vec + np.array(shift)))) < 1e-8
@@ -256,14 +255,15 @@ def test_translation_and_scaling_invariance():
 
 
 def test_faithful_realization_fixture():
-    fr = faithful_realization(LAMAN1, seed=42)
-    assert np.allclose(fr.realization.p[0], 0.0, atol=1e-12)
-    assert abs(np.linalg.norm(to_flat(fr.realization)) - 1.0) < 1e-12
-    assert not any(s.collapsed for s in fr.statuses)
-    size = scale(fr.realization)
-    for s, e in zip(fr.statuses, LAMAN1.edges):
+    real, directions = drawn(LAMAN1, faithful_realization(LAMAN1, seed=42))
+    assert np.allclose(real.p[0], 0.0, atol=1e-12)
+    assert abs(np.linalg.norm(to_flat(real)) - 1.0) < 1e-12
+    statuses = edge_status(LAMAN1, directions, real)
+    assert not any(s.collapsed for s in statuses)
+    size = scale(real)
+    for s, e in zip(statuses, LAMAN1.edges):
         eta = np.array(s.eta)
-        perp = np.array(fr.directions.perp(e.id))
+        perp = np.array(directions.perp(e.id))
         assert abs(eta @ perp) <= 1e-9 * size
         assert np.linalg.norm(eta) > 1e-6 * size
 
@@ -350,8 +350,8 @@ def test_faithful_uniqueness_up_to_normalization():
     # same directions, independent second solve from a permuted system
     rng = random.Random(23)
     g = random_laman_graph(rng, 4)
-    fr = faithful_realization(g, seed=9)
-    system = build_P_system(g, fr.directions).to_numpy()
+    real, directions = drawn(g, faithful_realization(g, seed=9))
+    system = build_P_system(g, directions).to_numpy()
     perm = list(range(system.shape[0]))
     random.Random(1).shuffle(perm)
     _, kernel = kernel_float(system[perm], 1e-9)
@@ -362,4 +362,4 @@ def test_faithful_uniqueness_up_to_normalization():
     lead = np.flatnonzero(np.abs(vec) > 1e-9)
     if vec[lead[0]] < 0:
         vec = -vec
-    assert np.allclose(vec, to_flat(fr.realization), atol=1e-8)
+    assert np.allclose(vec, to_flat(real), atol=1e-8)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -449,6 +450,31 @@ def test_cli_realize_svg(capsys, laman1):
     assert code == 0
     assert out.count("<circle") >= 3  # vertex + lattice arrowheads
     assert "<polygon" in out
+
+
+# SHA-256 of stdout of every command that prints the witness, on LAMAN1 and on
+# a seeded tight graph at n = 8: the writers draw the exact point, and a drift
+# in these bytes is a change of output.
+WITNESS_DIGESTS = {
+    ("laman1", "realize"): "38cbe28d1d5f972871d6796597da23200f3ca067869d18f692a03d9b202e51e3",
+    ("laman1", "realize --format json"): "8adda082eedbb65516017fe974481ff80bb9161580808b200bc2e6e930071023",
+    ("laman1", "realize --format svg"): "31f63254453915002d972dc16a57c601eb3fdd7776b55d85cc328f1a9886338f",
+    ("laman1", "check --format json"): "dafe39744385ee09fa2f56f7e9781e4addfe7c7c42df3bb6d535e450ee6e15bb",
+    ("tight8", "realize"): "453c9791881baec77e68f8378224d7fb00c6dd67efa8a9a61d594c574b09627a",
+    ("tight8", "realize --format json"): "df79db16ff38ef372acfb2855e16edc2c010042448e331759ba57e5003abcec2",
+    ("tight8", "realize --format svg"): "7aa6c21ea8be4789dd5fc364c9def754ff93dbf758c005b3e39e7eb36e1bd24d",
+    ("tight8", "check --format json"): "46092aef21685e11e0d83657d881c5b176809b0e060ebbbed03610794e52ce6b",
+}
+
+
+def test_the_witness_writers_keep_their_bytes(capsysbinary, tmp_path, laman1):
+    tight8 = tmp_path / "tight8.cg"
+    tight8.write_text(serialize_colored_graph(random_laman_graph(random.Random(8), 8)))
+    got = {}
+    for name, command in WITNESS_DIGESTS:
+        assert main([*command.split(), laman1 if name == "laman1" else str(tight8)]) == 0
+        got[name, command] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert got == WITNESS_DIGESTS
 
 
 def test_cli_cover(capsys, tmp_path):

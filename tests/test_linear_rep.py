@@ -185,6 +185,11 @@ def test_trials_outside_the_budget_are_refused_before_any_sample(monkeypatch):
     assert rank_mod_p(LAMAN1, "M222", trials=MAX_TRIALS).trials == MAX_TRIALS
 
 
+def entry_rows(rows):
+    """Dense rows as the entry rows {column: value} the eliminator takes."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def modp_null_vectors(rows):
     """A basis of the left null space: y with sum(y[i] * rows[i]) = 0 mod p.
 
@@ -220,7 +225,7 @@ def test_modp_kernel_annihilates_every_row():
         for x in basis:
             assert len(x) == width and all(0 <= v < PRIME for v in x)
             assert all(sum(v * x[j] for j, v in row.items()) % PRIME == 0 for row in rows)
-        assert modp_rank(basis) == len(basis)
+        assert modp_rank(entry_rows(basis)) == len(basis)
     assert kinds == {"repeated", "zero", "empty", "rows"}
 
 
@@ -231,11 +236,11 @@ def test_modp_elimination_null_vectors_and_det():
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         if m >= 3:  # force a dependency among later rows
             rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-        nulls = modp_null_vectors(rows)
-        assert len(nulls) == m - modp_rank(rows)
+        nulls = modp_null_vectors(entry_rows(rows))
+        assert len(nulls) == m - modp_rank(entry_rows(rows))
         for vec in nulls:
             assert all(sum(y * r[j] for y, r in zip(vec, rows)) % PRIME == 0 for j in range(n))
-        assert modp_rank(nulls) == len(nulls)
+        assert modp_rank(entry_rows(nulls)) == len(nulls)
         if m == n:
             leibniz = sum(
                 (-1) ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
@@ -420,7 +425,7 @@ def test_sparse_elimination_matches_dense_reduction():
         # entry rows name some zero and multiple-of-p entries explicitly
         entries = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3} for r in dense]
         want_rank = dense_reduce([list(r) for r in dense], n)[0]
-        for rows in (dense, entries):
+        for rows in (entry_rows(dense), entries):
             assert modp_rank(rows) == want_rank
             nulls = modp_null_vectors(rows)
             assert len(nulls) == m - want_rank
@@ -552,7 +557,7 @@ def test_sparsest_first_matches_the_index_order(case):
     assert modp_rank(rows) == len(pivots) == len(want_pivots)
     assert nulls == want_nulls  # the combination behind a vanishing row is unique
     kernel, want_kernel = modp_kernel(rows, width), index_order_kernel(rows, width)
-    assert len(kernel) == len(want_kernel) == modp_rank(kernel) == modp_rank(kernel + want_kernel)
+    assert len(kernel) == len(want_kernel) == modp_rank(entry_rows(kernel)) == modp_rank(entry_rows(kernel + want_kernel))
 
 
 def test_sparsest_first_halves_the_fill(monkeypatch):

@@ -13,7 +13,7 @@ from perigid.colored_graph import ColoredGraph, EdgeSubset
 from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid import direction_network, linear_rep, rigidity
 from perigid.errors import DomainError, InternalConsistencyError
-from perigid.linear_rep import Realization, _eliminate, _modp_rigidity_rows, modp_rank, sample_rows
+from perigid.linear_rep import _eliminate, _modp_rigidity_rows, modp_rank, sample_rows
 from perigid.rigidity import (
     STATUS_FLEXIBLE,
     STATUS_MINIMAL,
@@ -26,7 +26,7 @@ from perigid.rigidity import (
 )
 from perigid.sparsity import CircuitReport, brute_force_sparsity, is_colored_laman, max_laman_sparse_subset
 
-from float_reference import build_P_system, float_rigidity_rank, kernel_float, rigidity_matrix
+from float_reference import Realization, build_P_system, drawn, edge_status, float_rigidity_rank, kernel_float, rigidity_matrix
 from randgen import random_graph, random_laman_graph
 from test_linear_rep import ceiling_graphs, spy_on_eliminations
 
@@ -54,15 +54,15 @@ def test_rigidity_matrix_vs_p_system_after_rescale():
     g = random_laman_graph(rng, 3)
     from perigid.direction_network import faithful_realization
 
-    fr = faithful_realization(g, seed=11)
-    P = build_P_system(g, fr.directions).to_numpy()
-    M = rigidity_matrix(g, fr.realization).to_numpy()
+    real, directions = drawn(g, faithful_realization(g, seed=11))
+    P = build_P_system(g, directions).to_numpy()
+    M = rigidity_matrix(g, real).to_numpy()
     ncols = P.shape[1]
     T = np.zeros((ncols, ncols))
     for b in range(ncols // 2):
         T[2 * b + 1, 2 * b] = 1.0  # second coordinate of d-perp is d_x
         T[2 * b, 2 * b + 1] = -1.0
-    alphas = np.array([s.alpha for s in fr.statuses])
+    alphas = np.array([s.alpha for s in edge_status(g, directions, real)])
     assert np.allclose(np.diag(alphas) @ (P @ T), M, atol=1e-9)
     assert np.linalg.matrix_rank(np.vstack([P @ T, M]), tol=1e-9) == np.linalg.matrix_rank(
         M, tol=1e-9
@@ -149,7 +149,7 @@ def test_every_route_agrees_on_colored_laman_membership(case):
 def test_certificate_fixture():
     fr = faithful_realization(LAMAN1, seed=13)
     assert modp_rank(_modp_rigidity_rows(LAMAN1, fr.exact)) == 3
-    M = rigidity_matrix(LAMAN1, fr.realization).to_numpy()
+    M = rigidity_matrix(LAMAN1, drawn(LAMAN1, fr)[0]).to_numpy()
     for i in range(3):
         r, _ = kernel_float(np.delete(M, i, axis=0), 1e-9)
         assert r == 2
@@ -170,11 +170,10 @@ def test_certificate_rejects_non_laman():
 def test_trivial_motion_space():
     rng = random.Random(41)
     g = random_laman_graph(rng, 4)
-    fr = faithful_realization(g, seed=19)
-    M = rigidity_matrix(g, fr.realization).to_numpy()
+    real, _ = drawn(g, faithful_realization(g, seed=19))
+    M = rigidity_matrix(g, real).to_numpy()
     rank, kernel = kernel_float(M, 1e-9)
     assert kernel.shape[1] == 3
-    real = fr.realization
     # translations
     for t in ((1.0, 0.0), (0.0, 1.0)):
         vec = np.concatenate([np.tile(t, g.n), np.zeros(4)])
@@ -197,12 +196,11 @@ def test_ross_lattice_motions_are_trivial():
             continue
         found += 1
         aug = g.with_extra_loops(0, ((1, 0), (0, 1), (1, 1)))
-        fr = faithful_realization(aug, seed=23)
-        M = rigidity_matrix(aug, fr.realization).to_numpy()
+        real, _ = drawn(aug, faithful_realization(aug, seed=23))
+        M = rigidity_matrix(aug, real).to_numpy()
         _, kernel = kernel_float(M, 1e-9)
         assert kernel.shape[1] == 3
         # remove the two translations and the rotation; nothing is left
-        real = fr.realization
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         triv = np.column_stack(
             [
