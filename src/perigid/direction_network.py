@@ -132,7 +132,7 @@ def drawing(graph: ColoredGraph, witness: FaithfulRealization) -> tuple[list, tu
     return list(zip(vec[:2 * n:2], vec[1:2 * n:2])), (tuple(vec[2 * n::2]), tuple(vec[2 * n + 1::2])), etas
 
 
-def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealization:
+def faithful_realization(graph: ColoredGraph, seed: int = 0, first: tuple | None = None) -> FaithfulRealization:
     """Unique-up-to-normalization faithful realization of a colored-Laman graph.
 
     Each attempt draws an integer point (`_integer_point`, so attempt 1's
@@ -141,7 +141,10 @@ def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealizat
     certifies the graph: m != 2n + 1 is refused before any draw, and the
     counts run only after a rejected first attempt, to tell a DomainError
     from bad luck.  The attempt is accepted when the rigidity rows at the
-    point have rank 2n + 1 mod p.  The witness is that point, kept exact:
+    point have rank 2n + 1 mod p.  first, a point and that rank as
+    `LamanAnalysis.first` holds them, spares the elimination of an attempt
+    that draws that very point; any other point eliminates its own rows.
+    The witness is that point, kept exact:
     with directions eta_e / |eta_e| its P-system is the rigidity matrix with
     each column pair turned by 90 degrees and each row scaled, of the same
     rank, so the point is their realization, unique up to translation and
@@ -153,12 +156,13 @@ def faithful_realization(graph: ColoredGraph, seed: int = 0) -> FaithfulRealizat
     rng = random.Random(seed)
     rejected = dict.fromkeys(("rank", "collapsed mod p", "point rank"), 0)
     for attempt in range(1, DEFAULT_RETRY_CAP + 1):
-        xy = _integer_point(n, rng)
+        xy = tuple(_integer_point(n, rng))
         reason = _exact_point(graph, DirectionAssignment.sample(graph, rng))
-        if reason is None and modp_rank(_modp_rigidity_rows(graph, xy)) != 2 * n + 1:
+        known = first is not None and first[0] == xy
+        if reason is None and (first[1] if known else modp_rank(_modp_rigidity_rows(graph, xy))) != 2 * n + 1:
             reason = "point rank"
         if reason is None:
-            return FaithfulRealization(tuple(xy), seed, attempt)
+            return FaithfulRealization(xy, seed, attempt)
         if attempt == 1 and not is_colored_laman(graph):
             raise DomainError("faithful_realization needs a colored-Laman graph")
         rejected[reason] += 1

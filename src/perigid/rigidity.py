@@ -20,7 +20,8 @@ from .colored_graph import ColoredGraph, EdgeSubset, scan_subset
 from .direction_network import FaithfulRealization, faithful_realization
 from .errors import DomainError, InternalConsistencyError
 from .linear_rep import (
-    COORD_RANGE, DEFAULT_TRIALS, RankReport, _best_sampled_rank, _eliminate, _m112_row, rank_mod_p, sample_rows,
+    COORD_RANGE, DEFAULT_TRIALS, RankReport, _best_sampled_rank, _eliminate, _integer_point, _m112_row,
+    _modp_rigidity_rows, rank_mod_p,
 )
 from .sparsity import CircuitReport, count_report, laman_sparse_subset
 from .sparsity import max_laman_sparse_subset  # noqa: F401  perfbench/tests read it from here
@@ -41,12 +42,15 @@ class LamanAnalysis:
 
     basis is the greedy basis with edges tried in id order; rejected is the
     first edge that greedy left out, or None when the graph is sparse, and
-    rejected_circuit is the circuit that edge closes with the basis.
+    rejected_circuit is the circuit that edge closes with the basis.  first
+    is the first integer point the analysis drew and the rank mod p of the
+    rigidity rows there, even when a later point decided.
     """
 
     basis: frozenset[int]
     rejected: int | None
     rejected_circuit: CircuitReport | None
+    first: tuple[tuple[tuple[int, int], ...], int]
 
     @property
     def sparse(self) -> bool:
@@ -71,13 +75,17 @@ def laman_analysis(graph: ColoredGraph, seed: int = 0) -> LamanAnalysis:
     loop, so that e lies in the closure of the B edges before it.  Then B is
     the greedy basis and, each C_e - x being independent at the point, C_e is
     the fundamental circuit of e.  A point where some C_e misses the count is
-    degenerate; the next of three is tried.
+    degenerate; the next of three is tried.  The first point and its rank,
+    the number of pivots there, are kept for the witness.
     """
     ids = sorted(graph.edge_ids())
     rng = random.Random(seed)
+    first = None
     for _ in range(3):
-        rows = dict(zip(graph.edge_ids(), sample_rows(graph, "M232", rng)))
-        combos = _eliminate([rows[x] for x in ids], track=True)[1]
+        xy = tuple(_integer_point(graph.n, rng))
+        rows = dict(zip(graph.edge_ids(), _modp_rigidity_rows(graph, xy)))
+        pivots, combos, _ = _eliminate([rows[x] for x in ids], track=True)
+        first = first or (xy, len(pivots))
         circuits = [EdgeSubset.of(graph, (ids[i] for i in combo)) for combo in combos]
         reports = [CircuitReport(c, count_report(c)) for c in circuits]
         # m' = 2f, or m' = 1 and f = 0: the loop colored (0, 0), whose row is zero
@@ -89,8 +97,8 @@ def laman_analysis(graph: ColoredGraph, seed: int = 0) -> LamanAnalysis:
     basis = frozenset(ids).difference(rejected)
     if not laman_sparse_subset(graph, basis):
         raise InternalConsistencyError("rows independent mod p on an edge set that is not sparse")
-    first = (rejected[0], reports[0]) if reports else (None, None)
-    return LamanAnalysis(basis, *first)
+    circuit = (rejected[0], reports[0]) if reports else (None, None)
+    return LamanAnalysis(basis, *circuit, first)
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,9 @@ def decide_rigidity(graph: ColoredGraph, seed: int = 0) -> RigidityVerdict:
     m = 2n + 1.  Minimally rigid verdicts carry a faithful-realization
     witness, the exact integer point where the 2n + 1 rigidity rows are
     independent mod p (so deleting any row drops the rank to 2n), which
-    `direction_network.drawing` draws in floats; non-sparse inputs carry the
-    analysis's circuit.
+    `direction_network.drawing` draws in floats; it is handed the analysis's
+    first point and rank, so its attempt 1 eliminates no rows.  Non-sparse
+    inputs carry the analysis's circuit.
     """
     n, m = graph.n, graph.m
     analysis = laman_analysis(graph, seed)
@@ -123,7 +132,7 @@ def decide_rigidity(graph: ColoredGraph, seed: int = 0) -> RigidityVerdict:
         status = STATUS_MINIMAL if m == 2 * n + 1 else STATUS_OVER
     else:
         status = STATUS_FLEXIBLE
-    witness = faithful_realization(graph, seed=seed) if status == STATUS_MINIMAL else None
+    witness = faithful_realization(graph, seed=seed, first=analysis.first) if status == STATUS_MINIMAL else None
     return RigidityVerdict(status, rank, (2 * n + 4) - rank - 3, n, m, witness, analysis.rejected_circuit)
 
 

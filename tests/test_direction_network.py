@@ -10,11 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perigid import direction_network
+from perigid import direction_network, linear_rep, rigidity
+from perigid.cli import main
 from perigid.colored_graph import ColoredGraph, EdgeSubset, scan_subset, image_rank
 from perigid.direction_network import DirectionAssignment, faithful_realization
 from perigid.errors import DomainError, GenericitySamplingError
+from perigid.fileio import serialize_colored_graph
 from perigid.linear_rep import (
     PRIME,
     _dense,
@@ -23,7 +27,7 @@ from perigid.linear_rep import (
     natural_rows,
     sample_rows,
 )
-from perigid.rigidity import decide_rigidity
+from perigid.rigidity import decide_rigidity, laman_analysis
 from perigid.sparsity import is_colored_laman
 from float_reference import Realization, build_P_system, drawn, edge_status, kernel_float, realization_kernel, scale, to_flat
 from paper_reference import collapsed_realization, collapsed_space_basis
@@ -330,7 +334,7 @@ def test_the_counts_run_only_after_a_rejected_first_sample(spied):
         fr = faithful_realization(g)
         assert spied.count("_exact_point") == fr.attempts and "is_colored_laman" not in spied
         spied.clear()
-        assert decide_rigidity(g).witness.exact == fr.exact
+        decide_rigidity(g)
         assert spied.count("_exact_point") == fr.attempts and "is_colored_laman" not in spied
         spied.clear()
 
@@ -344,6 +348,85 @@ def test_the_counts_run_only_after_a_rejected_first_sample(spied):
         with pytest.raises(DomainError, match="^faithful_realization needs a colored-Laman graph$"):
             faithful_realization(g)
     assert spied == []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 10), st.integers(0, 1 << 30), st.integers(0, 7))
+def test_check_and_realize_draw_the_same_witness(n, graph_seed, seed):
+    # the handed rank changes no witness, attempt count or seed
+    g = random_laman_graph(random.Random(graph_seed), n)
+    assert decide_rigidity(g, seed).witness == faithful_realization(g, seed)
+
+
+@pytest.fixture()
+def eliminations(monkeypatch):
+    """Calls of the F_p eliminations, by who asked for them."""
+    calls = Counter()
+
+    def spy(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(rigidity, "_eliminate", "analysis")  # the rigidity rows at each point of laman_analysis
+    spy(linear_rep, "_eliminate", "linear_rep")  # under modp_rank and modp_kernel
+    spy(direction_network, "modp_kernel", "P-system")
+    spy(direction_network, "modp_rank", "witness rank")
+    return calls
+
+
+def test_a_tight_check_eliminates_the_rigidity_rows_once(eliminations, tmp_path, capsys):
+    # the witness reads the rank the analysis found at its own first point
+    path = tmp_path / "tight.cg"
+    for g in (LAMAN1, random_laman_graph(random.Random(18), 10)):
+        path.write_text(serialize_colored_graph(g))
+        for run in (lambda: main(["check", str(path), "--format", "json"]), lambda: decide_rigidity(g)):
+            run()
+            assert eliminations == Counter({"analysis": 1, "P-system": 1, "linear_rep": 1})
+            eliminations.clear()
+        capsys.readouterr()
+        # realize has no analysis: each accepted attempt eliminates its own rows
+        assert faithful_realization(g).attempts == 1
+        assert eliminations == Counter({"P-system": 1, "witness rank": 1, "linear_rep": 2})
+        # a handed point that the attempt does not draw is not read, whatever its rank
+        other = laman_analysis(g, seed=1).first[0]
+        assert faithful_realization(g, first=(other, 0)) == faithful_realization(g)
+        eliminations.clear()
+
+
+def test_a_degenerate_first_point_is_rejected_by_the_handed_rank(monkeypatch, eliminations):
+    real, drawn_from = linear_rep._integer_point, []
+
+    def first_degenerate(n, rng):  # the first point from each rng repeats one point; later ones are real
+        xy = real(n, rng)
+        if any(r is rng for r in drawn_from):
+            return xy
+        drawn_from.append(rng)
+        return [xy[0]] * (n + 2)
+
+    for module in (linear_rep, rigidity, direction_network):
+        monkeypatch.setattr(module, "_integer_point", first_degenerate)
+    for g in (LAMAN1, random_laman_graph(random.Random(18), 10)):
+        analysis = laman_analysis(g)
+        point, rank = analysis.first
+        assert len(set(point)) == 1 and rank < 2 * g.n + 1
+        assert eliminations["analysis"] == 2  # the analysis moved on to point 2
+        eliminations.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(direction_network, "DEFAULT_RETRY_CAP", 1)
+            with pytest.raises(GenericitySamplingError, match="rejections: rank 0, collapsed mod p 0, point rank 1 "):
+                faithful_realization(g, first=analysis.first)
+        assert eliminations["witness rank"] == 0
+        eliminations.clear()
+        witness = decide_rigidity(g).witness
+        assert eliminations["witness rank"] == 1  # attempt 2 only
+        assert witness == faithful_realization(g) and witness.attempts == 2
+        assert eliminations["witness rank"] == 3  # alone, attempt 1 eliminated its own rows
+        eliminations.clear()
 
 
 def test_faithful_uniqueness_up_to_normalization():

@@ -335,14 +335,14 @@ def _degenerate_draws(monkeypatch, spoil, count):
     """Spy on the sampled rows; spoil(rows) the first `count` draws in place."""
     draws = []
 
-    def draw(graph, kind, rng):
-        rows = sample_rows(graph, kind, rng)
+    def draw(graph, xy):
+        rows = _modp_rigidity_rows(graph, xy)
         draws.append(rows)
         if len(draws) <= count:
             spoil(rows)
         return rows
 
-    monkeypatch.setattr(rigidity, "sample_rows", draw)
+    monkeypatch.setattr(rigidity, "_modp_rigidity_rows", draw)
     return draws
 
 

@@ -1,13 +1,23 @@
-"""The benchmark summary of tools/bench_pairs.py on hand-made run lists."""
+"""The benchmark summary of tools/bench_pairs.py on hand-made run lists, and
+a smoke run of tools/stage_times.py."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+ROOT = Path(__file__).parents[1]
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+stage_times = _tool("stage_times")
 
 JOBS = {"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", "bound": 0.25}
 RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
@@ -53,3 +63,10 @@ def test_more_failures_make_every_metric_worse():
     assert bench_pairs.summarise(JOBS, parent, faster)["verdict"] == "improved"
     assert bench_pairs.summarise(JOBS, parent, faster, more_failures=True)["verdict"] == "worse"
     assert bench_pairs.summarise(JOBS, parent, parent, more_failures=True)["verdict"] == "worse"
+
+
+def test_stage_times_smoke(capsys):
+    assert stage_times.main(["--root", str(ROOT), "--n", "6", "--graphs", "2", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    times = {line.split()[0]: float(line.split()[1]) for line in lines[2:2 + len(stage_times.STAGES)]}
+    assert list(times) == list(stage_times.STAGES) and all(t > 0 for t in times.values())
