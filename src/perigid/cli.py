@@ -153,7 +153,7 @@ def cmd_develop(graph, args):
         return to_json_bytes(development_json(report)), OK
     idx = "infinite" if report.index is None else str(report.index)
     lines = [
-        f"window {args.window}: {len(report.vertices)} vertices, {len(report.edges)} edges",
+        f"window {args.window}: {report.vertex_count} vertices, {len(report.edges)} edges",
         f"k={report.k} index={idx}",
         f"observed components: {report.observed_components} (core: {report.observed_core_components})",
     ]

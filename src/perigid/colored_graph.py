@@ -47,9 +47,6 @@ class ColorVector(NamedTuple):
     g1: int
     g2: int
 
-    def plus(self, other: Sequence[int]) -> "ColorVector":
-        return ColorVector(self.g1 + other[0], self.g2 + other[1])
-
 
 def _color(value: Sequence[int]) -> ColorVector:
     g1, g2 = value
@@ -341,9 +338,14 @@ class ComponentClassification:
 
 @dataclass(frozen=True)
 class DevelopmentReport:
+    """A window of the development; vertex (i, cell c) is the int c * n + i,
+    the cells numbered row-major (x outer) from the window's corner.  `edges`
+    are (edge id, tail, head) by edge id, then cell; `component[v]` numbers
+    the components in the order of their first vertex by (i, cell)."""
+
     window: Window
-    vertices: tuple[tuple[int, ColorVector], ...]
-    edges: tuple[tuple[int, ColorVector, tuple[int, ColorVector], tuple[int, ColorVector]], ...]
+    vertex_count: int
+    edges: tuple[tuple[int, int, int], ...]
     k: int
     index: int | None
     per_component: tuple[ComponentClassification, ...]
@@ -351,7 +353,7 @@ class DevelopmentReport:
     predicted_finite_components: float  # 0 or math.inf
     observed_components: int
     observed_core_components: int
-    component_of: dict[tuple[int, ColorVector], int]
+    component: list[int]
 
 
 def _predict(k: int, index: int | None) -> str:
@@ -371,6 +373,8 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
     the cycle-image rank k and, for k = 2, the index of the image lattice.
     Component counting uses the window core (a 1-cell margin is dropped) so
     that truncation artifacts at the boundary do not split components.
+    The union-find is one list over the integer vertex ids; the cells whose
+    translate by an edge's color stays inside are one clamped range per axis.
     """
     (x0, x1), (y0, y1) = window
     if x1 < x0 or y1 < y0:
@@ -402,58 +406,52 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
     k = image_rank(scan.images)
     index = lattice_index(scan.images) if k == 2 else None
 
-    cells = [
-        ColorVector(gx, gy) for gx in range(x0, x1 + 1) for gy in range(y0, y1 + 1)
-    ]
-    verts = tuple((i, cell) for cell in cells for i in range(graph.n))
-
-    def in_window(c: ColorVector) -> bool:
-        return x0 <= c.g1 <= x1 and y0 <= c.g2 <= y1
-
+    n = graph.n
+    width, height = x1 - x0 + 1, y1 - y0 + 1
+    count = width * height * n
+    parent = list(range(count))
     dev_edges = []
-    uf: dict[tuple[int, ColorVector], tuple[int, ColorVector]] = {v: v for v in verts}
-
-    def find(v):
-        while uf[v] != v:
-            uf[v] = uf[uf[v]]
-            v = uf[v]
-        return v
-
     for e in graph.edges:
-        for cell in cells:
-            target = cell.plus(e.color)
-            if in_window(target):
-                a, b = (e.tail, cell), (e.head, target)
-                dev_edges.append((e.id, cell, a, b))
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    uf[ra] = rb
+        g1, g2 = e.color
+        shift = (g1 * height + g2) * n + e.head - e.tail
+        gys = range(max(0, -g2), min(height, height - g2))
+        for gx in range(max(0, -g1), min(width, width - g1)):
+            for gy in gys:
+                a = (gx * height + gy) * n + e.tail
+                b = a + shift
+                dev_edges.append((e.id, a, b))
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[a] = b
 
-    roots: dict[tuple[int, ColorVector], list] = {}
-    for v in verts:
-        roots.setdefault(find(v), []).append(v)
-    ordered = sorted(roots.values(), key=lambda comp: min(comp))
-    component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
-
-    core = [
-        v
-        for v in verts
-        if x0 + 1 <= v[1].g1 <= x1 - 1 and y0 + 1 <= v[1].g2 <= y1 - 1
-    ]
-    core_components = len({component_of[v] for v in core})
+    # number the components by their first vertex in (i, cell) order
+    component = [0] * count
+    number: dict[int, int] = {}
+    for i in range(n):
+        for v in range(i, count, n):
+            r = v
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            component[v] = number.setdefault(r, len(number))
+    core = set()  # a row's cells inside the 1-cell margin have consecutive ids
+    for gx in range(1, width - 1):
+        core.update(component[(gx * height + 1) * n : (gx * height + height - 1) * n])
 
     return DevelopmentReport(
         window=window,
-        vertices=verts,
+        vertex_count=count,
         edges=tuple(dev_edges),
         k=k,
         index=index,
         per_component=tuple(per_component),
         predicted_infinite_components=pred_inf,
         predicted_finite_components=pred_fin,
-        observed_components=len(ordered),
-        observed_core_components=core_components,
-        component_of=component_of,
+        observed_components=len(number),
+        observed_core_components=len(core),
+        component=component,
     )
 
 

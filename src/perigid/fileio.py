@@ -176,7 +176,7 @@ def development_json(report: DevelopmentReport) -> dict[str, Any]:
         ),
         "observed_components": report.observed_components,
         "observed_core_components": report.observed_core_components,
-        "vertex_count": len(report.vertices),
+        "vertex_count": report.vertex_count,
         "edge_count": len(report.edges),
     }
 

@@ -70,11 +70,12 @@ def development_svg(graph: ColoredGraph, report: DevelopmentReport) -> bytes:
     w = (x1 - x0 + 1) * CELL + 2 * CELL
     h = (y1 - y0 + 1) * CELL + 2 * CELL
 
-    def place(vertex: tuple[int, object]) -> tuple[float, float]:
-        i, cell = vertex
+    def place(v: int) -> tuple[float, float]:
+        cell, i = divmod(v, graph.n)
+        gx, gy = divmod(cell, y1 - y0 + 1)  # cells from the window's corner
         ox, oy = _vertex_offset(i, graph.n)
-        px = (cell.g1 - x0) * CELL + CELL + ox
-        py = h - ((cell.g2 - y0) * CELL + CELL + oy)  # flip y
+        px = gx * CELL + CELL + ox
+        py = h - (gy * CELL + CELL + oy)  # flip y
         return px, py
 
     body = [f'<rect width="{_fmt(w)}" height="{_fmt(h)}" fill="#ffffff"/>']
@@ -85,13 +86,13 @@ def development_svg(graph: ColoredGraph, report: DevelopmentReport) -> bytes:
         py = h - ((gy - y0) * CELL + CELL)
         body.append(_line(CELL, py, w - CELL, py, "#dddddd", 1.0))
 
-    for _, _, a, b in report.edges:
-        color = PALETTE[report.component_of[a] % len(PALETTE)]
+    for _, a, b in report.edges:
+        color = PALETTE[report.component[a] % len(PALETTE)]
         xa, ya = place(a)
         xb, yb = place(b)
         body.append(_line(xa, ya, xb, yb, color))
-    for v in report.vertices:
-        color = PALETTE[report.component_of[v] % len(PALETTE)]
+    for v in range(report.vertex_count):
+        color = PALETTE[report.component[v] % len(PALETTE)]
         px, py = place(v)
         body.append(_circle(px, py, 4.0, color))
     return _doc(w, h, body)

@@ -7,6 +7,8 @@ the helpers here:
 
 * closed walks, their cycle images and the fundamental cycles of a gain
   forest, whose images generate the image subgroup;
+* a window of the development keyed by (vertex, cell) tuples, the plain
+  reading of V x Z^2 that `develop_window`'s integer ids must agree with;
 * the count function f, f-independence and the (2,2,k)-graphs;
 * the three shapes of a (1,1,2)-graph;
 * the designated minors of M112 and their closed forms, exactly over F_p
@@ -99,6 +101,58 @@ def fundamental_cycles(subset: EdgeSubset) -> list[tuple[int, ClosedWalk]]:
         steps = [(eid, True), *up_h, *((y, not fwd) for y, fwd in reversed(up_t))]
         cycles.append((eid, ClosedWalk(graph, tuple(steps))))
     return cycles
+
+
+# ---------------------------------------------------------------------------
+# Developments.
+# ---------------------------------------------------------------------------
+
+Vertex = tuple[int, ColorVector]
+
+
+@dataclass(frozen=True)
+class TupleDevelopment:
+    """A window of the development with every vertex an (i, cell) tuple."""
+
+    vertices: tuple[Vertex, ...]
+    edges: tuple[tuple[int, ColorVector, Vertex, Vertex], ...]  # (edge id, cell, tail, head)
+    observed_components: int
+    observed_core_components: int
+    component_of: dict[Vertex, int]
+
+
+def develop_by_tuples(graph: ColoredGraph, window) -> TupleDevelopment:
+    """Develop the window cell by cell: each edge is tried from every cell and
+    kept when its translate lands inside, a dict-keyed union-find joins the
+    tuples, and the components are numbered by their least (i, cell)."""
+    (x0, x1), (y0, y1) = window
+    cells = [ColorVector(gx, gy) for gx in range(x0, x1 + 1) for gy in range(y0, y1 + 1)]
+    verts = tuple((i, cell) for cell in cells for i in range(graph.n))
+    uf = {v: v for v in verts}
+
+    def find(v):
+        while uf[v] != v:
+            uf[v] = uf[uf[v]]
+            v = uf[v]
+        return v
+
+    edges = []
+    for e in graph.edges:
+        for cell in cells:
+            target = ColorVector(cell.g1 + e.color.g1, cell.g2 + e.color.g2)
+            if x0 <= target.g1 <= x1 and y0 <= target.g2 <= y1:
+                a, b = (e.tail, cell), (e.head, target)
+                edges.append((e.id, cell, a, b))
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    uf[ra] = rb
+    roots: dict[Vertex, list[Vertex]] = {}
+    for v in verts:
+        roots.setdefault(find(v), []).append(v)
+    ordered = sorted(roots.values(), key=min)
+    component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
+    core = {component_of[v] for v in verts if x0 < v[1].g1 < x1 and y0 < v[1].g2 < y1}
+    return TupleDevelopment(verts, tuple(edges), len(ordered), len(core), component_of)
 
 
 # ---------------------------------------------------------------------------

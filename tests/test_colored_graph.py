@@ -7,6 +7,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perigid.colored_graph import (
     ColoredGraph,
@@ -22,7 +24,7 @@ from perigid.colored_graph import (
 )
 from perigid.errors import MultiplicityWarning, StructuralError
 
-from paper_reference import ClosedWalk, fundamental_cycles, rho_of_walk
+from paper_reference import ClosedWalk, develop_by_tuples, fundamental_cycles, rho_of_walk
 from randgen import random_graph, with_potential, with_reversed
 
 G = ColoredGraph.build
@@ -90,7 +92,8 @@ def test_rho_additive_over_symmetric_difference():
     c1 = ClosedWalk(g, ((0, True), (1, True), (2, True)))
     c2 = ClosedWalk(g, ((2, False), (3, True)))
     sym = ClosedWalk(g, ((0, True), (1, True), (3, True)))
-    assert rho_of_walk(sym) == rho_of_walk(c1).plus(rho_of_walk(c2))
+    a, b = rho_of_walk(c1), rho_of_walk(c2)
+    assert rho_of_walk(sym) == ColorVector(a.g1 + b.g1, a.g2 + b.g2)
 
 
 def test_rank_invariance_under_transforms():
@@ -171,7 +174,7 @@ def test_develop_finite_index_fixture():
     assert rep.index == 2
     assert rep.predicted_infinite_components == 2
     assert rep.observed_core_components == 2
-    assert len(rep.vertices) == 25
+    assert rep.vertex_count == 25
 
 
 def test_develop_rank_one_and_zero():
@@ -212,6 +215,53 @@ def test_develop_empty_window_rejected():
         develop_window(LAMAN1, ((2, -2), (0, 0)))
 
 
+@st.composite
+def multigraphs(draw, nmax=4, mmax=8, color=3):
+    """A colored multigraph on up to nmax vertices: loops, parallel copies and
+    (0, 0) colors among its edges."""
+    n = draw(st.integers(0, nmax))
+    edges = []
+    for _ in range(draw(st.integers(0, mmax)) if n else 0):
+        t = draw(st.integers(0, n - 1))
+        h = draw(st.one_of(st.just(t), st.integers(0, n - 1)))
+        c = draw(st.tuples(st.integers(-color, color), st.integers(-color, color)))
+        edges += [(t, h, c)] * draw(st.integers(1, 2))
+    return G(n, edges)
+
+
+@st.composite
+def windows(draw):
+    """A window of 1..5 by 1..5 cells anywhere near the origin."""
+    x0, y0 = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    return (x0, x0 + draw(st.integers(0, 4))), (y0, y0 + draw(st.integers(0, 4)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(multigraphs(), windows())
+@example(G(0, []), ((-2, 2), (-2, 2)))  # cg 2 0 0
+@example(LAMAN1, ((3, 3), (-1, -1)))  # one cell, off the origin
+@example(FINDEX, ((-2, 2), (0, 0)))  # a 1-wide strip
+@example(FINDEX, ((1, 3), (-4, -2)))  # x0 > 0 and y1 < 0
+@example(G(2, [(0, 1, (4, 0)), (1, 1, (0, -3)), (0, 0, (0, 0))]), ((-1, 1), (0, 1)))  # narrower than the colors
+@example(G(1, [(0, 0, (1 << 53, 1))]), ((-1, 1), (-1, 1)))
+@example(G(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1 << 53, 1))]), ((-2, 2), (-2, 2)))
+def test_develop_matches_tuple_reference(graph, window):
+    rep = develop_window(graph, window)
+    ref = develop_by_tuples(graph, window)
+    (x0, _), (y0, y1) = window
+
+    def vid(vertex):
+        i, cell = vertex
+        return ((cell.g1 - x0) * (y1 - y0 + 1) + cell.g2 - y0) * graph.n + i
+
+    assert rep.vertex_count == len(ref.vertices)
+    assert [vid(v) for v in ref.vertices] == list(range(rep.vertex_count))
+    assert list(rep.edges) == [(eid, vid(a), vid(b)) for eid, _, a, b in ref.edges]
+    assert rep.observed_components == ref.observed_components
+    assert rep.observed_core_components == ref.observed_core_components
+    assert rep.component == [ref.component_of[v] for v in ref.vertices]
+
+
 def test_cover_identity_is_isomorphic():
     cov = sublattice_cover(FINDEX, [[1, 0], [0, 1]])
     assert cov == FINDEX
@@ -243,6 +293,26 @@ def test_cover_counts_and_composition():
         assert (c1.n, c1.m) == (2 * g.n, 2 * g.m)
         c2 = sublattice_cover(c1, b2)
         assert (c2.n, c2.m) == (4 * g.n, 4 * g.m)
+
+
+bases = st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]).filter(
+    lambda b: 0 < abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) <= 3
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(multigraphs(nmax=3, mmax=6, color=2), bases, bases)
+def test_cover_by_b1_then_b2_is_the_cover_by_b1_b2(graph, b1, b2):
+    # the second cover reads colors in the first one's lattice coordinates,
+    # so its lattice is spanned by the columns of the product b1 b2
+    composed = [[sum(b1[r][j] * b2[j][c] for j in range(2)) for c in range(2)] for r in range(2)]
+    twice, once = sublattice_cover(sublattice_cover(graph, b1), b2), sublattice_cover(graph, composed)
+
+    def invariants(g):
+        full = EdgeSubset.full(g)
+        return g.n, g.m, len(scan_subset(full, range(g.n)).trees), z2_rank(full)
+
+    assert invariants(twice) == invariants(once)
 
 
 def test_cover_singular_basis_rejected():

@@ -14,7 +14,9 @@ come from many rejected edges.  Every graph goes through all ten
 subcommands, in text and in JSON where a command has both (and SVG for
 `realize` and `develop`), with the `rank --dump` file read back, and
 `check`, `circuit`, `sparsity --family laman` and `realize` again at
-`--seed 3`.  Tight graphs at n = 32 and 64 (two each) go through `check`
+`--seed 3`.  `develop` runs at its default window and again in text, JSON
+and SVG at each of WINDOWS: one cell, a 1-wide strip, a window off the
+origin (x0 > 0, y1 < 0) and a wide one, several narrower than some colors.  Tight graphs at n = 32 and 64 (two each) go through `check`
 and `realize` in JSON, so that faithful realizations are compared beyond
 n = 12.  Graphs with m = 2n + 1 that are not sparse (a colored-Laman graph
 whose last edge is replaced by a parallel copy of an earlier one) at
@@ -22,7 +24,8 @@ n = 3..12 and 32 go through `realize` in text, JSON and SVG and `check` in
 text and JSON, so that the refusal of a graph that is not colored-Laman is
 compared too.  The numeric and Z-colored families at n = 64, 128 and 256 (the
 benchmark's numeric sizes) go through `rank` for all three matrices with
-`--dump`, and `oned`, `develop` and `cover`; so do flexible ones at n = 64
+`--dump`, and `oned`, `develop` (and `develop` in JSON at each of WINDOWS)
+and `cover`; so do flexible ones at n = 64
 and 128 (two disjoint copies of a tight graph, appended after the families
 above), whose every rank stays below its ceiling.  Two tight graphs at
 n = 128, appended after every other family, go through `check` and
@@ -77,6 +80,7 @@ RANDOM_GRAPHS = 80
 FLEXIBLE_SIZES = (64, 128)
 HUGE_COLORS = (1 << 40, 1 << 53)
 EDGELESS_SIZES = (0, 1)
+WINDOWS = ("0:0,0:0", "-1:1,0:0", "1:3,-4:-2", "-3:3,-1:1")  # besides develop's default -2:2,-2:2
 TRIALS = ("1", "5")
 PAIRS = 40  # the first graphs, all small, taken two at a time
 BROKEN = "cg 2 1 1\n0 0 1\n"  # an edge line short of its color
@@ -212,7 +216,8 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     """Every subcommand on one graph file; the dump path is filled in per side.
 
     A large graph runs only the numeric commands: rank with every matrix and
-    a dump, oned, develop and cover, and rank and oned at each trial count.  A deep one and a multigraph run only
+    a dump, oned, develop and cover, develop in JSON at each of WINDOWS, and
+    rank and oned at each trial count.  A deep one and a multigraph run only
     the sparsity commands: check, circuit, ross and sparsity with every
     family.  A tight one runs check and realize in JSON, and a refused one
     (m = 2n + 1, not sparse) realize in every format and check in two.
@@ -237,6 +242,7 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
                 out.append(["rank", path, "--matrix", matrix, "--dump", "{dump}", *fmt])
             out.append(["oned", path, *fmt])
             out.append(["develop", path, *fmt])
+        out += [["develop", path, "--window", window, "--format", "json"] for window in WINDOWS]
         out.append(["cover", path, "--basis", "2,1,0,2"])
         return out + trial_counts(path)
     for fmt in both:
@@ -250,6 +256,7 @@ def invocations(path: str, kind: str = "") -> list[list[str]]:
     for fmt in (*both, ["--format", "svg"]):
         out.append(["realize", path, *fmt])
         out.append(["develop", path, *fmt])
+        out += [["develop", path, "--window", window, *fmt] for window in WINDOWS]
     # certified outputs do not depend on the sampled points
     for argv in (["check"], ["circuit"], ["sparsity", "--family", "laman"], ["realize"]):
         out.append([argv[0], path, *argv[1:], "--seed", "3", "--format", "json"])
