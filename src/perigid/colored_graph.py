@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count, product, repeat
 from math import gcd
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetError, MultiplicityWarning, StructuralError
@@ -48,13 +51,7 @@ class ColorVector(NamedTuple):
     g2: int
 
 
-def _color(value: Sequence[int]) -> ColorVector:
-    g1, g2 = value
-    return ColorVector(int(g1), int(g2))
-
-
-@dataclass(frozen=True)
-class ColoredEdge:
+class ColoredEdge(NamedTuple):
     """Directed edge with a stable id; parallel copies carry distinct ids."""
 
     id: int
@@ -71,29 +68,29 @@ class ColoredGraph:
     edges: tuple[ColoredEdge, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for e in self.edges:
-            if not (0 <= e.tail < self.n and 0 <= e.head < self.n):
-                raise StructuralError(
-                    f"edge {e.id}: endpoint out of range [0, {self.n})"
-                )
-            if e.id in seen:
-                raise StructuralError(f"duplicate edge id {e.id}")
-            seen.add(e.id)
-        self._warn_multiplicity()
-        object.__setattr__(self, "_by_id", {e.id: e for e in self.edges})
+        n, edges = self.n, self.edges
+        ids, tails, heads, _ = zip(*edges) if edges else ((),) * 4
+        by_id, ends = dict(zip(ids, edges)), tails + heads
+        if min(ends, default=0) < 0 or max(ends, default=-1) >= n or len(by_id) < len(edges):
+            seen: set[int] = set()  # name the first edge at fault
+            for e in edges:
+                if not (0 <= e.tail < n and 0 <= e.head < n):
+                    raise StructuralError(f"edge {e.id}: endpoint out of range [0, {n})")
+                if e.id in seen:
+                    raise StructuralError(f"duplicate edge id {e.id}")
+                seen.add(e.id)
+        self._warn_multiplicity(tails, heads)
+        object.__setattr__(self, "_by_id", by_id)
 
-    def _warn_multiplicity(self):
-        pairs: dict[tuple[int, int], int] = {}
-        loops: dict[int, int] = {}
-        for e in self.edges:
-            if e.tail == e.head:
-                loops[e.tail] = loops.get(e.tail, 0) + 1
-            else:
-                key = (min(e.tail, e.head), max(e.tail, e.head))
-                pairs[key] = pairs.get(key, 0) + 1
-        bad_pairs = [k for k, v in pairs.items() if v > MAX_PARALLEL]
-        bad_loops = [v for v, c in loops.items() if c > MAX_LOOPS]
+    @staticmethod
+    def _warn_multiplicity(tails, heads):
+        """Warn of the vertex pairs and loop vertices over the ground set, by first copy;
+        a pair {t, h} is keyed by t + h and |t - h|, which determine it."""
+        pairs = Counter(zip(map(add, tails, heads), map(abs, map(sub, tails, heads))))
+        if max(pairs.values(), default=0) <= MAX_LOOPS:
+            return
+        bad_pairs = [((s - d) // 2, (s + d) // 2) for (s, d), c in pairs.items() if c > MAX_PARALLEL and d]
+        bad_loops = [s // 2 for (s, d), c in pairs.items() if c > MAX_LOOPS and not d]
         if bad_pairs or bad_loops:
             warnings.warn(
                 "multiplicity exceeds the 6-parallel/4-loop ground set; "
@@ -104,15 +101,20 @@ class ColoredGraph:
             )
 
     @classmethod
-    def build(
-        cls, n: int, edges: Iterable[tuple[int, int, Sequence[int]]]
-    ) -> "ColoredGraph":
-        """Construct from (tail, head, (g1, g2)) triples; ids run 0..m-1."""
-        built = tuple(
-            ColoredEdge(i, int(t), int(h), _color(c))
-            for i, (t, h, c) in enumerate(edges)
-        )
-        return cls(n, built)
+    def build(cls, n: int, edges: Iterable[tuple[int, int, Sequence[int]]]) -> "ColoredGraph":
+        """Construct from (tail, head, (g1, g2)) triples; ids run 0..m-1.  Every
+        field goes through int(), so bools and other integer types become plain ints."""
+        triples = tuple(edges)
+        tails, heads, colors = zip(*triples, strict=True) if triples else ((),) * 3
+        g1, g2 = zip(*colors, strict=True) if triples else ((),) * 2
+        return cls._of_columns(n, *(map(int, column) for column in (tails, heads, g1, g2)))
+
+    @classmethod
+    def _of_columns(cls, n: int, tails, heads, g1, g2) -> "ColoredGraph":
+        """Edge i runs tails[i] -> heads[i] colored (g1[i], g2[i]), all plain ints;
+        every edge and color is made by C-level map and zip."""
+        colors = map(tuple.__new__, repeat(ColorVector), zip(g1, g2))
+        return cls(n, tuple(map(tuple.__new__, repeat(ColoredEdge), zip(count(), tails, heads, colors))))
 
     @property
     def m(self) -> int:
@@ -122,18 +124,13 @@ class ColoredGraph:
         return self._by_id[eid]
 
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.edges)
+        return tuple(self._by_id)
 
     # -- the loops `perigid.rigidity.is_ross` adds -------------------------
 
-    def with_extra_loops(
-        self, vertex: int, colors: Iterable[Sequence[int]]
-    ) -> "ColoredGraph":
-        base = max((x.id for x in self.edges), default=-1) + 1
-        extra = tuple(
-            ColoredEdge(base + i, vertex, vertex, _color(c))
-            for i, c in enumerate(colors)
-        )
+    def with_extra_loops(self, vertex: int, colors: Iterable[Sequence[int]]) -> "ColoredGraph":
+        base = max(self._by_id, default=-1) + 1
+        extra = tuple(ColoredEdge(base + i, vertex, vertex, ColorVector(*map(int, c))) for i, c in enumerate(colors))
         return ColoredGraph(self.n, self.edges + extra)
 
 
@@ -310,8 +307,7 @@ def lattice_index(images: Iterable[Sequence[int]]) -> int | None:
 def scan_subset(subset: EdgeSubset, vertices: Iterable[int] = ()) -> GainScan:
     """The gain forest of the subset's edges in id order, plus `vertices`."""
     graph = subset.graph
-    chosen = map(graph.edge, subset.sorted_ids())
-    return GainScan(((e.id, e.tail, e.head, e.color) for e in chosen), vertices)
+    return GainScan(map(graph.edge, subset.sorted_ids()), vertices)
 
 
 def z2_rank(subset: EdgeSubset) -> int:
@@ -483,34 +479,26 @@ def sublattice_cover(
         h11, h21 = -h11, -h21 % h22
     sheets = h11 * h22
 
-    def residue(x: int, y: int) -> tuple[int, int]:
-        r1 = x % h11
-        y -= ((x - r1) // h11) * h21
-        return r1, y % h22
+    def lift(g1: int, g2: int) -> tuple[tuple[int, ...], ...]:
+        """Per residue r in order: the rank of the residue r' of r + color, and
+        the sub-lattice coordinates of r + color - r'."""
+        out = []
+        for rx, ry in product(range(h11), range(h22)):
+            x, y = rx + g1, ry + g2
+            sx = x % h11
+            sy = (y - (x - sx) // h11 * h21) % h22
+            tx, ty = d * (x - sx) - b * (y - sy), a * (y - sy) - c * (x - sx)  # basis * t = (x, y) - r'
+            if tx % det or ty % det:
+                raise StructuralError("vector is not in the sub-lattice")
+            out.append((sx * h22 + sy, tx // det, ty // det))
+        return tuple(zip(*out))
 
-    residues = [(rx, ry) for rx in range(h11) for ry in range(h22)]
-    res_index = {r: i for i, r in enumerate(residues)}
-
-    def lattice_coords(x: int, y: int) -> ColorVector:
-        # solve basis * t = (x, y) exactly
-        tx = d * x - b * y
-        ty = -c * x + a * y
-        if tx % det or ty % det:
-            raise StructuralError("vector is not in the sub-lattice")
-        return ColorVector(tx // det, ty // det)
-
-    new_edges = []
-    for e in graph.edges:
-        for r in residues:
-            sx, sy = r
-            tx, ty = sx + e.color.g1, sy + e.color.g2
-            rx, ry = residue(tx, ty)
-            shift = lattice_coords(tx - rx, ty - ry)
-            new_edges.append(
-                (
-                    e.tail * sheets + res_index[r],
-                    e.head * sheets + res_index[(rx, ry)],
-                    shift,
-                )
-            )
-    return ColoredGraph.build(graph.n * sheets, new_edges)
+    lifts: dict[ColorVector, tuple[tuple[int, ...], ...]] = {}
+    tails, heads, g1, g2 = [], [], [], []
+    for _, t, h, color in graph.edges:
+        to, s1, s2 = lifts.get(color) or lifts.setdefault(color, lift(*color))
+        tails.extend(range(t * sheets, (t + 1) * sheets))
+        heads.extend(map((h * sheets).__add__, to))
+        g1.extend(s1)
+        g2.extend(s2)
+    return ColoredGraph._of_columns(graph.n * sheets, tails, heads, g1, g2)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import chain
 from typing import Any
 
 from .colored_graph import MAX_COLOR, MAX_EDGES, MAX_VERTICES, ColoredGraph, DevelopmentReport
@@ -27,7 +28,7 @@ from .linear_rep import RankReport
 from .rigidity import OneDVerdict, RigidityVerdict
 from .sparsity import CircuitReport
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")  # ASCII integers joined by single spaces
 
 
 def parse_colored_graph(data: str | bytes) -> ColoredGraph:
@@ -38,11 +39,8 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
         except UnicodeDecodeError as exc:
             line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
             raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((lineno, stripped.split()))
+    numbered = enumerate(data.splitlines(), start=1)
+    rows = [(lineno, tokens) for lineno, raw in numbered if (tokens := raw.split("#", 1)[0].split())]
     if not rows:
         raise ParseError("empty file: expected a 'cg' header", 1)
 
@@ -55,12 +53,10 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
         raise ParseError(f"unsupported dimension {header[1]}", lineno, 2)
 
     def integer(token: str, line: int, col: int) -> int:
-        try:
-            if _INTEGER.fullmatch(token):
-                return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
-        raise ParseError(f"expected an integer, got {token!r}", line, col)
+        value = _integers([token])
+        if value is None:
+            raise ParseError(f"expected an integer, got {token!r}", line, col)
+        return value[0]
 
     n = integer(header[2], lineno, 3)
     m = integer(header[3], lineno, 4)
@@ -75,7 +71,15 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
             f"header promises {m} edges, file has {len(rows) - 1} edge lines", lineno
         )
 
-    edges = []
+    # every check of the line loop below, over all edge lines at once, in C
+    lines = [tokens for _, tokens in rows[1:]]
+    values = _integers(list(chain.from_iterable(lines))) if set(map(len, lines)) == {4} else None
+    if values:
+        tails, heads, g1, g2 = (values[k::4] for k in range(4))
+        ends_ok = 0 <= min(min(tails), min(heads)) and max(max(tails), max(heads)) < n
+        if ends_ok and max(max(map(abs, g1)), max(map(abs, g2))) <= MAX_COLOR:
+            return ColoredGraph._of_columns(n, tails, heads, g1, g2)
+    edges = []  # a check failed: the loop raises at the first line at fault
     for lineno, tokens in rows[1:]:
         if len(tokens) != 4:
             raise ParseError("edge line must be '<tail> <head> <g1> <g2>'", lineno)
@@ -88,6 +92,14 @@ def parse_colored_graph(data: str | bytes) -> ColoredGraph:
             raise BudgetError(f"line {lineno}: a color entry exceeds the color budget {MAX_COLOR}")
         edges.append((t, h, (g1, g2)))
     return ColoredGraph.build(n, edges)
+
+
+def _integers(tokens: list[str]) -> list[int] | None:
+    """The tokens' values if each is an ASCII integer that int() converts, else None."""
+    try:
+        return list(map(int, tokens)) if _INTEGERS.fullmatch(" ".join(tokens)) else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def serialize_colored_graph(graph: ColoredGraph) -> str:

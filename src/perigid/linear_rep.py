@@ -56,22 +56,21 @@ def _dense(entries: dict, width: int) -> tuple:
     return tuple(row)
 
 
-def _pattern_row(terms):
-    """Sum (column, term) pairs in order, mod p: a cancelled loop entry stays as 0."""
-    row = {}
-    for j, x in terms:
-        row[j] = row.get(j, 0) + x
-    return {j: x % PRIME for j, x in row.items()}
-
-
 def _m112_row(n, e, a):
-    return _pattern_row(((e.tail, -a), (e.head, a), (n, e.color.g1 * a), (n + 1, e.color.g2 * a)))
+    """-a at the tail, +a at the head and (g1*a, g2*a) at the lattice columns,
+    mod p; a loop's vertex entries cancel to 0, which stays as its entry."""
+    _, t, h, (g1, g2) = e
+    p = PRIME
+    return {t: -a % p, h: a % p if t != h else 0, n: g1 * a % p, n + 1: g2 * a % p}
 
 
 def _m222_row(n, e, a, b):
-    t, h, (g1, g2) = 2 * e.tail, 2 * e.head, e.color
-    lattice = ((2 * n, g1 * a), (2 * n + 1, g1 * b), (2 * n + 2, g2 * a), (2 * n + 3, g2 * b))
-    return _pattern_row(((t, -a), (t + 1, -b), (h, a), (h + 1, b)) + lattice)
+    """The M112 pattern with a pair (a, b): two columns per vertex, four lattice columns."""
+    _, t, h, (g1, g2) = e
+    p, t, h = PRIME, 2 * t, 2 * h
+    x, y = (a % p, b % p) if t != h else (0, 0)
+    c = 2 * n
+    return {t: -x % p, t + 1: -y % p, h: x, h + 1: y, c: g1 * a % p, c + 1: g1 * b % p, c + 2: g2 * a % p, c + 3: g2 * b % p}
 
 
 def natural_rows(graph: ColoredGraph, a: dict[int, int], b: dict[int, int] | None = None) -> list[dict[int, int]]:
@@ -137,7 +136,7 @@ def _eliminate(rows, track: bool = False):
     place = {j: k for k, j in enumerate(order)}
     pivots, made, vanished = {}, {}, []
     for i, row in enumerate(rows):
-        row = {place[j]: x for j, x in row.items()}
+        row = dict(zip(map(place.__getitem__, row), row.values()))
         steps = []
         while row:
             col = min(row)

@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigid.colored_graph import (
+    ColoredEdge,
     ColoredGraph,
     ColorVector,
     EdgeSubset,
     GainScan,
+    _triangular,
     develop_window,
     image_rank,
     lattice_index,
@@ -315,6 +317,42 @@ def test_cover_by_b1_then_b2_is_the_cover_by_b1_b2(graph, b1, b2):
     assert invariants(twice) == invariants(once)
 
 
+def _cover_edge_by_edge(graph, basis):
+    """The cover as it was built: each edge's lift to every residue worked out
+    on its own, one (tail, head, color) triple at a time."""
+    a, b = int(basis[0][0]), int(basis[0][1])
+    c, d = int(basis[1][0]), int(basis[1][1])
+    det = a * d - b * c
+    h11, h21, h22 = _triangular(((a, c), (b, d)))
+    if h11 < 0:
+        h11, h21 = -h11, -h21 % h22
+    sheets = h11 * h22
+
+    def residue(x, y):
+        r1 = x % h11
+        y -= ((x - r1) // h11) * h21
+        return r1, y % h22
+
+    residues = [(rx, ry) for rx in range(h11) for ry in range(h22)]
+    res_index = {r: i for i, r in enumerate(residues)}
+    new_edges = []
+    for e in graph.edges:
+        for r in residues:
+            tx, ty = r[0] + e.color.g1, r[1] + e.color.g2
+            rx, ry = residue(tx, ty)
+            x, y = tx - rx, ty - ry
+            assert (d * x - b * y) % det == 0 and (a * y - c * x) % det == 0
+            shift = ((d * x - b * y) // det, (a * y - c * x) // det)
+            new_edges.append((e.tail * sheets + res_index[r], e.head * sheets + res_index[(rx, ry)], shift))
+    return G(graph.n * sheets, new_edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(multigraphs(nmax=3, mmax=6, color=5), st.one_of(bases, st.sampled_from([[[2, 0], [0, 2]], [[3, 1], [-1, 2]], [[0, -2], [3, 1]]])))
+def test_cover_matches_the_edge_by_edge_lift(graph, basis):
+    assert sublattice_cover(graph, basis) == _cover_edge_by_edge(graph, basis)
+
+
 def test_cover_singular_basis_rejected():
     with pytest.raises(StructuralError):
         sublattice_cover(LAMAN1, [[1, 2], [2, 4]])
@@ -330,6 +368,105 @@ def test_multiplicity_warning():
 def test_edge_validation():
     with pytest.raises(StructuralError):
         G(1, [(0, 1, (0, 0))])
+
+
+def _edge_by_edge_checks(n, edges):
+    """ColoredGraph's checks as they were, one edge at a time: raise the first
+    StructuralError, else return the MultiplicityWarning text (None if none)."""
+    seen = set()
+    for e in edges:
+        if not (0 <= e.tail < n and 0 <= e.head < n):
+            raise StructuralError(f"edge {e.id}: endpoint out of range [0, {n})")
+        if e.id in seen:
+            raise StructuralError(f"duplicate edge id {e.id}")
+        seen.add(e.id)
+    pairs, loops = {}, {}
+    for e in edges:
+        if e.tail == e.head:
+            loops[e.tail] = loops.get(e.tail, 0) + 1
+        else:
+            key = (min(e.tail, e.head), max(e.tail, e.head))
+            pairs[key] = pairs.get(key, 0) + 1
+    bad_pairs = [k for k, v in pairs.items() if v > 6]
+    bad_loops = [v for v, c in loops.items() if c > 4]
+    if bad_pairs or bad_loops:
+        return (
+            "multiplicity exceeds the 6-parallel/4-loop ground set; excess copies are always dependent "
+            f"(pairs={bad_pairs}, loop vertices={bad_loops})"
+        )
+    return None
+
+
+def _checked(construct):
+    """The StructuralError text construct raises, or the MultiplicityWarning text it warns (None if none)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            construct()
+        except StructuralError as exc:
+            return "error", str(exc)
+    texts = [str(w.message) for w in caught if issubclass(w.category, MultiplicityWarning)]
+    assert len(texts) <= 1
+    return texts[0] if texts else None
+
+
+@st.composite
+def crowded_edges(draw):
+    """Hand-made edges on n <= 3 vertices: many parallel copies, with or
+    without loops, and ids and endpoints that may repeat or fall out of range."""
+    n = draw(st.integers(0, 3))
+    vertices = range(-1, n + 1) if draw(st.booleans()) else range(max(n, 1))
+    loops, fresh_ids = draw(st.booleans()), draw(st.booleans())
+    triples = []
+    for _ in range(draw(st.integers(0, 30))):
+        t = draw(st.sampled_from(vertices))
+        others = [v for v in vertices if v != t or loops]
+        h = draw(st.sampled_from(others)) if others else t
+        color = ColorVector(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+        triples += [(t, h, color)] * draw(st.integers(1, 4))
+    ids = range(len(triples)) if fresh_ids else [draw(st.integers(0, 40)) for _ in triples]
+    return n, tuple(ColoredEdge(i, t, h, c) for i, (t, h, c) in zip(ids, triples))
+
+
+def test_graph_checks_match_the_edge_by_edge_checks():
+    seen = set()  # the errors and warnings met, so that each is shown to be reached
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(crowded_edges())
+    @example((2, tuple(ColoredEdge(i, 1, 1, ColorVector(i, 0)) for i in range(5))))  # 5 loops, nothing else
+    @example((2, tuple(ColoredEdge(i, i % 2, 1 - i % 2, ColorVector(i, 0)) for i in range(7))))  # 7 copies, both ways
+    def check(case):
+        n, edges = case
+        try:
+            want = _edge_by_edge_checks(n, edges)
+        except StructuralError as exc:
+            want = "error", str(exc)
+        assert _checked(lambda: ColoredGraph(n, edges)) == want
+        if want is None or want[0] != "error":
+            renumbered = tuple(e._replace(id=i) for i, e in enumerate(edges))  # build numbers the edges
+            assert _checked(lambda: G(n, [e[1:] for e in edges])) == _edge_by_edge_checks(n, renumbered)
+        if want is not None:
+            seen.add(want[1].split()[0] if want[0] == "error" else ("pairs=[]" in want, "vertices=[]" in want))
+
+    check()
+    assert {"edge", "duplicate", (True, False), (False, True), (False, False)} <= seen
+
+
+def test_build_makes_plain_ints():
+    np = pytest.importorskip("numpy")
+    g = G(np.int64(3), [(np.int64(0), True, [np.int64(2), False]), [2, np.int64(1), (True, -1)], (1, 1, ColorVector(0, 3))])
+    assert g.edges == (
+        ColoredEdge(0, 0, 1, ColorVector(2, 0)),
+        ColoredEdge(1, 2, 1, ColorVector(1, -1)),
+        ColoredEdge(2, 1, 1, ColorVector(0, 3)),
+    )
+    fields = [x for e in g.edges for x in (e.id, e.tail, e.head, *e.color)]
+    assert {type(x) for x in fields} == {int} and type(g.edges[0].color) is ColorVector
+    assert G(0, []).edges == () and G(2, iter([(0, 1, (0, 0))])).m == 1
+    with pytest.raises(ValueError):
+        G(2, [(0, 1, (0, 0)), (0, 1, (0, 0, 0))])
+    with pytest.raises(ValueError):
+        G(2, [(0, 1)])
 
 
 def test_subset_ids_are_checked_against_the_id_index(monkeypatch):

@@ -6,13 +6,14 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigid.cli import build_parser, main
@@ -215,8 +216,9 @@ def test_parse_refuses_integers_that_are_not_ascii_decimal(token):
 
 
 _CG_PIECES = [
-    b"cg", b"2", b"0", b"1", b"-1", b"+1", b"3", b" ", b"\t", b"\n", b"\r\n", b"\x85", b"#",
-    b"\xff", b"\xc3", "\u0663".encode(), b"1_0", b"\x00", b"9" * 30,
+    b"cg", b"2", b"0", b"1", b"-1", b"+1", b"+0", b"-0", b"3", b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x0b",
+    b"\x1c", b"\x85", "\u2028".encode(), b"#", b"\xff", b"\xc3", "\u0663".encode(), b"1_0", b"\x00",
+    b"9" * 30, b"9" * 4301,  # int() refuses more than 4,300 digits
     str(MAX_COLOR + 1).encode(), str(MAX_VERTICES + 1).encode(), str(MAX_EDGES + 1).encode(),
 ]
 
@@ -229,7 +231,14 @@ def _cg_bytes(draw):
     n = draw(st.integers(0, 3))
     vertex, coord = st.integers(0, max(n - 1, 0)), st.integers(-2, 2)
     edges = draw(st.lists(st.tuples(vertex, vertex, st.tuples(coord, coord)), max_size=6))
-    data = serialize_colored_graph(G(n, edges) if n else G(0, [])).encode()
+    lines = serialize_colored_graph(G(n, edges) if n else G(0, [])).split("\n")
+    if len(lines) >= 4 and draw(st.booleans()):
+        # break an edge line over two lines: every token stays, so the total
+        # token count is right and only the per-line count is wrong
+        i, k = draw(st.integers(1, len(lines) - 3)), draw(st.integers(1, 3))
+        tokens = lines[i].split(" ")
+        lines[i], lines[i + 1] = " ".join(tokens[:k]), " ".join(tokens[k:] + [lines[i + 1]])
+    data = "\n".join(lines).encode()
     for piece in draw(st.lists(st.sampled_from(_CG_PIECES), max_size=3)):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + piece + data[at:]
@@ -249,6 +258,89 @@ def test_parse_fuzz_gives_a_graph_or_a_positioned_error(data):
         text = serialize_colored_graph(g)
         assert parse_colored_graph(text) == g
         assert serialize_colored_graph(parse_colored_graph(text.encode())) == text
+
+
+def _line_parser(data: str | bytes) -> ColoredGraph:
+    """The parser as it was before its edge checks ran over all lines at once:
+    one regex match and one int() per token, line by line."""
+    integer_re = re.compile(r"[+-]?[0-9]+")
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+            raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            rows.append((lineno, stripped.split()))
+    if not rows:
+        raise ParseError("empty file: expected a 'cg' header", 1)
+    lineno, header = rows[0]
+    if header[0] != "cg":
+        raise ParseError(f"bad magic {header[0]!r}, expected 'cg'", lineno, 1)
+    if len(header) != 4:
+        raise ParseError("header must be 'cg 2 <n> <m>'", lineno)
+    if header[1] != "2":
+        raise ParseError(f"unsupported dimension {header[1]}", lineno, 2)
+
+    def integer(token: str, line: int, col: int) -> int:
+        try:
+            if integer_re.fullmatch(token):
+                return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise ParseError(f"expected an integer, got {token!r}", line, col)
+
+    n = integer(header[2], lineno, 3)
+    m = integer(header[3], lineno, 4)
+    if n < 0 or m < 0:
+        raise ParseError("counts must be nonnegative", lineno)
+    if n > MAX_VERTICES:
+        raise BudgetError(f"line {lineno}: n = {n} exceeds the vertex budget {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise BudgetError(f"line {lineno}: m = {m} exceeds the edge budget {MAX_EDGES}")
+    if len(rows) - 1 != m:
+        raise ParseError(f"header promises {m} edges, file has {len(rows) - 1} edge lines", lineno)
+    edges = []
+    for lineno, tokens in rows[1:]:
+        if len(tokens) != 4:
+            raise ParseError("edge line must be '<tail> <head> <g1> <g2>'", lineno)
+        t, h, g1, g2 = (integer(tok, lineno, i + 1) for i, tok in enumerate(tokens))
+        if not 0 <= t < n:
+            raise ParseError(f"tail {t} out of range [0, {n})", lineno, 1)
+        if not 0 <= h < n:
+            raise ParseError(f"head {h} out of range [0, {n})", lineno, 2)
+        if max(abs(g1), abs(g2)) > MAX_COLOR:
+            raise BudgetError(f"line {lineno}: a color entry exceeds the color budget {MAX_COLOR}")
+        edges.append((t, h, (g1, g2)))
+    return ColoredGraph.build(n, edges)
+
+
+def _outcome(parse, data):
+    """The graph parse returns, or its exception's class, message, line and column."""
+    try:
+        return parse(data)
+    except (ParseError, BudgetError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_cg_bytes())
+@example(b"cg 2 2 2\n0 1\n0 0 1 0 1 1\n")  # the right token count, one line short
+@example(b"cg 2 2 1\n+0 -0 -0 +0\n")
+@example(b"cg 2 2 1\n0 1 0 " + b"9" * 4301 + b"\n")
+@example(b"cg 2 2 1\n0 1 0 " + b"9" * 4300 + b"\n")
+@example(b"cg 2 2 2\n0 1 0 0\r1 0 0 0\x0b")
+@example("cg 2 2 2\n0 1 0 0\u20281 0 0 0 # \u2028\n".encode())
+@example(b"cg 2 2 2\n0 1 0 0\n2 0 0 0\n")
+@example(b"cg 2 2 2\n0 1 0 0\n0 -1 0 0\n")
+@example(f"cg 2 2 2\n0 1 0 {MAX_COLOR}\n0 1 -{MAX_COLOR + 1} 0\n".encode())
+def test_parse_matches_the_line_parser(data):
+    assert _outcome(parse_colored_graph, data) == _outcome(_line_parser, data)
+    text = data.decode("utf-8", "replace")
+    assert _outcome(parse_colored_graph, text) == _outcome(_line_parser, text)
 
 
 def test_cli_check_exit_codes(capsys, laman1, two_loops):

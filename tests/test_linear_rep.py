@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigid.colored_graph import ColoredGraph, EdgeSubset
+from perigid.colored_graph import ColoredEdge, ColoredGraph, ColorVector, EdgeSubset
 from perigid.direction_network import DirectionAssignment, _modp_row
 from perigid.errors import DomainError, StructuralError
 from perigid import linear_rep
@@ -67,6 +67,39 @@ def test_m222_row():
     g = G(2, [(0, 1, (2, 3))])
     row = dense_rows(g, {0: 5}, {0: 7})[0]
     assert row == ((-5) % PRIME, (-7) % PRIME, 5, 7, 10, 14, 15, 21)
+
+
+def _pattern_row(terms):
+    """The rows as they were built: sum (column, term) pairs in order, mod p,
+    so a cancelled loop entry stays as 0."""
+    row = {}
+    for j, x in terms:
+        row[j] = row.get(j, 0) + x
+    return {j: x % PRIME for j, x in row.items()}
+
+
+def test_direct_row_entries_match_the_summed_pattern():
+    rng = random.Random(31)
+    big = (-PRIME - 5, -3, -1, 0, 1, 2, PRIME - 1, PRIME, PRIME + 7, 5 * PRIME + 3, 1 << 80)
+    loops = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        t, h = rng.randrange(n), rng.randrange(n)
+        t = h if rng.random() < 0.3 else t
+        loops += t == h
+        color = ColorVector(*(rng.choice((0, 0, rng.randint(-3, 3), rng.randint(-10**6, 10**6))) for _ in "gg"))
+        e = ColoredEdge(rng.randrange(10), t, h, color)
+        a, b = (rng.choice(big) if rng.random() < 0.3 else rng.randrange(-PRIME, 2 * PRIME) for _ in "ab")
+        g1, g2 = color
+        want = _pattern_row(((t, -a), (h, a), (n, g1 * a), (n + 1, g2 * a)))
+        got = linear_rep._m112_row(n, e, a)
+        assert got == want and list(got) == list(want)
+        tt, hh = 2 * t, 2 * h
+        lattice = ((2 * n, g1 * a), (2 * n + 1, g1 * b), (2 * n + 2, g2 * a), (2 * n + 3, g2 * b))
+        want = _pattern_row(((tt, -a), (tt + 1, -b), (hh, a), (hh + 1, b)) + lattice)
+        got = linear_rep._m222_row(n, e, a, b)
+        assert got == want and list(got) == list(want)
+    assert loops > 500
 
 
 def test_build_matrix_missing_assignment():

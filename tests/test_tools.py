@@ -1,10 +1,12 @@
-"""The benchmark summary of tools/bench_pairs.py on hand-made run lists, and
-a smoke run of tools/stage_times.py."""
+"""The benchmark summary of tools/bench_pairs.py on hand-made run lists, its
+argument checks, and a smoke run of tools/stage_times.py for each family."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 
@@ -66,7 +68,23 @@ def test_more_failures_make_every_metric_worse():
 
 
 def test_stage_times_smoke(capsys):
-    assert stage_times.main(["--root", str(ROOT), "--n", "6", "--graphs", "2", "--repeats", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    times = {line.split()[0]: float(line.split()[1]) for line in lines[2:2 + len(stage_times.STAGES)]}
-    assert list(times) == list(stage_times.STAGES) and all(t > 0 for t in times.values())
+    for family, stages in stage_times.FAMILIES.items():
+        argv = ["--root", str(ROOT), "--n", "6", "--graphs", "2", "--repeats", "1", "--family", family]
+        assert stage_times.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        times = {line.split()[0]: float(line.split()[1]) for line in lines[2:2 + len(stages)]}
+        assert list(times) == list(stages) and all(t > 0 for t in times.values())
+
+
+def test_bench_pairs_takes_two_directories_or_two_revisions(tmp_path, capsys):
+    for argv in (
+        [],  # neither
+        ["--parent", str(ROOT)],  # one directory
+        ["--parent-rev", "HEAD", "--workdir", str(tmp_path)],  # one revision
+        ["--parent-rev", "HEAD", "--change-rev", "HEAD"],  # no workdir
+        ["--parent-rev", "HEAD", "--change-rev", "HEAD", "--workdir", str(tmp_path), "--change", str(ROOT)],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.main(argv + ["--workload", "check_minimal", "--pairs", "1", "--seconds", "1"])
+        assert exit_.value.code == 2
+    assert not list(tmp_path.iterdir())  # refused before anything was unpacked

@@ -2,8 +2,16 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
         --pairs N --seconds S [--first-seed K] [--out BENCH.json]
+    python3 tools/bench_pairs.py --parent-rev REV --change-rev REV --workdir DIR \
+        --workload NAME --pairs N --seconds S [--first-seed K] [--out BENCH.json]
 
-Each DIR is the root of a checkout.  Pair i runs
+Each DIR is the root of a checkout.  With `--parent-rev` and `--change-rev`
+the tool builds both checkouts itself, the same way: `git archive` of each
+revision of the repository the tool sits in, unpacked into the sibling
+directories `parent` and `change` of the workdir, which must not exist yet.
+Giving both sides one revision makes a same-code control pair, whose
+verdicts show what the placement of two checkouts alone reads as; its entry
+is stored under `controls`, not `workloads`.  Pair i runs
 
     python3 perfbench/run.py --workload NAME --seed K+i --seconds S --trace 0
 
@@ -32,6 +40,17 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def archive(rev: str, into: Path) -> str:
+    """Unpack `git archive` of rev into the new directory into; returns the commit id."""
+    repo = Path(__file__).resolve().parents[1]
+    commit = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    into.mkdir(parents=True)
+    tar = subprocess.run(["git", "-C", str(repo), "archive", commit], stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=tar, check=True)
+    return commit
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -95,14 +114,27 @@ def summarise(metric: dict, parent: list[float], change: list[float], more_failu
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--parent-rev")
+    parser.add_argument("--change-rev")
+    parser.add_argument("--workdir", type=Path, help="where --parent-rev and --change-rev are unpacked")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    revs = {"parent": args.parent_rev, "change": args.change_rev}
+    if any(revs.values()):
+        if not all(revs.values()) or args.workdir is None or args.parent or args.change:
+            parser.error("--parent-rev and --change-rev go together, with --workdir and without --parent or --change")
+        for side, rev in revs.items():
+            revs[side] = archive(rev, args.workdir / side)
+            setattr(args, side, args.workdir / side)
+    elif args.parent is None or args.change is None:
+        parser.error("give --parent and --change, or --parent-rev and --change-rev")
+    control = revs["parent"] is not None and revs["parent"] == revs["change"]
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -133,6 +165,7 @@ def main(argv=None) -> int:
         print(f"{side}: peak_rss_mb median {metrics['peak_rss_mb'][side]['median']:.2f} "
               f"at median attempted {attempted:g}", file=sys.stderr)
     entry = {
+        "revisions": revs if revs["parent"] else None,
         "seeds": seeds,
         "seconds": args.seconds,
         "first_in_pair": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
@@ -147,7 +180,7 @@ def main(argv=None) -> int:
                        "machine": platform.machine()}, "workloads": {}}
     if args.out and args.out.is_file():
         report = json.loads(args.out.read_text())
-    report["workloads"][args.workload] = entry
+    report.setdefault("controls" if control else "workloads", {})[args.workload] = entry
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
