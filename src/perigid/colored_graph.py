@@ -407,15 +407,14 @@ def develop_window(graph: ColoredGraph, window: Window) -> DevelopmentReport:
     count = width * height * n
     parent = list(range(count))
     dev_edges = []
-    for e in graph.edges:
-        g1, g2 = e.color
-        shift = (g1 * height + g2) * n + e.head - e.tail
+    for eid, tail, head, (g1, g2) in graph.edges:
+        shift = (g1 * height + g2) * n + head - tail
         gys = range(max(0, -g2), min(height, height - g2))
         for gx in range(max(0, -g1), min(width, width - g1)):
             for gy in gys:
-                a = (gx * height + gy) * n + e.tail
+                a = (gx * height + gy) * n + tail
                 b = a + shift
-                dev_edges.append((e.id, a, b))
+                dev_edges.append((eid, a, b))
                 while parent[a] != a:
                     parent[a] = a = parent[parent[a]]
                 while parent[b] != b:

@@ -70,7 +70,8 @@ def _m222_row(n, e, a, b):
     p, t, h = PRIME, 2 * t, 2 * h
     x, y = (a % p, b % p) if t != h else (0, 0)
     c = 2 * n
-    return {t: -x % p, t + 1: -y % p, h: x, h + 1: y, c: g1 * a % p, c + 1: g1 * b % p, c + 2: g2 * a % p, c + 3: g2 * b % p}
+    return {t: -x % p, t + 1: -y % p, h: x, h + 1: y,
+            c: g1 * a % p, c + 1: g1 * b % p, c + 2: g2 * a % p, c + 3: g2 * b % p}
 
 
 def natural_rows(graph: ColoredGraph, a: dict[int, int], b: dict[int, int] | None = None) -> list[dict[int, int]]:
@@ -136,7 +137,7 @@ def _eliminate(rows, track: bool = False):
     place = {j: k for k, j in enumerate(order)}
     pivots, made, vanished = {}, {}, []
     for i, row in enumerate(rows):
-        row = dict(zip(map(place.__getitem__, row), row.values()))
+        row = {place[j]: x for j, x in row.items()}
         steps = []
         while row:
             col = min(row)
@@ -211,8 +212,8 @@ def _integer_point(n: int, rng: random.Random) -> list[tuple[int, int]]:
 def _integer_eta(xy: Sequence[tuple[int, int]], e) -> tuple[int, int]:
     """The displacement p_head + L*color - p_tail at the point xy, exactly."""
     (a, b), (c, d) = xy[-2:]
-    g1, g2 = e.color.g1, e.color.g2
-    return (xy[e.head][0] + a * g1 + b * g2 - xy[e.tail][0], xy[e.head][1] + c * g1 + d * g2 - xy[e.tail][1])
+    _, t, h, (g1, g2) = e
+    return (xy[h][0] + a * g1 + b * g2 - xy[t][0], xy[h][1] + c * g1 + d * g2 - xy[t][1])
 
 
 def _modp_rigidity_rows(graph: ColoredGraph, xy: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
